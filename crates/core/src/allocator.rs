@@ -64,9 +64,10 @@ impl AllocationOutcome {
             }
         }
         let objectives = problem.evaluate(&assignment);
-        let accepted_requests = problem.accepted_requests(&assignment).len();
-        let gross_revenue = problem.gross_revenue(&assignment);
-        let rejection_rate = problem.rejection_rate(&assignment);
+        let accepted = problem.accepted_mask(&assignment);
+        let accepted_requests = accepted.iter().filter(|&&ok| ok).count();
+        let gross_revenue = problem.revenue_of(&accepted);
+        let rejection_rate = problem.rejection_rate_of(&accepted);
         Self {
             assignment,
             rejected,

@@ -122,10 +122,10 @@ impl EvoAllocator {
 /// Admission control on the final solution: unassign the VMs of every
 /// request that is not fully and validly served; report them as rejected.
 fn finalize(problem: &AllocationProblem, assignment: &mut Assignment) -> Vec<RequestId> {
-    let accepted = problem.accepted_requests(assignment);
+    let accepted = problem.accepted_mask(assignment);
     let mut rejected = Vec::new();
     for req in problem.batch().requests() {
-        if !accepted.contains(&req.id) {
+        if !accepted[req.id.index()] {
             for &k in &req.vms {
                 assignment.unassign(k);
             }

@@ -83,10 +83,10 @@ impl Allocator for TabuSearchAllocator {
         // Admission control: evict whatever the polish left partially or
         // invalidly placed; what survives is violation-free.
         let mut polished = result.best;
-        let accepted = problem.accepted_requests(&polished);
+        let accepted = problem.accepted_mask(&polished);
         let mut rejected = Vec::new();
         for req in problem.batch().requests() {
-            if !accepted.contains(&req.id) {
+            if !accepted[req.id.index()] {
                 for &k in &req.vms {
                     polished.unassign(k);
                 }

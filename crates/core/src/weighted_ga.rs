@@ -125,10 +125,10 @@ impl Allocator for WeightedGaAllocator {
             .expect("population non-empty");
         let mut assignment = codec.decode(&best.genes);
         let _ = tabu_repair(problem, &mut assignment, &self.repair);
-        let accepted = problem.accepted_requests(&assignment);
+        let accepted = problem.accepted_mask(&assignment);
         let mut rejected = Vec::new();
         for req in problem.batch().requests() {
-            if !accepted.contains(&req.id) {
+            if !accepted[req.id.index()] {
                 for &k in &req.vms {
                     assignment.unassign(k);
                 }

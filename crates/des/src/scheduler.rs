@@ -20,7 +20,7 @@
 //! boundaries (FIFO among equal timestamps).
 
 use crate::queue::EventQueue;
-use crate::sources::{ArrivalSource, FailureProcess};
+use crate::sources::{Arrival, ArrivalSource, FailureProcess};
 use crate::time::SimTime;
 use cpo_core::prelude::Allocator;
 use cpo_model::prelude::*;
@@ -28,7 +28,6 @@ use cpo_platform::prelude::{
     FleetExecutor, LifetimePolicy, ShardBackend, ShardedScheduler, SimConfig, TenantId,
     WindowExecutor, WindowReport,
 };
-use cpo_platform::tenant::rebase_rules;
 
 /// How a window's solve time becomes simulation latency.
 #[derive(Clone, Copy, Debug)]
@@ -105,14 +104,14 @@ impl Default for DesConfig {
     }
 }
 
-/// Events on the kernel queue.
+/// Events on the kernel queue. Every variant is at most 16 bytes, so a
+/// heap sift moves `(time, seq, event)` entries of 32 bytes.
 enum DesEvent {
-    /// A request arrived (payload drawn from the arrival source).
-    Arrival {
-        batch: RequestBatch,
-        holding: f64,
-        key: u64,
-    },
+    /// The scheduler's parked arrival ([`WindowedScheduler`]'s `next`)
+    /// is due. At most one arrival is ever in flight — the source is
+    /// pulled once at priming and once per popped arrival — so its
+    /// payload waits beside the queue instead of riding the heap.
+    Arrival,
     /// A tenant's holding time expired.
     Departure(TenantId),
     /// A server went down.
@@ -175,15 +174,6 @@ impl DesReport {
     }
 }
 
-/// One pending (not yet solved) arrival.
-struct PendingArrival {
-    at: SimTime,
-    batch: RequestBatch,
-    holding: f64,
-    /// Flight-recorder correlation key (the source's stream index).
-    key: u64,
-}
-
 /// The window-engine surface [`WindowedScheduler`] drives: everything the
 /// continuous-time loop needs from a platform, abstracted so the same
 /// scheduler runs over the full reconfiguration engine
@@ -196,6 +186,11 @@ pub trait WindowBackend {
     fn bind_request_keys(&mut self, ids: &[TenantId], keys: &[u64]);
     /// Solves one window over the registered arrivals; departures are
     /// external (the scheduler owns holding times).
+    ///
+    /// Ordering contract: the returned admitted ids are a subsequence of
+    /// `ids`, in arrival order (admitted ⊆ ids, in arrival order). The
+    /// scheduler pairs each admitted tenant with its holding time in one
+    /// forward walk over both lists and panics when the contract breaks.
     fn execute_window(
         &mut self,
         allocator: &dyn Allocator,
@@ -345,7 +340,11 @@ pub struct WindowedScheduler<S: ArrivalSource, B: WindowBackend = WindowExecutor
     queue: EventQueue<DesEvent>,
     source: S,
     config: DesConfig,
-    pending: Vec<PendingArrival>,
+    /// The one arrival in flight: drawn from the source, due at the
+    /// queue's single pending [`DesEvent::Arrival`].
+    next: Option<Arrival>,
+    /// Arrivals popped since the last window boundary, in arrival order.
+    pending: Vec<Arrival>,
     failures: Option<FailureProcess>,
 }
 
@@ -374,6 +373,7 @@ impl<S: ArrivalSource, B: WindowBackend> WindowedScheduler<S, B> {
             queue: EventQueue::new(),
             source,
             config,
+            next: None,
             pending: Vec::new(),
             failures: None,
         }
@@ -400,18 +400,14 @@ impl<S: ArrivalSource, B: WindowBackend> WindowedScheduler<S, B> {
         self.queue.now()
     }
 
-    /// Pulls the next arrival from the source onto the queue.
+    /// Pulls the next arrival from the source: parks its payload in
+    /// `next` and queues the payload-free marker at its time.
     fn schedule_next_arrival(&mut self, horizon: f64) {
+        debug_assert!(self.next.is_none(), "one arrival in flight at a time");
         if let Some(arr) = self.source.next_arrival() {
             if arr.at.as_f64() <= horizon {
-                self.queue.schedule(
-                    arr.at,
-                    DesEvent::Arrival {
-                        batch: arr.batch,
-                        holding: arr.holding,
-                        key: arr.key,
-                    },
-                );
+                self.queue.schedule(arr.at, DesEvent::Arrival);
+                self.next = Some(arr);
             }
         }
     }
@@ -446,24 +442,19 @@ impl<S: ArrivalSource, B: WindowBackend> WindowedScheduler<S, B> {
             }
             let (now, event) = self.queue.pop().expect("peeked");
             match event {
-                DesEvent::Arrival {
-                    batch,
-                    holding,
-                    key,
-                } => {
+                DesEvent::Arrival => {
+                    let arrival = self
+                        .next
+                        .take()
+                        .expect("an arrival marker has a parked arrival");
                     cpo_obs::flight::record(
                         cpo_obs::flight::FlightKind::Arrived,
-                        key,
+                        arrival.key,
                         cpo_obs::flight::NONE,
                         sim_us(now.as_f64()),
-                        batch.vm_count() as u64,
+                        arrival.batch.vm_count() as u64,
                     );
-                    self.pending.push(PendingArrival {
-                        at: now,
-                        batch,
-                        holding,
-                        key,
-                    });
+                    self.pending.push(arrival);
                     self.schedule_next_arrival(horizon);
                 }
                 DesEvent::Departure(id) => {
@@ -499,8 +490,8 @@ impl<S: ArrivalSource, B: WindowBackend> WindowedScheduler<S, B> {
     fn close_window(&mut self, allocator: &dyn Allocator, now: SimTime, report: &mut DesReport) {
         let mut sp = cpo_obs::span!("des.window", window = report.windows.len());
         cpo_obs::gauge_set("des.queue_depth", self.pending.len() as f64);
-        let pending = std::mem::take(&mut self.pending);
-        let (batch, arrival_times, holdings, keys) = merge_pending(&pending);
+        let (batch, arrival_times, holdings, keys) =
+            merge_pending(std::mem::take(&mut self.pending));
         let ids = self.exec.register_arrivals(&batch);
         // Bind correlation keys before the solve so admission, placement
         // and later per-tenant events carry the request uid.
@@ -527,11 +518,24 @@ impl<S: ArrivalSource, B: WindowBackend> WindowedScheduler<S, B> {
         for at in &arrival_times {
             report.waiting.observe(effective - *at);
         }
-        // Admitted tenants depart one holding time after admission.
-        for id in &admitted {
-            let pos = ids.iter().position(|t| t == id).expect("admitted ⊆ ids");
+        // Admitted tenants depart one holding time after admission. The
+        // backend returns them as a subsequence of `ids` (the
+        // `execute_window` ordering contract), so one cursor finds each
+        // one's holding time in a single forward walk.
+        let mut cursor = 0;
+        for &id in &admitted {
+            let Some(offset) = ids[cursor..].iter().position(|&t| t == id) else {
+                panic!(
+                    "backend broke the execute_window ordering contract: admitted \
+                     tenant {id:?} is not among the registered ids after position \
+                     {cursor} (admitted ids must be a subsequence of the registered \
+                     ids, in arrival order)"
+                );
+            };
+            cursor += offset;
             self.queue
-                .schedule(effective + holdings[pos], DesEvent::Departure(*id));
+                .schedule(effective + holdings[cursor], DesEvent::Departure(id));
+            cursor += 1;
         }
         // The next window opens when both the cycle and the solve allow.
         let next = (now + self.config.window_length).max(effective);
@@ -557,32 +561,24 @@ fn sim_us(t: f64) -> u64 {
     (t.max(0.0) * 1e6).round() as u64
 }
 
-/// Merges single-request pending batches into one window batch, keeping
-/// arrival order; returns the batch plus per-request arrival times,
-/// holding times and correlation keys (indexed like the batch's
-/// requests). A multi-request pending batch shares its arrival's key
-/// across its requests only when it holds exactly one request (the
-/// sources' invariant); extra requests get [`cpo_obs::flight::NONE`].
-fn merge_pending(pending: &[PendingArrival]) -> (RequestBatch, Vec<SimTime>, Vec<f64>, Vec<u64>) {
+/// Moves the pending arrivals into one window batch, keeping arrival
+/// order; returns the batch plus per-request arrival times, holding
+/// times and correlation keys (indexed like the batch's requests). An
+/// arrival's key goes to its first request only (the sources emit one
+/// request per arrival); any further requests get
+/// [`cpo_obs::flight::NONE`].
+fn merge_pending(pending: Vec<Arrival>) -> (RequestBatch, Vec<SimTime>, Vec<f64>, Vec<u64>) {
     let mut batch = RequestBatch::new();
     let mut times = Vec::with_capacity(pending.len());
     let mut holdings = Vec::with_capacity(pending.len());
     let mut keys = Vec::with_capacity(pending.len());
     for p in pending {
-        for (r, req) in p.batch.requests().iter().enumerate() {
-            let base = batch.vm_count();
-            let vms: Vec<VmSpec> = req.vms.iter().map(|&k| p.batch.vm(k).clone()).collect();
-            let rules = rebase_rules(req)
-                .into_iter()
-                .map(|(kind, locals)| {
-                    AffinityRule::new(kind, locals.iter().map(|&l| VmId(base + l)).collect())
-                })
-                .collect();
-            batch.push_request(vms, rules);
+        for r in 0..p.batch.request_count() {
             times.push(p.at);
             holdings.push(p.holding);
             keys.push(if r == 0 { p.key } else { cpo_obs::flight::NONE });
         }
+        batch.append(p.batch);
     }
     (batch, times, holdings, keys)
 }
@@ -794,6 +790,176 @@ mod tests {
             resident < report.total_admitted(),
             "some tenants must have departed"
         );
+    }
+
+    /// Replays a fixed list of arrivals.
+    struct Scripted(std::vec::IntoIter<Arrival>);
+
+    impl ArrivalSource for Scripted {
+        fn next_arrival(&mut self) -> Option<Arrival> {
+            self.0.next()
+        }
+    }
+
+    /// One single-VM arrival per `(cpu, holding)`, spread over `(0, 1)`.
+    fn scripted(shape: &[(f64, f64)]) -> Scripted {
+        let arrivals: Vec<Arrival> = shape
+            .iter()
+            .enumerate()
+            .map(|(i, &(cpu, holding))| {
+                let mut batch = RequestBatch::new();
+                batch.push_request(vec![cpu_vm(cpu)], vec![]);
+                Arrival {
+                    at: SimTime::new((i + 1) as f64 / (shape.len() + 1) as f64),
+                    batch,
+                    holding,
+                    key: i as u64,
+                }
+            })
+            .collect();
+        Scripted(arrivals.into_iter())
+    }
+
+    fn cpu_vm(cpu: f64) -> VmSpec {
+        cpo_model::request::vm_spec(cpu, 1024.0, 10.0)
+    }
+
+    fn one_window_config() -> DesConfig {
+        DesConfig {
+            window_length: 1.0,
+            latency: LatencyModel::Fixed(0.25),
+            failures: None,
+            seed: 0,
+            solve_deadline: None,
+        }
+    }
+
+    #[test]
+    fn merge_pending_indexes_side_tables_like_the_batch() {
+        let arrival = |at: f64, requests: usize, holding: f64, key: u64| {
+            let mut batch = RequestBatch::new();
+            for _ in 0..requests {
+                let first = batch.vm_count();
+                let rule = AffinityRule::new(
+                    AffinityKind::DifferentServer,
+                    vec![VmId(first), VmId(first + 1)],
+                );
+                batch.push_request(vec![cpu_vm(1.0); 2], vec![rule]);
+            }
+            Arrival {
+                at: SimTime::new(at),
+                batch,
+                holding,
+                key,
+            }
+        };
+        let (batch, times, holdings, keys) =
+            merge_pending(vec![arrival(0.5, 1, 3.0, 7), arrival(0.75, 2, 4.0, 8)]);
+        assert_eq!((batch.request_count(), batch.vm_count()), (3, 6));
+        assert_eq!(
+            batch.request(RequestId(2)).rules[0].vms(),
+            &[VmId(4), VmId(5)]
+        );
+        let at = |t| SimTime::new(t);
+        assert_eq!(times, vec![at(0.5), at(0.75), at(0.75)]);
+        assert_eq!(holdings, vec![3.0, 4.0, 4.0]);
+        assert_eq!(keys, vec![7, 8, cpo_obs::flight::NONE]);
+    }
+
+    #[test]
+    fn queued_events_stay_payload_free() {
+        assert!(std::mem::size_of::<DesEvent>() <= 16);
+    }
+
+    #[test]
+    fn every_admitted_tenant_departs_after_its_own_holding() {
+        // One commodity server (28.8 effective cores): round robin admits
+        // the 16-, 8-, 4- and 0.5-core requests and rejects the others,
+        // so rejections interleave with admissions. Holding times are
+        // distinct, so a tenant paired with a neighbour's holding shows.
+        let shape = [
+            (16.0, 10.0),
+            (16.0, 11.0),
+            (8.0, 12.5),
+            (8.0, 13.0),
+            (4.0, 14.25),
+            (16.0, 15.0),
+            (0.5, 16.75),
+        ];
+        let mut s = WindowedScheduler::with_backend(
+            FleetExecutor::new(infra(1)),
+            one_window_config(),
+            scripted(&shape),
+        );
+        // The horizon closes exactly one window (boundary 1.0, decisions
+        // effective at 1.25) and ends before any holding time expires.
+        let report = s.run(&RoundRobinAllocator, 1.5);
+        assert_eq!((report.total_admitted(), report.total_rejected()), (4, 3));
+
+        let mut departures = Vec::new();
+        while let Some((at, event)) = s.queue.pop() {
+            if let DesEvent::Departure(id) = event {
+                departures.push((id, at.as_f64()));
+            }
+        }
+        let expected: Vec<(TenantId, f64)> = [0usize, 2, 4, 6]
+            .iter()
+            .map(|&i| (TenantId(i as u64), 1.25 + shape[i].1))
+            .collect();
+        assert_eq!(departures, expected);
+        for i in 0..shape.len() as u64 {
+            let resident = s.exec.depart_tenant(TenantId(i));
+            assert_eq!(resident, i % 2 == 0, "tenant {i}: resident iff admitted");
+        }
+    }
+
+    /// A backend that breaks the ordering contract by returning admitted
+    /// ids newest first.
+    struct Reversed(FleetExecutor);
+
+    impl WindowBackend for Reversed {
+        fn register_arrivals(&mut self, arrivals: &RequestBatch) -> Vec<TenantId> {
+            self.0.register_arrivals(arrivals)
+        }
+        fn bind_request_keys(&mut self, ids: &[TenantId], keys: &[u64]) {
+            self.0.bind_request_keys(ids, keys)
+        }
+        fn execute_window(
+            &mut self,
+            allocator: &dyn Allocator,
+            arrivals: &RequestBatch,
+            ids: &[TenantId],
+        ) -> (WindowReport, Vec<TenantId>) {
+            let (report, mut admitted) = self.0.execute_window(allocator, arrivals, ids);
+            admitted.reverse();
+            (report, admitted)
+        }
+        fn depart_tenant(&mut self, id: TenantId) -> bool {
+            self.0.depart_tenant(id)
+        }
+        fn force_failure(&mut self, server: ServerId) -> bool {
+            self.0.force_failure(server)
+        }
+        fn force_repair(&mut self, server: ServerId) -> bool {
+            self.0.force_repair(server)
+        }
+        fn server_count(&self) -> usize {
+            self.0.server_count()
+        }
+        fn resident_requests(&self) -> usize {
+            self.0.resident_requests()
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "broke the execute_window ordering contract")]
+    fn out_of_order_admissions_panic_instead_of_misreading_holdings() {
+        let mut s = WindowedScheduler::with_backend(
+            Reversed(FleetExecutor::new(infra(4))),
+            one_window_config(),
+            scripted(&[(1.0, 5.0), (1.0, 6.0), (1.0, 7.0)]),
+        );
+        s.run(&RoundRobinAllocator, 1.5);
     }
 
     #[test]

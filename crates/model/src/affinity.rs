@@ -87,6 +87,15 @@ impl AffinityRule {
         &self.vms
     }
 
+    /// Shifts every bound resource id up by `by` (a batch append moving
+    /// the rule's request behind `by` existing VMs). Order and
+    /// distinctness are preserved, so the rule stays valid.
+    pub(crate) fn shift_vms(&mut self, by: usize) {
+        for k in &mut self.vms {
+            k.0 += by;
+        }
+    }
+
     /// Checks the rule against an assignment. Unassigned VMs make the rule
     /// unsatisfied (the paper requires full placement, Eq. 5).
     pub fn is_satisfied(&self, assignment: &Assignment, infra: &Infrastructure) -> bool {

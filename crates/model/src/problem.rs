@@ -181,34 +181,42 @@ impl AllocationProblem {
         true
     }
 
-    /// Requests fully and validly placed under `assignment` — the paper's
-    /// acceptance measure behind Fig. 9.
-    pub fn accepted_requests(&self, assignment: &Assignment) -> Vec<RequestId> {
-        let tracker = self.tracker(assignment);
-        let overloaded: Vec<ServerId> = tracker.exceeding_servers(&self.infra);
+    /// Per-request acceptance under `assignment`, indexed by
+    /// [`RequestId`]: `true` iff the request is fully and validly placed —
+    /// the paper's acceptance measure behind Fig. 9. One load-tracker
+    /// build and one pass over the batch; every acceptance-derived metric
+    /// ([`Self::accepted_requests`], [`Self::revenue_of`],
+    /// [`Self::rejection_rate_of`]) reads this mask.
+    pub fn accepted_mask(&self, assignment: &Assignment) -> Vec<bool> {
+        let mut overloaded = vec![false; self.infra.server_count()];
+        for j in self.tracker(assignment).exceeding_servers(&self.infra) {
+            overloaded[j.index()] = true;
+        }
         self.batch
             .requests()
             .iter()
-            .filter(|req| {
-                // Every VM placed…
-                let all_placed = req.vms.iter().all(|&k| assignment.server_of(k).is_some());
-                if !all_placed {
-                    return false;
-                }
-                // …on servers that are not overloaded…
-                let on_ok_servers = req.vms.iter().all(|&k| {
-                    let j = assignment.server_of(k).unwrap();
-                    !overloaded.contains(&j)
-                });
-                if !on_ok_servers {
-                    return false;
-                }
-                // …respecting every rule.
-                req.rules
+            .map(|req| {
+                // Every VM placed on a server that is not overloaded…
+                req.vms
                     .iter()
-                    .all(|r| r.is_satisfied(assignment, &self.infra))
+                    .all(|&k| assignment.server_of(k).is_some_and(|j| !overloaded[j.index()]))
+                    // …respecting every rule.
+                    && req
+                        .rules
+                        .iter()
+                        .all(|r| r.is_satisfied(assignment, &self.infra))
             })
-            .map(|req| req.id)
+            .collect()
+    }
+
+    /// Requests fully and validly placed under `assignment`, in id order
+    /// (the ids [`Self::accepted_mask`] marks).
+    pub fn accepted_requests(&self, assignment: &Assignment) -> Vec<RequestId> {
+        self.accepted_mask(assignment)
+            .iter()
+            .enumerate()
+            .filter(|&(_, &ok)| ok)
+            .map(|(r, _)| RequestId(r))
             .collect()
     }
 
@@ -216,9 +224,18 @@ impl AllocationProblem {
     /// every accepted request (the provider earns nothing from rejected
     /// ones — the economics behind the paper's "largest revenues" claim).
     pub fn gross_revenue(&self, assignment: &Assignment) -> f64 {
-        self.accepted_requests(assignment)
-            .into_iter()
-            .flat_map(|r| self.batch.request(r).vms.iter())
+        self.revenue_of(&self.accepted_mask(assignment))
+    }
+
+    /// Gross revenue of the requests an [`Self::accepted_mask`] marks,
+    /// summed in request then VM order.
+    pub fn revenue_of(&self, accepted: &[bool]) -> f64 {
+        self.batch
+            .requests()
+            .iter()
+            .zip(accepted)
+            .filter(|&(_, &ok)| ok)
+            .flat_map(|(req, _)| req.vms.iter())
             .map(|&k| self.batch.vm(k).revenue)
             .sum()
     }
@@ -231,11 +248,17 @@ impl AllocationProblem {
     /// Rejection rate in `[0, 1]`: rejected requests / total requests.
     /// (The paper's Fig. 9 metric; see DESIGN.md for the definition note.)
     pub fn rejection_rate(&self, assignment: &Assignment) -> f64 {
+        self.rejection_rate_of(&self.accepted_mask(assignment))
+    }
+
+    /// Rejection rate of the requests an [`Self::accepted_mask`] leaves
+    /// unmarked.
+    pub fn rejection_rate_of(&self, accepted: &[bool]) -> f64 {
         let total = self.batch.request_count();
         if total == 0 {
             return 0.0;
         }
-        let accepted = self.accepted_requests(assignment).len();
+        let accepted = accepted.iter().filter(|&&ok| ok).count();
         (total - accepted) as f64 / total as f64
     }
 }

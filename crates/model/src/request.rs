@@ -163,6 +163,35 @@ impl RequestBatch {
         id
     }
 
+    /// Moves every request of `other` onto the end of this batch, in
+    /// order: VM ids shift by this batch's VM count, request ids by its
+    /// request count, and each rule is rebased by the same VM offset. No
+    /// spec is cloned. Equivalent to re-pushing each of `other`'s
+    /// requests with [`Self::push_request`], because a batch's requests
+    /// own contiguous VM ranges in request order.
+    pub fn append(&mut self, other: RequestBatch) {
+        let vm_base = self.vms.len();
+        let request_base = self.requests.len();
+        self.vms.extend(other.vms);
+        self.vm_request.extend(
+            other
+                .vm_request
+                .into_iter()
+                .map(|r| RequestId(r.0 + request_base)),
+        );
+        self.requests
+            .extend(other.requests.into_iter().map(|mut req| {
+                req.id = RequestId(req.id.0 + request_base);
+                for k in &mut req.vms {
+                    k.0 += vm_base;
+                }
+                for rule in &mut req.rules {
+                    rule.shift_vms(vm_base);
+                }
+                req
+            }));
+    }
+
     /// Total number of requested virtual resources `n`.
     #[inline]
     pub fn vm_count(&self) -> usize {
@@ -410,6 +439,73 @@ mod tests {
         assert_eq!(s.vm_count(), b.vm_count());
         assert_eq!(s.request_count(), b.request_count());
         assert_eq!(s.total_demand(3), b.total_demand(3));
+    }
+
+    /// A two-request batch with a rule on the second request.
+    fn ruled_batch(cpu: f64) -> RequestBatch {
+        let mut b = RequestBatch::new();
+        b.push_request(vec![vm_spec(cpu, 1.0, 1.0); 2], vec![]);
+        b.push_request(
+            vec![vm_spec(cpu + 1.0, 2.0, 2.0); 3],
+            vec![
+                AffinityRule::new(AffinityKind::DifferentServer, vec![VmId(4), VmId(2)]),
+                AffinityRule::new(AffinityKind::SameDatacenter, vec![VmId(3), VmId(4)]),
+            ],
+        );
+        b
+    }
+
+    #[test]
+    fn append_shifts_ids_and_rebases_rules() {
+        let mut b = ruled_batch(1.0);
+        b.append(ruled_batch(5.0));
+        assert_eq!((b.request_count(), b.vm_count()), (4, 10));
+        let r2 = b.request(RequestId(2));
+        assert_eq!(r2.id, RequestId(2));
+        assert_eq!(r2.vms, vec![VmId(5), VmId(6)]);
+        let r3 = b.request(RequestId(3));
+        assert_eq!(r3.id, RequestId(3));
+        assert_eq!(r3.vms, vec![VmId(7), VmId(8), VmId(9)]);
+        // Rules keep their kind and their (unsorted) resource order.
+        assert_eq!(r3.rules[0].kind(), AffinityKind::DifferentServer);
+        assert_eq!(r3.rules[0].vms(), &[VmId(9), VmId(7)]);
+        assert_eq!(r3.rules[1].vms(), &[VmId(8), VmId(9)]);
+        let owners: Vec<usize> = b.vm_ids().map(|k| b.request_of(k).index()).collect();
+        assert_eq!(owners, vec![0, 0, 1, 1, 1, 2, 2, 3, 3, 3]);
+        assert_eq!(b.vm(VmId(5)).demand, vec![5.0, 1.0, 1.0]);
+        assert_eq!(b.vm(VmId(9)).demand, vec![6.0, 2.0, 2.0]);
+    }
+
+    #[test]
+    fn append_matches_request_by_request_rebuild() {
+        // The clone-and-rebase construction `append` replaces: re-push
+        // every request of every part, mapping rule VMs to their position
+        // within the request plus the merged batch's VM count.
+        let parts = [ruled_batch(1.0), RequestBatch::new(), ruled_batch(3.0)];
+        let mut expected = RequestBatch::new();
+        for part in &parts {
+            for req in part.requests() {
+                let base = expected.vm_count();
+                let vms = req.vms.iter().map(|&k| part.vm(k).clone()).collect();
+                let rules = req
+                    .rules
+                    .iter()
+                    .map(|rule| {
+                        let local = |v: &VmId| req.vms.iter().position(|k| k == v).unwrap();
+                        let rebased = rule.vms().iter().map(|v| VmId(base + local(v)));
+                        AffinityRule::new(rule.kind(), rebased.collect())
+                    })
+                    .collect();
+                expected.push_request(vms, rules);
+            }
+        }
+        let mut merged = RequestBatch::new();
+        for part in parts {
+            merged.append(part);
+        }
+        assert_eq!(merged.vms(), expected.vms());
+        assert_eq!(merged.requests(), expected.requests());
+        assert_eq!(merged.vm_request, expected.vm_request);
     }
 
     #[test]

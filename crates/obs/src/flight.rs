@@ -522,14 +522,11 @@ pub fn install_panic_hook(dir: &std::path::Path) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Mutex;
-
-    /// The ring is process-global; unit tests touching it serialise here.
-    static LOCK: Mutex<()> = Mutex::new(());
+    use crate::test_lock;
 
     #[test]
     fn disabled_recorder_stores_nothing() {
-        let _g = LOCK.lock().unwrap();
+        let _g = test_lock();
         disable();
         reset();
         record(FlightKind::Marker, 1, 2, 3, 4);
@@ -539,7 +536,7 @@ mod tests {
 
     #[test]
     fn events_come_back_in_ticket_order_with_payload() {
-        let _g = LOCK.lock().unwrap();
+        let _g = test_lock();
         enable();
         reset();
         for i in 0..100u64 {
@@ -562,7 +559,7 @@ mod tests {
 
     #[test]
     fn ring_overwrites_oldest_beyond_capacity() {
-        let _g = LOCK.lock().unwrap();
+        let _g = test_lock();
         enable();
         reset();
         let n = (CAPACITY + 1000) as u64;

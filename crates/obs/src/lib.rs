@@ -63,3 +63,15 @@ pub use registry::{
     Snapshot,
 };
 pub use span::{span, SpanGuard};
+
+/// Serialises the unit tests that touch the process-global flight ring
+/// or profiler state. One lock for both: the profiler's tests record
+/// through [`flight::record`], which writes the ring whenever a
+/// concurrent flight test has the recorder enabled. A poisoned lock
+/// (an earlier test panicked while holding it) is taken over, so one
+/// failure does not cascade.
+#[cfg(test)]
+pub(crate) fn test_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}

@@ -947,10 +947,7 @@ pub fn snapshot() -> Option<Profile> {
 mod tests {
     use super::*;
     use crate::flight;
-    use std::sync::Mutex as TestMutex;
-
-    /// Profiler state is process-global; tests serialise here.
-    static LOCK: TestMutex<()> = TestMutex::new(());
+    use crate::test_lock;
 
     fn feed(ts: u64, kind: FlightKind, key: u64, tenant: u64, a: u64, b: u64) {
         observe(ts, kind, key, tenant, a, b);
@@ -958,7 +955,7 @@ mod tests {
 
     #[test]
     fn sharded_lifecycle_decomposes_exactly() {
-        let _g = LOCK.lock().unwrap();
+        let _g = test_lock();
         enable_with(ProfConfig {
             exemplars: 4,
             keep_requests: true,
@@ -1032,7 +1029,7 @@ mod tests {
 
     #[test]
     fn rejected_after_budget_exhaustion_accounts_fully() {
-        let _g = LOCK.lock().unwrap();
+        let _g = test_lock();
         enable_with(ProfConfig {
             exemplars: 2,
             keep_requests: true,
@@ -1058,7 +1055,7 @@ mod tests {
 
     #[test]
     fn unsharded_path_splits_queue_and_solve_without_a_store() {
-        let _g = LOCK.lock().unwrap();
+        let _g = test_lock();
         enable_with(ProfConfig {
             exemplars: 2,
             keep_requests: true,
@@ -1079,7 +1076,7 @@ mod tests {
 
     #[test]
     fn deterministic_json_is_stable_and_excludes_timing() {
-        let _g = LOCK.lock().unwrap();
+        let _g = test_lock();
         let run = || {
             enable();
             feed(5, FlightKind::Arrived, 1, NONE, 0, 1);
@@ -1107,7 +1104,7 @@ mod tests {
 
     #[test]
     fn exemplars_keep_the_slowest_requests() {
-        let _g = LOCK.lock().unwrap();
+        let _g = test_lock();
         enable_with(ProfConfig {
             exemplars: 2,
             keep_requests: false,
@@ -1128,7 +1125,7 @@ mod tests {
 
     #[test]
     fn disabled_profiler_observes_nothing() {
-        let _g = LOCK.lock().unwrap();
+        let _g = test_lock();
         reset();
         assert!(!is_enabled());
         flight::record(FlightKind::Arrived, 9, NONE, 0, 1);
@@ -1138,7 +1135,7 @@ mod tests {
 
     #[test]
     fn hot_server_ranking_sorts_by_conflicts_then_index() {
-        let _g = LOCK.lock().unwrap();
+        let _g = test_lock();
         enable();
         for (server, n) in [(5u64, 3), (2, 3), (9, 7)] {
             for _ in 0..n {

@@ -474,7 +474,7 @@ impl WindowExecutor {
                 &[solve_time.as_micros() as u64],
             );
         }
-        let accepted = problem.accepted_requests(&outcome.assignment);
+        let accepted = problem.accepted_mask(&outcome.assignment);
 
         // --- Apply to running tenants (never evicted: a tenant whose
         //     request the allocator failed keeps its old placement). ---
@@ -484,9 +484,8 @@ impl WindowExecutor {
         let mut vm_base = 0usize;
         let mut moved_tenants: Vec<usize> = Vec::new();
         for (idx, t) in self.tenants.iter_mut().enumerate() {
-            let req_id = RequestId(idx);
             let n = t.vms.len();
-            if accepted.contains(&req_id) {
+            if accepted[idx] {
                 let mut moved = false;
                 for local in 0..n {
                     let k = VmId(vm_base + local);
@@ -532,7 +531,7 @@ impl WindowExecutor {
         for (i, req) in arrivals.requests().iter().enumerate() {
             let req_id = RequestId(running_requests + i);
             let tid = arrival_tenant_ids[i];
-            if accepted.contains(&req_id) {
+            if accepted[req_id.index()] {
                 // Global VM ids of this request within the window problem.
                 let first = problem
                     .batch()

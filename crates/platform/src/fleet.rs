@@ -174,14 +174,14 @@ impl FleetExecutor {
                 &[solve_time.as_micros() as u64],
             );
         }
-        let accepted = problem.accepted_requests(&outcome.assignment);
+        let accepted = problem.accepted_mask(&outcome.assignment);
 
         let mut admitted = 0usize;
         let mut rejected = 0usize;
         let mut admitted_ids = Vec::new();
         for (i, req) in arrivals.requests().iter().enumerate() {
             let tid = arrival_tenant_ids[i];
-            if accepted.contains(&RequestId(i)) {
+            if accepted[i] {
                 self.admit_request(
                     tid,
                     window,

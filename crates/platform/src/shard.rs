@@ -375,12 +375,8 @@ fn solve_shard(
     let start = Instant::now();
     let outcome = allocator.allocate(&problem);
     let solve_time = start.elapsed();
-    // Same admission predicate as the native paths: a request is
-    // accepted iff every one of its VMs is assigned.
-    let mut accepted = vec![false; problem.batch().request_count()];
-    for r in problem.accepted_requests(&outcome.assignment) {
-        accepted[r.index()] = true;
-    }
+    // Same admission predicate as the native paths.
+    let accepted = problem.accepted_mask(&outcome.assignment);
     // Score the shard's solution with its own owned evaluator — each
     // shard gets a private DeltaEvaluator over its private problem, so
     // no lock is ever held across a solve (the Mutex evaluator *pools*

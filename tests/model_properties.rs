@@ -37,8 +37,97 @@ fn problem_and_assignment() -> impl Strategy<Value = (AllocationProblem, Assignm
     })
 }
 
+/// Strategy: a problem over two datacenters whose multi-VM requests carry
+/// affinity rules, plus a partial assignment (some VMs unplaced) — every
+/// way a request can fail acceptance.
+fn ruled_problem_and_partial_assignment() -> impl Strategy<Value = (AllocationProblem, Assignment)>
+{
+    let kinds = [
+        AffinityKind::SameServer,
+        AffinityKind::SameDatacenter,
+        AffinityKind::DifferentServer,
+        AffinityKind::DifferentDatacenter,
+    ];
+    (
+        1usize..4,
+        proptest::collection::vec((1usize..4, 0usize..5, 1.0f64..12.0), 1..8),
+    )
+        .prop_map(move |(per_dc, shapes)| {
+            let profile = ServerProfile::commodity(3);
+            let infra = Infrastructure::new(
+                AttrSet::standard(),
+                vec![
+                    ("dc0".into(), profile.build_many(per_dc)),
+                    ("dc1".into(), profile.build_many(per_dc)),
+                ],
+            );
+            let mut batch = RequestBatch::new();
+            for (vms, kind, cpu) in shapes {
+                let first = batch.vm_count();
+                let rules = if vms >= 2 && kind < kinds.len() {
+                    vec![AffinityRule::new(
+                        kinds[kind],
+                        vec![VmId(first + vms - 1), VmId(first)],
+                    )]
+                } else {
+                    vec![]
+                };
+                batch.push_request(vec![vm_spec(cpu, cpu * 1024.0, cpu * 10.0); vms], rules);
+            }
+            AllocationProblem::new(infra, batch, None)
+        })
+        .prop_flat_map(|p| {
+            let (m, n) = (p.m(), p.n());
+            // Server index m stands for "unplaced".
+            (Just(p), proptest::collection::vec(0usize..=m, n)).prop_map(move |(p, genes)| {
+                let placements = genes
+                    .iter()
+                    .map(|&j| (j < m).then_some(ServerId(j)))
+                    .collect();
+                (p, Assignment::from_placements(placements))
+            })
+        })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `accepted_mask` marks exactly the requests the Fig. 9 predicate
+    /// accepts (every VM placed, no overloaded host, every rule held),
+    /// and `revenue_of` sums their revenue bit-for-bit in the order the
+    /// per-request fold over `accepted_requests` does.
+    #[test]
+    fn accepted_mask_matches_the_acceptance_predicate(
+        (p, a) in ruled_problem_and_partial_assignment()
+    ) {
+        let overloaded = p.tracker(&a).exceeding_servers(p.infra());
+        let reference: Vec<RequestId> = p
+            .batch()
+            .requests()
+            .iter()
+            .filter(|req| {
+                req.vms
+                    .iter()
+                    .all(|&k| a.server_of(k).is_some_and(|j| !overloaded.contains(&j)))
+                    && req.rules.iter().all(|r| r.is_satisfied(&a, p.infra()))
+            })
+            .map(|req| req.id)
+            .collect();
+        let mask = p.accepted_mask(&a);
+        prop_assert_eq!(mask.len(), p.batch().request_count());
+        let marked: Vec<RequestId> = p.batch().request_ids().filter(|r| mask[r.index()]).collect();
+        prop_assert_eq!(&marked, &reference);
+        prop_assert_eq!(&p.accepted_requests(&a), &reference);
+
+        let folded: f64 = reference
+            .iter()
+            .flat_map(|&r| p.batch().request(r).vms.iter())
+            .map(|&k| p.batch().vm(k).revenue)
+            .sum();
+        prop_assert_eq!(p.revenue_of(&mask).to_bits(), folded.to_bits());
+        prop_assert_eq!(p.gross_revenue(&a).to_bits(), folded.to_bits());
+        prop_assert_eq!(p.rejection_rate_of(&mask).to_bits(), p.rejection_rate(&a).to_bits());
+    }
 
     /// Violation degree is zero exactly when the assignment is feasible.
     #[test]
