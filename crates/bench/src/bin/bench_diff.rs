@@ -38,7 +38,7 @@ fn parse_args() -> Result<Args, String> {
             "--current" => current = Some(value()?),
             "--scale" => {
                 scale = value()?.parse().map_err(|e| format!("bad --scale: {e}"))?;
-                if !(scale > 0.0) {
+                if scale.is_nan() || scale <= 0.0 {
                     return Err("--scale must be positive".into());
                 }
             }

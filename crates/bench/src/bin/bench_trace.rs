@@ -140,7 +140,7 @@ fn fingerprint(windows: &[WindowReport]) -> u64 {
         h = h.wrapping_mul(0x100_0000_01b3);
     };
     for w in windows {
-        mix(w.window as u64);
+        mix(w.window);
         mix(w.arrivals as u64);
         mix(w.admitted as u64);
         mix(w.rejected as u64);

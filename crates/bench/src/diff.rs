@@ -187,7 +187,10 @@ impl DiffOutcome {
     }
 }
 
-fn cells_of(report: &Value) -> Result<Vec<(&str, &[(String, Value)])>, String> {
+/// A report's cells as `(name, entries)` pairs.
+type Cells<'a> = Vec<(&'a str, &'a [(String, Value)])>;
+
+fn cells_of(report: &Value) -> Result<Cells<'_>, String> {
     let cells = report
         .get("cells")
         .and_then(Value::as_array)

@@ -56,7 +56,6 @@ pub mod allocator;
 pub mod cp_alloc;
 pub mod cp_repair;
 pub mod encoding;
-pub mod eval_pool;
 pub mod evolutionary;
 pub mod filtering;
 pub mod moea_problem;
@@ -72,7 +71,6 @@ pub mod prelude {
     pub use crate::cp_alloc::{CpAllocator, CpMode};
     pub use crate::cp_repair::CpRepair;
     pub use crate::encoding::GenomeCodec;
-    pub use crate::eval_pool::EvaluatorPool;
     pub use crate::evolutionary::{EvoAllocator, Hybrid};
     pub use crate::filtering::FilteringAllocator;
     pub use crate::moea_problem::AllocMoeaProblem;

@@ -10,7 +10,7 @@
 //! `check`/`evaluate` pair, pinned by `evaluation_matches_direct_model_calls`.
 
 use crate::encoding::GenomeCodec;
-use crate::eval_pool::EvaluatorPool;
+use cpo_model::eval_pool::EvaluatorPool;
 use cpo_model::prelude::*;
 use cpo_moea::prelude::{Evaluation, MoeaProblem};
 

@@ -7,7 +7,7 @@
 
 use crate::allocator::{AllocationOutcome, Allocator};
 use crate::encoding::GenomeCodec;
-use crate::eval_pool::EvaluatorPool;
+use cpo_model::eval_pool::EvaluatorPool;
 use cpo_model::prelude::*;
 use cpo_moea::prelude::{run, Evaluation, MoeaProblem, NsgaConfig, Repair, Variant};
 use cpo_tabu::repair::{repair as tabu_repair, RepairConfig, ScanOrder};

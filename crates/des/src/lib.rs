@@ -1,6 +1,6 @@
 //! # cpo-des — continuous-time discrete-event simulation kernel
 //!
-//! The fixed-step simulator ([`cpo_platform::prelude::PlatformSim`])
+//! The fixed-step loop ([`cpo_platform::prelude::WindowExecutor::step`])
 //! advances in whole scheduling windows; real platforms live in
 //! continuous time, where requests arrive mid-window, tenants hold
 //! resources for real-valued durations and the optimiser's own execution
@@ -14,13 +14,11 @@
 //!   failure processes;
 //! * [`scheduler`] — [`scheduler::WindowedScheduler`]: accumulates
 //!   arrivals into cyclic windows, invokes any
-//!   [`cpo_core::prelude::Allocator`] at boundaries through the shared
-//!   [`cpo_platform::prelude::WindowExecutor`], and feeds solve latency
+//!   [`cpo_core::prelude::Allocator`] at boundaries through any
+//!   [`cpo_platform::prelude::WindowBackend`] (by default the shared
+//!   [`cpo_platform::prelude::WindowExecutor`]), and feeds solve latency
 //!   back into the timeline (slow solves delay admissions and stretch
-//!   the cycle);
-//! * [`adapter`] — [`adapter::FixedWindowAdapter`]: the classic
-//!   fixed-step loop driven from the event queue, reproducing
-//!   `PlatformSim` exactly for the same seed.
+//!   the cycle).
 //!
 //! ```
 //! use cpo_des::prelude::*;
@@ -44,7 +42,6 @@
 
 #![warn(missing_docs)]
 
-pub mod adapter;
 pub mod queue;
 pub mod scheduler;
 pub mod sources;
@@ -52,14 +49,13 @@ pub mod time;
 
 /// The most-used kernel types.
 pub mod prelude {
-    pub use crate::adapter::FixedWindowAdapter;
     pub use crate::queue::EventQueue;
     pub use crate::scheduler::{
-        DesConfig, DesReport, FailureSpec, LatencyModel, WaitingStats, WindowBackend,
-        WindowedScheduler,
+        DesConfig, DesReport, FailureSpec, LatencyModel, WaitingStats, WindowedScheduler,
     };
     pub use crate::sources::{
         Arrival, ArrivalSource, FailureProcess, PoissonArrivals, TraceArrivals,
     };
     pub use crate::time::SimTime;
+    pub use cpo_platform::prelude::WindowBackend;
 }

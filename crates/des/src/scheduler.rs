@@ -24,10 +24,7 @@ use crate::sources::{Arrival, ArrivalSource, FailureProcess};
 use crate::time::SimTime;
 use cpo_core::prelude::Allocator;
 use cpo_model::prelude::*;
-use cpo_platform::prelude::{
-    FleetExecutor, LifetimePolicy, ShardBackend, ShardedScheduler, SimConfig, TenantId,
-    WindowExecutor, WindowReport,
-};
+use cpo_platform::prelude::{SimConfig, TenantId, WindowBackend, WindowExecutor, WindowReport};
 
 /// How a window's solve time becomes simulation latency.
 #[derive(Clone, Copy, Debug)]
@@ -174,167 +171,11 @@ impl DesReport {
     }
 }
 
-/// The window-engine surface [`WindowedScheduler`] drives: everything the
-/// continuous-time loop needs from a platform, abstracted so the same
-/// scheduler runs over the full reconfiguration engine
-/// ([`WindowExecutor`]) or the streaming admission-only one
-/// ([`FleetExecutor`]).
-pub trait WindowBackend {
-    /// Assigns sequential tenant ids to an arrival batch.
-    fn register_arrivals(&mut self, arrivals: &RequestBatch) -> Vec<TenantId>;
-    /// Binds tenant ids to flight-recorder correlation keys.
-    fn bind_request_keys(&mut self, ids: &[TenantId], keys: &[u64]);
-    /// Solves one window over the registered arrivals; departures are
-    /// external (the scheduler owns holding times).
-    ///
-    /// Ordering contract: the returned admitted ids are a subsequence of
-    /// `ids`, in arrival order (admitted ⊆ ids, in arrival order). The
-    /// scheduler pairs each admitted tenant with its holding time in one
-    /// forward walk over both lists and panics when the contract breaks.
-    fn execute_window(
-        &mut self,
-        allocator: &dyn Allocator,
-        arrivals: &RequestBatch,
-        ids: &[TenantId],
-    ) -> (WindowReport, Vec<TenantId>);
-    /// Removes one resident tenant; `false` when not resident.
-    fn depart_tenant(&mut self, id: TenantId) -> bool;
-    /// Marks a server failed; `false` when already offline.
-    fn force_failure(&mut self, server: ServerId) -> bool;
-    /// Repairs a server; `false` when already healthy.
-    fn force_repair(&mut self, server: ServerId) -> bool;
-    /// Number of servers `m`.
-    fn server_count(&self) -> usize;
-    /// Requests currently resident (sizes the window problem for the
-    /// per-request latency model).
-    fn resident_requests(&self) -> usize;
-}
-
-impl WindowBackend for WindowExecutor {
-    fn register_arrivals(&mut self, arrivals: &RequestBatch) -> Vec<TenantId> {
-        WindowExecutor::register_arrivals(self, arrivals)
-    }
-
-    fn bind_request_keys(&mut self, ids: &[TenantId], keys: &[u64]) {
-        WindowExecutor::bind_request_keys(self, ids, keys)
-    }
-
-    fn execute_window(
-        &mut self,
-        allocator: &dyn Allocator,
-        arrivals: &RequestBatch,
-        ids: &[TenantId],
-    ) -> (WindowReport, Vec<TenantId>) {
-        self.execute(allocator, arrivals, ids, LifetimePolicy::External)
-    }
-
-    fn depart_tenant(&mut self, id: TenantId) -> bool {
-        WindowExecutor::depart_tenant(self, id)
-    }
-
-    fn force_failure(&mut self, server: ServerId) -> bool {
-        WindowExecutor::force_failure(self, server)
-    }
-
-    fn force_repair(&mut self, server: ServerId) -> bool {
-        WindowExecutor::force_repair(self, server)
-    }
-
-    fn server_count(&self) -> usize {
-        self.infra().server_count()
-    }
-
-    fn resident_requests(&self) -> usize {
-        self.tenants().len()
-    }
-}
-
-impl WindowBackend for FleetExecutor {
-    fn register_arrivals(&mut self, arrivals: &RequestBatch) -> Vec<TenantId> {
-        FleetExecutor::register_arrivals(self, arrivals)
-    }
-
-    fn bind_request_keys(&mut self, ids: &[TenantId], keys: &[u64]) {
-        FleetExecutor::bind_request_keys(self, ids, keys)
-    }
-
-    fn execute_window(
-        &mut self,
-        allocator: &dyn Allocator,
-        arrivals: &RequestBatch,
-        ids: &[TenantId],
-    ) -> (WindowReport, Vec<TenantId>) {
-        FleetExecutor::execute_window(self, allocator, arrivals, ids)
-    }
-
-    fn depart_tenant(&mut self, id: TenantId) -> bool {
-        FleetExecutor::depart_tenant(self, id)
-    }
-
-    fn force_failure(&mut self, server: ServerId) -> bool {
-        FleetExecutor::force_failure(self, server)
-    }
-
-    fn force_repair(&mut self, server: ServerId) -> bool {
-        FleetExecutor::force_repair(self, server)
-    }
-
-    fn server_count(&self) -> usize {
-        FleetExecutor::server_count(self)
-    }
-
-    fn resident_requests(&self) -> usize {
-        FleetExecutor::resident_requests(self)
-    }
-}
-
-/// A sharded engine plugs straight into the DES loop: the window solve
-/// runs the snapshot → solve → optimistic-commit protocol of
-/// [`ShardedScheduler::execute_window`], everything else delegates to
-/// the wrapped backend. Under the DES clock the reported solve time is
-/// the sharded critical path, so latency feedback and throughput
-/// metrics see the parallel speedup even on a serial host.
-impl<B: ShardBackend> WindowBackend for ShardedScheduler<B> {
-    fn register_arrivals(&mut self, arrivals: &RequestBatch) -> Vec<TenantId> {
-        self.backend_mut().register_arrivals(arrivals)
-    }
-
-    fn bind_request_keys(&mut self, ids: &[TenantId], keys: &[u64]) {
-        self.backend_mut().bind_request_keys(ids, keys)
-    }
-
-    fn execute_window(
-        &mut self,
-        allocator: &dyn Allocator,
-        arrivals: &RequestBatch,
-        ids: &[TenantId],
-    ) -> (WindowReport, Vec<TenantId>) {
-        ShardedScheduler::execute_window(self, allocator, arrivals, ids)
-    }
-
-    fn depart_tenant(&mut self, id: TenantId) -> bool {
-        self.backend_mut().depart_tenant(id)
-    }
-
-    fn force_failure(&mut self, server: ServerId) -> bool {
-        self.backend_mut().force_failure(server)
-    }
-
-    fn force_repair(&mut self, server: ServerId) -> bool {
-        self.backend_mut().force_repair(server)
-    }
-
-    fn server_count(&self) -> usize {
-        self.backend().server_count()
-    }
-
-    fn resident_requests(&self) -> usize {
-        self.backend().resident_requests()
-    }
-}
-
 /// The continuous-time window scheduler over any [`WindowBackend`]
-/// (defaulting to the full-reconfiguration [`WindowExecutor`]).
+/// (defaulting to the full-reconfiguration [`WindowExecutor`]; the
+/// admission-only [`FleetExecutor`](cpo_platform::prelude::FleetExecutor)
+/// and a [`ShardedScheduler`](cpo_platform::prelude::ShardedScheduler)
+/// over either plug in through [`WindowedScheduler::with_backend`]).
 pub struct WindowedScheduler<S: ArrivalSource, B: WindowBackend = WindowExecutor> {
     exec: B,
     queue: EventQueue<DesEvent>,
@@ -365,7 +206,8 @@ impl<S: ArrivalSource> WindowedScheduler<S, WindowExecutor> {
 
 impl<S: ArrivalSource, B: WindowBackend> WindowedScheduler<S, B> {
     /// Builds the scheduler over an explicit backend — e.g. a
-    /// [`FleetExecutor`] for production-scale trace replay.
+    /// [`FleetExecutor`](cpo_platform::prelude::FleetExecutor) for
+    /// production-scale trace replay.
     pub fn with_backend(backend: B, config: DesConfig, source: S) -> Self {
         assert!(config.window_length > 0.0, "window length must be positive");
         Self {
@@ -589,6 +431,7 @@ mod tests {
     use crate::sources::PoissonArrivals;
     use cpo_core::prelude::RoundRobinAllocator;
     use cpo_model::attr::AttrSet;
+    use cpo_platform::prelude::FleetExecutor;
     use cpo_scenario::arrival_gen::ArrivalSpec;
 
     fn infra(servers: usize) -> Infrastructure {

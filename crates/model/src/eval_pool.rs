@@ -1,9 +1,8 @@
 //! A shared pool of reusable [`DeltaEvaluator`]s for parallel scoring.
 //!
-//! Originally extracted (as `cpo_core::eval_pool`, which now re-exports
-//! this module) from the two identical inline pools in the MOEA and
-//! weighted-GA adapters after a concurrency audit of the
-//! sharded-scheduler work. The audit question was whether a pool's
+//! Originally extracted from the two identical inline pools in the MOEA
+//! and weighted-GA adapters of `cpo-core` after a concurrency audit of
+//! the sharded-scheduler work. The audit question was whether a pool's
 //! `Mutex` is ever held across a solve or a score — which would
 //! serialise rayon workers and, worse, would deadlock if a scoring path
 //! ever re-entered the pool. The answer is no, and this type makes the

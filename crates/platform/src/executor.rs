@@ -1,22 +1,26 @@
-//! The reusable window engine behind [`crate::sim::PlatformSim`].
+//! The cyclic time-window scheduler: "our idea is to directly include all
+//! requests within a cyclic time window during the execution of the
+//! allocation optimization process" (paper, Section III), with the
+//! reconfiguration plan (Eq. 26) connecting consecutive windows.
 //!
 //! [`WindowExecutor`] owns the live platform state (infrastructure,
 //! running tenants, event log, RNG, offline servers, optional network and
-//! SLA ledger) and exposes the window loop as separate phases so that
-//! different drivers can sequence them:
+//! SLA ledger) and exposes the window loop as separate phases that two
+//! drivers sequence:
 //!
-//! * [`crate::sim::PlatformSim`] runs the classic fixed-step loop —
-//!   failures → departures → generated arrivals → solve/apply — once per
-//!   `step`;
-//! * a continuous-time driver (the `cpo-des` crate) injects arrivals and
-//!   departures from an event queue and calls [`WindowExecutor::execute`]
-//!   at window boundaries.
+//! * [`WindowExecutor::step`] is the classic fixed-step loop — failures →
+//!   departures → generated arrivals → solve/apply — once per window, and
+//!   [`WindowExecutor::run`] repeats it;
+//! * the continuous-time `WindowedScheduler` (the `cpo-des` crate)
+//!   injects arrivals, departures and failures from an event queue and
+//!   calls [`WindowBackend::execute_window`] at window boundaries.
 //!
-//! Both drivers share the same RNG stream discipline: phase methods draw
-//! from the executor RNG in a fixed order, so a fixed-window event-driven
-//! run reproduces `PlatformSim` exactly for the same seed.
+//! Phase methods draw from the executor RNG in a fixed order, so a
+//! fixed-step run is bit-reproducible for a seed; `tests/fixed_step_pin.rs`
+//! pins its per-window outcomes and event log.
 
-use crate::accounting::WindowReport;
+use crate::accounting::{SimReport, WindowReport};
+use crate::backend::WindowBackend;
 use crate::events::{Event, EventLog};
 use crate::network::NetworkModel;
 use crate::sla::SlaLedger;
@@ -150,7 +154,9 @@ impl WindowExecutor {
         self.flight_keys.get(&id).copied().unwrap_or(flight::NONE)
     }
 
-    /// Attaches a network model (see [`crate::sim::PlatformSim::with_network`]).
+    /// Attaches a network model: one spine-leaf pod per datacenter plus a
+    /// per-VM-pair bandwidth. Tenant flows are admitted on placement,
+    /// re-routed on migration and released on departure.
     pub fn set_network(&mut self, network: NetworkModel) {
         self.network = Some(network);
     }
@@ -573,6 +579,26 @@ impl WindowExecutor {
         (report, admitted_ids)
     }
 
+    /// Runs one fixed-step scheduling window with the given allocator:
+    /// failures → repairs → departures → generated arrivals →
+    /// solve/apply/admit.
+    pub fn step(&mut self, allocator: &dyn Allocator) -> WindowReport {
+        self.inject_failures();
+        self.tick_departures();
+        let (arrivals, ids) = self.generate_window_arrivals();
+        self.execute(allocator, &arrivals, &ids, LifetimePolicy::DrawnWindows)
+            .0
+    }
+
+    /// Runs `windows` fixed steps, returning the aggregate report.
+    pub fn run(&mut self, allocator: &dyn Allocator, windows: u64) -> SimReport {
+        let mut report = SimReport::default();
+        for _ in 0..windows {
+            report.windows.push(self.step(allocator));
+        }
+        report
+    }
+
     /// Admits one accepted arrival: tenant pushed with its placement,
     /// network flows admitted, `tenant_admitted` log entry, `admitted` +
     /// per-VM `placed` flight events (in that order — `admitted` binds
@@ -804,6 +830,45 @@ impl WindowExecutor {
     }
 }
 
+impl WindowBackend for WindowExecutor {
+    fn register_arrivals(&mut self, arrivals: &RequestBatch) -> Vec<TenantId> {
+        WindowExecutor::register_arrivals(self, arrivals)
+    }
+
+    fn bind_request_keys(&mut self, ids: &[TenantId], keys: &[u64]) {
+        WindowExecutor::bind_request_keys(self, ids, keys)
+    }
+
+    fn execute_window(
+        &mut self,
+        allocator: &dyn Allocator,
+        arrivals: &RequestBatch,
+        ids: &[TenantId],
+    ) -> (WindowReport, Vec<TenantId>) {
+        self.execute(allocator, arrivals, ids, LifetimePolicy::External)
+    }
+
+    fn depart_tenant(&mut self, id: TenantId) -> bool {
+        WindowExecutor::depart_tenant(self, id)
+    }
+
+    fn force_failure(&mut self, server: ServerId) -> bool {
+        WindowExecutor::force_failure(self, server)
+    }
+
+    fn force_repair(&mut self, server: ServerId) -> bool {
+        WindowExecutor::force_repair(self, server)
+    }
+
+    fn server_count(&self) -> usize {
+        self.infra.server_count()
+    }
+
+    fn resident_requests(&self) -> usize {
+        self.tenants.len()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -888,5 +953,226 @@ mod tests {
         assert_eq!(ids1.len(), a1.request_count());
         let ids2 = exec.register_arrivals(&a1);
         assert_eq!(ids2[0].0, ids1.last().unwrap().0 + 1);
+    }
+
+    #[test]
+    fn single_window_admits_and_accounts() {
+        let mut exec = executor(8, 6);
+        let report = exec.step(&RoundRobinAllocator);
+        assert_eq!(report.window, 0);
+        assert!(report.arrivals >= 2);
+        assert_eq!(report.admitted + report.rejected, report.arrivals);
+        assert!(report.running_tenants == report.admitted);
+        assert!(report.provider_cost > 0.0 || report.admitted == 0);
+        assert!(
+            exec.verify_state().is_feasible(),
+            "{:?}",
+            exec.verify_state()
+        );
+    }
+
+    #[test]
+    fn tenants_depart_after_lifetime() {
+        let mut exec = executor(8, 4);
+        let mut max_running = 0usize;
+        for _ in 0..12 {
+            let r = exec.step(&RoundRobinAllocator);
+            max_running = max_running.max(r.running_tenants);
+        }
+        // Lifetimes are 2–4 windows: the population must plateau, not grow
+        // linearly with 12 windows of arrivals.
+        let departures = exec
+            .log()
+            .events()
+            .iter()
+            .filter(|e| matches!(e, Event::TenantDeparted { .. }))
+            .count();
+        assert!(departures > 0, "tenants must depart");
+        assert!(
+            max_running < 40,
+            "population must plateau, got {max_running}"
+        );
+    }
+
+    #[test]
+    fn state_stays_feasible_over_many_windows() {
+        let mut exec = executor(6, 8);
+        for _ in 0..10 {
+            exec.step(&RoundRobinAllocator);
+            let report = exec.verify_state();
+            assert!(report.is_feasible(), "window {}: {report:?}", exec.window());
+        }
+    }
+
+    #[test]
+    fn run_aggregates_windows() {
+        let mut exec = executor(8, 5);
+        let report = exec.run(&RoundRobinAllocator, 5);
+        assert_eq!(report.windows.len(), 5);
+        assert_eq!(
+            report.total_arrivals(),
+            report.windows.iter().map(|w| w.arrivals).sum::<usize>()
+        );
+        assert!(report.rejection_rate() <= 1.0);
+    }
+
+    #[test]
+    fn saturated_platform_rejects() {
+        // Tiny platform, heavy arrivals: rejections must appear.
+        let mut exec = executor(1, 30);
+        let report = exec.run(&RoundRobinAllocator, 3);
+        assert!(report.total_rejected() > 0);
+        assert!(exec.verify_state().is_feasible());
+    }
+
+    #[test]
+    fn event_log_is_consistent_with_reports() {
+        let mut exec = executor(6, 6);
+        let report = exec.run(&RoundRobinAllocator, 4);
+        assert_eq!(exec.log().rejection_count(), report.total_rejected());
+        assert_eq!(exec.log().migration_count(), report.total_migrations());
+    }
+
+    #[test]
+    fn server_failures_strand_or_migrate_vms() {
+        let infra = Infrastructure::new(
+            AttrSet::standard(),
+            vec![("dc".into(), ServerProfile::commodity(3).build_many(4))],
+        );
+        let config = SimConfig {
+            arrivals: RequestSpec {
+                total_vms: 6,
+                ..Default::default()
+            },
+            lifetime: (5, 8),
+            seed: 3,
+            server_failure_prob: 1.0, // one failure per window, guaranteed
+            repair_windows: 2,
+        };
+        let mut exec = WindowExecutor::new(infra, config);
+        let mut saw_offline = false;
+        for _ in 0..6 {
+            let r = exec.step(&cpo_core::prelude::CpAllocator::default());
+            saw_offline |= r.offline_servers > 0;
+            // Stranded VMs are possible but must never exceed running VMs.
+            assert!(r.stranded_vms <= r.running_vms);
+        }
+        assert!(
+            exec.log().failure_count() > 0,
+            "forced failures must be logged"
+        );
+        assert!(saw_offline, "offline servers must appear in reports");
+        // Repairs must also be logged once the repair window elapses.
+        let repaired = exec
+            .log()
+            .events()
+            .iter()
+            .any(|e| matches!(e, Event::ServerRepaired { .. }));
+        assert!(repaired, "servers must come back after repair_windows");
+    }
+
+    #[test]
+    fn failed_server_receives_no_new_vms() {
+        let infra = Infrastructure::new(
+            AttrSet::standard(),
+            vec![("dc".into(), ServerProfile::commodity(3).build_many(3))],
+        );
+        let config = SimConfig {
+            arrivals: RequestSpec {
+                total_vms: 6,
+                ..Default::default()
+            },
+            lifetime: (8, 8),
+            seed: 1,
+            server_failure_prob: 1.0,
+            repair_windows: 10, // stays down for the whole test
+        };
+        let mut exec = WindowExecutor::new(infra, config);
+        for step in 0..4u64 {
+            let before_count = exec.tenants().len();
+            exec.step(&cpo_core::prelude::CpAllocator::default());
+            let offline = exec.offline_servers();
+            // Tenants admitted *this* window must avoid the servers that
+            // were offline during the window.
+            for t in exec.tenants().iter().skip(before_count) {
+                for j in &t.placement {
+                    assert!(
+                        !offline.contains(j),
+                        "window {step}: new tenant {:?} placed on offline {j:?}",
+                        t.id
+                    );
+                }
+            }
+        }
+        assert!(exec.log().failure_count() >= 1);
+    }
+
+    #[test]
+    fn sla_ledger_tracks_tenants_over_windows() {
+        let mut exec = executor(8, 6);
+        exec.run(&RoundRobinAllocator, 4);
+        let ledger = exec.sla();
+        // Every still-running tenant has been observed at least once.
+        for t in exec.tenants() {
+            let r = ledger.record(t.id).expect("running tenant observed");
+            assert!(r.observed_windows >= 1);
+            assert!(r.worst_qos_seen <= 1.0);
+        }
+        assert!(ledger.total_credit() >= 0.0);
+    }
+
+    #[test]
+    fn networked_sim_accounts_fabric_utilisation() {
+        use cpo_topology::{build_spine_leaf, SpineLeafSpec};
+        let profile = ServerProfile::commodity(3);
+        let infra = Infrastructure::new(
+            AttrSet::standard(),
+            vec![("dc".into(), profile.build_many(6))],
+        );
+        let pods = vec![build_spine_leaf(&SpineLeafSpec::for_server_count(6))];
+        let net = NetworkModel::new(&infra, pods, 500.0);
+        let config = SimConfig {
+            arrivals: RequestSpec {
+                total_vms: 9,
+                request_size: (2, 3), // multi-VM tenants create traffic
+                ..Default::default()
+            },
+            lifetime: (3, 5),
+            seed: 21,
+            ..Default::default()
+        };
+        let mut exec = WindowExecutor::new(infra, config);
+        exec.set_network(net);
+        let mut saw_traffic = false;
+        for _ in 0..6 {
+            let r = exec.step(&cpo_core::prelude::RoundRobinAllocator);
+            saw_traffic |= r.fabric_peak_utilization > 0.0;
+            assert!(r.fabric_peak_utilization <= 1.0);
+        }
+        assert!(
+            saw_traffic,
+            "multi-VM tenants spread by round-robin must use the fabric"
+        );
+        // Flows must not leak: utilisation is bounded by live tenants.
+        let live_pairs: usize = exec
+            .tenants()
+            .iter()
+            .map(|t| t.size() * t.size().saturating_sub(1) / 2)
+            .sum();
+        if live_pairs == 0 {
+            assert_eq!(exec.network().unwrap().peak_utilization(), 0.0);
+        }
+    }
+
+    #[test]
+    fn windows_are_deterministic_per_seed() {
+        let mut a = executor(6, 6);
+        let mut b = executor(6, 6);
+        let ra = a.run(&RoundRobinAllocator, 4);
+        let rb = b.run(&RoundRobinAllocator, 4);
+        for (x, y) in ra.windows.iter().zip(&rb.windows) {
+            assert_eq!(x.admitted, y.admitted);
+            assert_eq!(x.migrations, y.migrations);
+        }
     }
 }

@@ -31,6 +31,7 @@
 //! hosted VM contributes the server's usage cost.
 
 use crate::accounting::WindowReport;
+use crate::backend::WindowBackend;
 use crate::store::PlacementStore;
 use crate::tenant::TenantId;
 use cpo_core::prelude::Allocator;
@@ -187,7 +188,7 @@ impl FleetExecutor {
                     window,
                     arrivals,
                     req,
-                    |k| {
+                    |_, k| {
                         outcome
                             .assignment
                             .server_of(k)
@@ -215,14 +216,15 @@ impl FleetExecutor {
     /// `WindowExecutor`'s event order. When `reserve` is set the
     /// residual store is charged per VM (the native path); the sharded
     /// path passes `false` because its optimistic commit has already
-    /// reserved the capacity.
+    /// reserved the capacity. `server_of` maps a VM's index within the
+    /// request and its batch id to the hosting server.
     pub(crate) fn admit_request(
         &mut self,
         tid: TenantId,
         window: u64,
         arrivals: &RequestBatch,
         req: &Request,
-        server_of: impl Fn(VmId) -> u32,
+        server_of: impl Fn(usize, VmId) -> u32,
         reserve: bool,
     ) {
         let key = self.flight_key(tid.0);
@@ -237,7 +239,7 @@ impl FleetExecutor {
         }
         let mut head = NO_SLOT;
         for (local, &k) in req.vms.iter().enumerate() {
-            let j = server_of(k);
+            let j = server_of(local, k);
             let vm = arrivals.vm(k);
             head = self.vms.insert(tid.0, j, &vm.demand, vm.revenue, head);
             self.admit_load(j, &vm.demand, reserve);
@@ -483,6 +485,45 @@ impl FleetExecutor {
     }
 }
 
+impl WindowBackend for FleetExecutor {
+    fn register_arrivals(&mut self, arrivals: &RequestBatch) -> Vec<TenantId> {
+        FleetExecutor::register_arrivals(self, arrivals)
+    }
+
+    fn bind_request_keys(&mut self, ids: &[TenantId], keys: &[u64]) {
+        FleetExecutor::bind_request_keys(self, ids, keys)
+    }
+
+    fn execute_window(
+        &mut self,
+        allocator: &dyn Allocator,
+        arrivals: &RequestBatch,
+        ids: &[TenantId],
+    ) -> (WindowReport, Vec<TenantId>) {
+        FleetExecutor::execute_window(self, allocator, arrivals, ids)
+    }
+
+    fn depart_tenant(&mut self, id: TenantId) -> bool {
+        FleetExecutor::depart_tenant(self, id)
+    }
+
+    fn force_failure(&mut self, server: ServerId) -> bool {
+        FleetExecutor::force_failure(self, server)
+    }
+
+    fn force_repair(&mut self, server: ServerId) -> bool {
+        FleetExecutor::force_repair(self, server)
+    }
+
+    fn server_count(&self) -> usize {
+        FleetExecutor::server_count(self)
+    }
+
+    fn resident_requests(&self) -> usize {
+        FleetExecutor::resident_requests(self)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -612,6 +653,30 @@ mod tests {
             f.residual_row(ServerId(0)),
             f.infra().effective_row(ServerId(0))
         );
+    }
+
+    #[test]
+    fn admit_request_places_vms_by_local_index() {
+        let mut f = fleet(3);
+        // The second request's VMs have batch ids 1..4, so a mapping that
+        // confused batch ids with local indices would misplace them.
+        let mut arrivals = RequestBatch::new();
+        arrivals.push_request(vec![vm_spec(1.0, 1024.0, 10.0)], vec![]);
+        arrivals.push_request(
+            vec![
+                vm_spec(2.0, 1024.0, 10.0),
+                vm_spec(3.0, 1024.0, 10.0),
+                vm_spec(4.0, 1024.0, 10.0),
+            ],
+            vec![],
+        );
+        let ids = f.register_arrivals(&arrivals);
+        let req = arrivals.request(RequestId(1));
+        let servers = [2u32, 0, 1];
+        f.admit_request(ids[1], 0, &arrivals, req, |local, _| servers[local], true);
+        let cpu = |j: u32| f.loads.used(j)[0];
+        assert_eq!((cpu(2), cpu(0), cpu(1)), (2.0, 3.0, 4.0));
+        assert!(f.verify().is_ok());
     }
 
     #[test]

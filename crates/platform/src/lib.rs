@@ -7,15 +7,21 @@
 //!
 //! * [`tenant`] — accepted requests living across windows with their
 //!   affinity rules and lifetimes;
-//! * [`sim`] — the cyclic window loop: departures → arrivals → solve (any
+//! * [`executor`] — [`executor::WindowExecutor`], the cyclic window loop:
+//!   departures → arrivals → solve (any
 //!   [`cpo_core::allocator::Allocator`]) → apply reconfiguration plan
-//!   (migrations, Eq. 26) → admit/reject;
+//!   (migrations, Eq. 26) → admit/reject, run fixed-step by
+//!   [`executor::WindowExecutor::step`];
+//! * [`backend`] — [`backend::WindowBackend`], the one window-engine
+//!   trait every engine implements and the `cpo-des` scheduler drives;
 //! * [`events`] — an append-only platform event log;
 //! * [`accounting`] — per-window and per-run metrics (provider cost,
 //!   downtime, migrations, rejection rate);
 //! * [`fleet`] — [`fleet::FleetExecutor`], the memory-lean admission-only
 //!   engine for production-scale trace replay (packed tables, residual
-//!   headroom, no event log).
+//!   headroom, no event log);
+//! * [`shard`] — [`shard::ShardedScheduler`], sharded admission over
+//!   either engine through the optimistic-commit [`store`].
 //!
 //! Running tenants are never evicted: if the optimizer's plan drops one,
 //! the platform keeps its previous placement and pays only planned
@@ -31,7 +37,7 @@
 //!     AttrSet::standard(),
 //!     vec![("dc".into(), ServerProfile::commodity(3).build_many(8))],
 //! );
-//! let mut sim = PlatformSim::new(infra, SimConfig::default());
+//! let mut sim = WindowExecutor::new(infra, SimConfig::default());
 //! let report = sim.run(&RoundRobinAllocator, 5);
 //! assert_eq!(report.windows.len(), 5);
 //! assert!(sim.verify_state().is_feasible());
@@ -40,13 +46,13 @@
 #![warn(missing_docs)]
 
 pub mod accounting;
+pub mod backend;
 pub mod events;
 pub mod executor;
 pub mod fleet;
 pub mod network;
 pub mod probe;
 pub mod shard;
-pub mod sim;
 pub mod sla;
 pub mod store;
 pub mod tenant;
@@ -54,12 +60,12 @@ pub mod tenant;
 /// The most-used simulator types.
 pub mod prelude {
     pub use crate::accounting::{SimReport, WindowReport};
+    pub use crate::backend::WindowBackend;
     pub use crate::events::{Event, EventLog, EVENT_LOG_SCHEMA_VERSION};
-    pub use crate::executor::{LifetimePolicy, WindowExecutor};
+    pub use crate::executor::{LifetimePolicy, SimConfig, WindowExecutor};
     pub use crate::fleet::FleetExecutor;
     pub use crate::network::{FlowAdmission, NetworkModel};
     pub use crate::shard::{PartitionStrategy, ShardBackend, ShardConfig, ShardedScheduler};
-    pub use crate::sim::{PlatformSim, SimConfig};
     pub use crate::sla::{SlaLedger, SlaRecord};
     pub use crate::store::{
         CommitCtx, ConflictReason, PlacementStore, StoreMetrics, StoreSnapshot,

@@ -43,6 +43,7 @@
 //! native path (proven by `tests/sharded_equivalence.rs`).
 
 use crate::accounting::WindowReport;
+use crate::backend::WindowBackend;
 use crate::executor::{LifetimePolicy, WindowExecutor, WindowTotals};
 use crate::fleet::FleetExecutor;
 use crate::store::{CommitCtx, PlacementStore, StoreSnapshot};
@@ -270,37 +271,30 @@ fn partition_round(
     (parts, slots, masks)
 }
 
-/// What a window engine must expose for [`ShardedScheduler`] to drive
-/// it through the store-commit protocol. Implemented by
-/// [`FleetExecutor`] (persistent cross-window store) and
+/// The store-protocol hooks a [`WindowBackend`] adds so that
+/// [`ShardedScheduler`] can drive it through snapshot → solve → commit.
+/// Implemented by [`FleetExecutor`] (persistent cross-window store) and
 /// [`WindowExecutor`] (per-window admission store materialised from
-/// live tenant state).
-pub trait ShardBackend {
+/// live tenant state). Everything else — registration, departures,
+/// failures and the unsharded solve — is the backend's
+/// [`WindowBackend`] surface.
+pub trait ShardBackend: WindowBackend {
     /// Completed windows (the next window's index).
     fn window(&self) -> u64;
-
-    /// The unsharded seed path for one window.
-    fn native_window(
-        &mut self,
-        allocator: &dyn Allocator,
-        arrivals: &RequestBatch,
-        arrival_tenant_ids: &[TenantId],
-    ) -> (WindowReport, Vec<TenantId>);
 
     /// Whether `shards = 1` should still run the store protocol.
     /// `FleetExecutor` says yes — its admission-only semantics make the
     /// protocol provably equivalent; `WindowExecutor` says no — its
     /// native path reconfigures residents, which the admission-only
-    /// store cannot express, so bit-identity demands delegation.
+    /// store cannot express, so bit-identity demands delegation to
+    /// [`WindowBackend::execute_window`].
     fn store_protocol_at_one(&self) -> bool;
 
-    /// The persistent cross-window store, when the backend keeps one.
-    fn persistent_store(&self) -> Option<Arc<PlacementStore>>;
-
-    /// A fresh admission-only store for this window, materialised from
-    /// the live state (residents pinned, offline servers zeroed). Only
-    /// called when [`Self::persistent_store`] is `None`.
-    fn admission_store(&self) -> Arc<PlacementStore>;
+    /// The store this window commits against: the persistent
+    /// cross-window store when the backend keeps one, otherwise a fresh
+    /// admission-only store materialised from the live state (residents
+    /// pinned, offline servers zeroed).
+    fn window_store(&self) -> Arc<PlacementStore>;
 
     /// The flight correlation key bound to a registered tenant.
     fn flight_key_of(&self, tid: TenantId) -> u64;
@@ -332,21 +326,6 @@ pub trait ShardBackend {
         denied_flows: usize,
         solve_time: Duration,
     ) -> WindowReport;
-
-    /// Assigns sequential tenant ids to an arrival batch.
-    fn register_arrivals(&mut self, arrivals: &RequestBatch) -> Vec<TenantId>;
-    /// Binds tenant ids to flight correlation keys.
-    fn bind_request_keys(&mut self, ids: &[TenantId], keys: &[u64]);
-    /// Departs one tenant; `false` when not resident.
-    fn depart_tenant(&mut self, id: TenantId) -> bool;
-    /// Fails one server; `false` when already offline.
-    fn force_failure(&mut self, server: ServerId) -> bool;
-    /// Repairs one server; `false` when healthy.
-    fn force_repair(&mut self, server: ServerId) -> bool;
-    /// Number of servers.
-    fn server_count(&self) -> usize;
-    /// Resident requests.
-    fn resident_requests(&self) -> usize;
 }
 
 /// One shard's solved slice of a round.
@@ -470,12 +449,28 @@ impl<B: ShardBackend> ShardedScheduler<B> {
     pub fn config(&self) -> &ShardConfig {
         &self.config
     }
+}
 
-    /// Executes one window: native delegation when unsharded (unless the
-    /// backend opts into the store protocol at one shard), otherwise the
-    /// snapshot → solve → commit/bounce/retry loop. Returns the report
-    /// plus admitted tenant ids in arrival order.
-    pub fn execute_window(
+/// A sharded engine plugs straight into any window loop: the window
+/// solve runs the snapshot → solve → optimistic-commit protocol,
+/// everything else delegates to the wrapped backend. Under the DES clock
+/// the reported solve time is the sharded critical path, so latency
+/// feedback and throughput metrics see the parallel speedup even on a
+/// serial host.
+impl<B: ShardBackend> WindowBackend for ShardedScheduler<B> {
+    fn register_arrivals(&mut self, arrivals: &RequestBatch) -> Vec<TenantId> {
+        self.backend.register_arrivals(arrivals)
+    }
+
+    fn bind_request_keys(&mut self, ids: &[TenantId], keys: &[u64]) {
+        self.backend.bind_request_keys(ids, keys)
+    }
+
+    /// Executes one window: the backend's own solve when unsharded
+    /// (unless it opts into the store protocol at one shard), otherwise
+    /// the snapshot → solve → commit/bounce/retry loop. Returns the
+    /// report plus admitted tenant ids in arrival order.
+    fn execute_window(
         &mut self,
         allocator: &dyn Allocator,
         arrivals: &RequestBatch,
@@ -484,14 +479,11 @@ impl<B: ShardBackend> ShardedScheduler<B> {
         if self.config.shards <= 1 && !self.backend.store_protocol_at_one() {
             return self
                 .backend
-                .native_window(allocator, arrivals, arrival_tenant_ids);
+                .execute_window(allocator, arrivals, arrival_tenant_ids);
         }
         let window = self.backend.window();
         let mut sp = cpo_obs::span!("shard.window", window = window);
-        let store = self
-            .backend
-            .persistent_store()
-            .unwrap_or_else(|| self.backend.admission_store());
+        let store = self.backend.window_store();
         let n = arrivals.request_count();
         let metrics_before = store.metrics();
 
@@ -636,20 +628,31 @@ impl<B: ShardBackend> ShardedScheduler<B> {
             .field("rounds", round as usize);
         (report, admitted_ids)
     }
+
+    fn depart_tenant(&mut self, id: TenantId) -> bool {
+        self.backend.depart_tenant(id)
+    }
+
+    fn force_failure(&mut self, server: ServerId) -> bool {
+        self.backend.force_failure(server)
+    }
+
+    fn force_repair(&mut self, server: ServerId) -> bool {
+        self.backend.force_repair(server)
+    }
+
+    fn server_count(&self) -> usize {
+        self.backend.server_count()
+    }
+
+    fn resident_requests(&self) -> usize {
+        self.backend.resident_requests()
+    }
 }
 
 impl ShardBackend for FleetExecutor {
     fn window(&self) -> u64 {
         FleetExecutor::window(self)
-    }
-
-    fn native_window(
-        &mut self,
-        allocator: &dyn Allocator,
-        arrivals: &RequestBatch,
-        arrival_tenant_ids: &[TenantId],
-    ) -> (WindowReport, Vec<TenantId>) {
-        self.execute_window(allocator, arrivals, arrival_tenant_ids)
     }
 
     fn store_protocol_at_one(&self) -> bool {
@@ -659,11 +662,7 @@ impl ShardBackend for FleetExecutor {
         true
     }
 
-    fn persistent_store(&self) -> Option<Arc<PlacementStore>> {
-        Some(Arc::clone(self.store()))
-    }
-
-    fn admission_store(&self) -> Arc<PlacementStore> {
+    fn window_store(&self) -> Arc<PlacementStore> {
         Arc::clone(self.store())
     }
 
@@ -687,14 +686,7 @@ impl ShardBackend for FleetExecutor {
             window,
             arrivals,
             req,
-            |k| {
-                let pos = req
-                    .vms
-                    .iter()
-                    .position(|&v| v == k)
-                    .expect("vm belongs to request");
-                placement[pos].index() as u32
-            },
+            |local, _| placement[local].index() as u32,
             false,
         );
         0
@@ -714,53 +706,11 @@ impl ShardBackend for FleetExecutor {
     ) -> WindowReport {
         self.finish_window(arrivals, admitted, rejected, solve_time)
     }
-
-    fn register_arrivals(&mut self, arrivals: &RequestBatch) -> Vec<TenantId> {
-        FleetExecutor::register_arrivals(self, arrivals)
-    }
-
-    fn bind_request_keys(&mut self, ids: &[TenantId], keys: &[u64]) {
-        FleetExecutor::bind_request_keys(self, ids, keys)
-    }
-
-    fn depart_tenant(&mut self, id: TenantId) -> bool {
-        FleetExecutor::depart_tenant(self, id)
-    }
-
-    fn force_failure(&mut self, server: ServerId) -> bool {
-        FleetExecutor::force_failure(self, server)
-    }
-
-    fn force_repair(&mut self, server: ServerId) -> bool {
-        FleetExecutor::force_repair(self, server)
-    }
-
-    fn server_count(&self) -> usize {
-        FleetExecutor::server_count(self)
-    }
-
-    fn resident_requests(&self) -> usize {
-        FleetExecutor::resident_requests(self)
-    }
 }
 
 impl ShardBackend for WindowExecutor {
     fn window(&self) -> u64 {
         WindowExecutor::window(self)
-    }
-
-    fn native_window(
-        &mut self,
-        allocator: &dyn Allocator,
-        arrivals: &RequestBatch,
-        arrival_tenant_ids: &[TenantId],
-    ) -> (WindowReport, Vec<TenantId>) {
-        self.execute(
-            allocator,
-            arrivals,
-            arrival_tenant_ids,
-            LifetimePolicy::External,
-        )
     }
 
     fn store_protocol_at_one(&self) -> bool {
@@ -770,11 +720,7 @@ impl ShardBackend for WindowExecutor {
         false
     }
 
-    fn persistent_store(&self) -> Option<Arc<PlacementStore>> {
-        None
-    }
-
-    fn admission_store(&self) -> Arc<PlacementStore> {
+    fn window_store(&self) -> Arc<PlacementStore> {
         Arc::new(PlacementStore::from_residual(self.admission_residual()))
     }
 
@@ -823,34 +769,6 @@ impl ShardBackend for WindowExecutor {
             denied_flows,
             solve_time,
         })
-    }
-
-    fn register_arrivals(&mut self, arrivals: &RequestBatch) -> Vec<TenantId> {
-        WindowExecutor::register_arrivals(self, arrivals)
-    }
-
-    fn bind_request_keys(&mut self, ids: &[TenantId], keys: &[u64]) {
-        WindowExecutor::bind_request_keys(self, ids, keys)
-    }
-
-    fn depart_tenant(&mut self, id: TenantId) -> bool {
-        WindowExecutor::depart_tenant(self, id)
-    }
-
-    fn force_failure(&mut self, server: ServerId) -> bool {
-        WindowExecutor::force_failure(self, server)
-    }
-
-    fn force_repair(&mut self, server: ServerId) -> bool {
-        WindowExecutor::force_repair(self, server)
-    }
-
-    fn server_count(&self) -> usize {
-        self.infra().server_count()
-    }
-
-    fn resident_requests(&self) -> usize {
-        self.tenants().len()
     }
 }
 

@@ -61,7 +61,7 @@ impl SlaLedger {
     }
 
     /// Observes one window of the running platform: `batch`/`assignment`
-    /// is the tenant snapshot ([`crate::sim::PlatformSim::snapshot`]
+    /// is the tenant snapshot ([`crate::executor::WindowExecutor::snapshot`]
     /// layout: tenants in order, VMs contiguous). Returns the tenants
     /// whose guarantee was breached this window together with the credit
     /// accrued, so the caller can attribute SLA/QoS breaches to requests

@@ -33,7 +33,7 @@ fn main() {
         server_failure_prob: 0.5, // a busy failure season
         repair_windows: 3,
     };
-    let mut sim = PlatformSim::new(infra, config);
+    let mut sim = WindowExecutor::new(infra, config);
     let allocator = CpAllocator::default();
 
     println!(
