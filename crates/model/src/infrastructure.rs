@@ -5,6 +5,7 @@
 
 use crate::attr::{AttrId, AttrSet};
 use crate::matrix::Matrix;
+use std::sync::Arc;
 
 /// Index of a datacenter (the paper's `i ∈ G`).
 #[derive(
@@ -37,7 +38,10 @@ impl ServerId {
     }
 }
 
-/// One physical server (hypervisor host).
+/// One physical server (hypervisor host), as handed to
+/// [`Infrastructure::new`]. The infrastructure splits it into a live
+/// capacity row and shared [`ServerParams`];
+/// [`Infrastructure::server_spec`] reassembles it.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Server {
     /// Raw capacity per attribute — row `j` of the paper's `P` matrix.
@@ -59,13 +63,6 @@ pub struct Server {
 }
 
 impl Server {
-    /// Effective usable capacity for attribute `l`: `P_{jl} · F_{jl}`
-    /// (the right-hand side of the capacity constraint, Eq. 4/16).
-    #[inline]
-    pub fn effective_capacity(&self, l: AttrId) -> f64 {
-        self.capacity[l.index()] * self.factor[l.index()]
-    }
-
     /// Validates the invariants the paper places on server parameters
     /// (Eq. 8 bounds, non-negative capacities and costs) against an
     /// attribute set of size `h`.
@@ -140,14 +137,47 @@ impl Datacenter {
     }
 }
 
-/// The provider substrate: all datacenters and servers plus derived views.
-#[derive(Clone, Debug)]
-pub struct Infrastructure {
+/// The static parameters of one server: everything of a [`Server`]
+/// except its raw capacity, which is live state held in
+/// [`Infrastructure`]'s capacity matrix (read it with
+/// [`Infrastructure::capacity_row`]).
+#[derive(Clone, Debug, PartialEq)]
+pub struct ServerParams {
+    /// Virtual-to-physical capacity factor per attribute — row `j` of `F`.
+    pub factor: Vec<f64>,
+    /// Operating expenditure `E_j`.
+    pub opex: f64,
+    /// Usage cost `U_j` per hosted consumer resource.
+    pub usage_cost: f64,
+    /// Maximum load `L^M_{jl}` per attribute.
+    pub max_load: Vec<f64>,
+    /// Maximum quality of service `Q^M_{jl}` per attribute.
+    pub max_qos: Vec<f64>,
+}
+
+/// The parts of an [`Infrastructure`] no capacity update touches. Every
+/// clone shares one copy behind an [`Arc`].
+#[derive(Debug)]
+struct StaticTable {
     attrs: AttrSet,
     datacenters: Vec<Datacenter>,
-    servers: Vec<Server>,
+    servers: Vec<ServerParams>,
     /// `server_dc[j]` = owning datacenter of global server `j`.
     server_dc: Vec<DatacenterId>,
+}
+
+/// The provider substrate: all datacenters and servers plus derived views.
+///
+/// The live raw capacity `P` and the cached effective capacity `P ⊙ F`
+/// are two flat `m × h` matrices; everything else sits in one shared
+/// static table. A clone therefore copies two buffers and bumps one
+/// reference count, which is what lets schedulers take a private
+/// residual copy per solve.
+#[derive(Clone, Debug)]
+pub struct Infrastructure {
+    statics: Arc<StaticTable>,
+    /// Live `m × h` raw capacity matrix `P`.
+    capacity: Matrix<f64>,
     /// Cached `m × h` effective capacity matrix (`P ⊙ F`).
     effective: Matrix<f64>,
 }
@@ -165,86 +195,146 @@ impl Infrastructure {
             "infrastructure needs at least one datacenter"
         );
         let h = attrs.len();
+        let m: usize = dcs.iter().map(|(_, servers)| servers.len()).sum();
+        assert!(m > 0, "infrastructure needs at least one server");
         let mut datacenters = Vec::with_capacity(dcs.len());
-        let mut servers = Vec::new();
-        let mut server_dc = Vec::new();
+        let mut servers = Vec::with_capacity(m);
+        let mut server_dc = Vec::with_capacity(m);
+        let mut capacity = Vec::with_capacity(m * h);
+        let mut effective = Vec::with_capacity(m * h);
         for (dc_idx, (name, dc_servers)) in dcs.into_iter().enumerate() {
             let first_server = servers.len();
-            for (s_idx, s) in dc_servers.iter().enumerate() {
+            let server_count = dc_servers.len();
+            for (s_idx, s) in dc_servers.into_iter().enumerate() {
                 if let Err(e) = s.validate(h) {
                     panic!("invalid server {s_idx} in datacenter {name:?}: {e}");
                 }
+                capacity.extend_from_slice(&s.capacity);
+                effective.extend(s.capacity.iter().zip(&s.factor).map(|(c, f)| c * f));
+                servers.push(ServerParams {
+                    factor: s.factor,
+                    opex: s.opex,
+                    usage_cost: s.usage_cost,
+                    max_load: s.max_load,
+                    max_qos: s.max_qos,
+                });
+                server_dc.push(DatacenterId(dc_idx));
             }
             datacenters.push(Datacenter {
                 name,
                 first_server,
-                server_count: dc_servers.len(),
+                server_count,
             });
-            for s in dc_servers {
-                servers.push(s);
-                server_dc.push(DatacenterId(dc_idx));
-            }
         }
-        assert!(
-            !servers.is_empty(),
-            "infrastructure needs at least one server"
-        );
-        let effective = Matrix::from_fn(servers.len(), h, |j, l| {
-            servers[j].effective_capacity(AttrId(l))
-        });
         Self {
-            attrs,
-            datacenters,
-            servers,
-            server_dc,
-            effective,
+            statics: Arc::new(StaticTable {
+                attrs,
+                datacenters,
+                servers,
+                server_dc,
+            }),
+            capacity: Matrix::from_vec(m, h, capacity),
+            effective: Matrix::from_vec(m, h, effective),
+        }
+    }
+
+    /// The residual-headroom view of this fleet: raw capacity set to the
+    /// current effective capacity `P ⊙ F` and every factor set to 1.0,
+    /// so effective and raw capacity coincide and admissions can carve
+    /// demand straight out of the rows (departures return it). Costs and
+    /// QoS envelopes are unchanged.
+    pub fn residual_view(&self) -> Self {
+        let h = self.attr_count();
+        let statics = &self.statics;
+        let servers = statics
+            .servers
+            .iter()
+            .map(|s| ServerParams {
+                factor: vec![1.0; h],
+                opex: s.opex,
+                usage_cost: s.usage_cost,
+                max_load: s.max_load.clone(),
+                max_qos: s.max_qos.clone(),
+            })
+            .collect();
+        Self {
+            statics: Arc::new(StaticTable {
+                attrs: statics.attrs.clone(),
+                datacenters: statics.datacenters.clone(),
+                servers,
+                server_dc: statics.server_dc.clone(),
+            }),
+            capacity: self.effective.clone(),
+            effective: self.effective.clone(),
         }
     }
 
     /// The shared attribute set.
     #[inline]
     pub fn attrs(&self) -> &AttrSet {
-        &self.attrs
+        &self.statics.attrs
     }
 
     /// Number of attributes `h`.
     #[inline]
     pub fn attr_count(&self) -> usize {
-        self.attrs.len()
+        self.capacity.cols()
     }
 
     /// Number of datacenters `g`.
     #[inline]
     pub fn datacenter_count(&self) -> usize {
-        self.datacenters.len()
+        self.statics.datacenters.len()
     }
 
     /// Number of servers `m` (global, across all datacenters).
     #[inline]
     pub fn server_count(&self) -> usize {
-        self.servers.len()
+        self.capacity.rows()
     }
 
     /// The datacenters.
     pub fn datacenters(&self) -> &[Datacenter] {
-        &self.datacenters
+        &self.statics.datacenters
     }
 
-    /// The servers, indexed by global [`ServerId`].
-    pub fn servers(&self) -> &[Server] {
-        &self.servers
+    /// The static parameters of every server, indexed by global
+    /// [`ServerId`].
+    pub fn servers(&self) -> &[ServerParams] {
+        &self.statics.servers
     }
 
-    /// Server `j`.
+    /// Static parameters of server `j` (live capacity is
+    /// [`Infrastructure::capacity_row`]).
     #[inline]
-    pub fn server(&self, j: ServerId) -> &Server {
-        &self.servers[j.index()]
+    pub fn server(&self, j: ServerId) -> &ServerParams {
+        &self.statics.servers[j.index()]
+    }
+
+    /// Server `j` as a [`Server`] spec: its live raw capacity plus its
+    /// static parameters.
+    pub fn server_spec(&self, j: ServerId) -> Server {
+        let s = self.server(j);
+        Server {
+            capacity: self.capacity_row(j).to_vec(),
+            factor: s.factor.clone(),
+            opex: s.opex,
+            usage_cost: s.usage_cost,
+            max_load: s.max_load.clone(),
+            max_qos: s.max_qos.clone(),
+        }
     }
 
     /// Owning datacenter of server `j`.
     #[inline]
     pub fn datacenter_of(&self, j: ServerId) -> DatacenterId {
-        self.server_dc[j.index()]
+        self.statics.server_dc[j.index()]
+    }
+
+    /// Live raw capacity row `P_j` of server `j`.
+    #[inline]
+    pub fn capacity_row(&self, j: ServerId) -> &[f64] {
+        self.capacity.row(j.index())
     }
 
     /// Effective capacity `P_{jl} · F_{jl}` (cached).
@@ -259,27 +349,31 @@ impl Infrastructure {
         self.effective.row(j.index())
     }
 
+    /// The cached `m × h` effective capacity matrix `P ⊙ F`.
+    #[inline]
+    pub fn effective_matrix(&self) -> &Matrix<f64> {
+        &self.effective
+    }
+
     /// Iterator over all global server ids.
     pub fn server_ids(&self) -> impl Iterator<Item = ServerId> {
-        (0..self.servers.len()).map(ServerId)
+        (0..self.server_count()).map(ServerId)
     }
 
     /// Iterator over all datacenter ids.
     pub fn datacenter_ids(&self) -> impl Iterator<Item = DatacenterId> {
-        (0..self.datacenters.len()).map(DatacenterId)
+        (0..self.datacenter_count()).map(DatacenterId)
     }
 
-    /// The provider capacity matrix `P` (`m × h`), materialised.
+    /// The provider capacity matrix `P` (`m × h`).
     pub fn capacity_matrix(&self) -> Matrix<f64> {
-        Matrix::from_fn(self.server_count(), self.attr_count(), |j, l| {
-            self.servers[j].capacity[l]
-        })
+        self.capacity.clone()
     }
 
     /// The capacity-factor matrix `F` (`m × h`), materialised.
     pub fn factor_matrix(&self) -> Matrix<f64> {
         Matrix::from_fn(self.server_count(), self.attr_count(), |j, l| {
-            self.servers[j].factor[l]
+            self.statics.servers[j].factor[l]
         })
     }
 
@@ -294,14 +388,11 @@ impl Infrastructure {
     pub fn adjust_capacity(&mut self, j: ServerId, delta: &[f64]) {
         let h = self.attr_count();
         assert_eq!(delta.len(), h, "delta must have {h} attributes");
-        let server = &mut self.servers[j.index()];
-        for (l, d) in delta.iter().enumerate() {
-            server.capacity[l] = (server.capacity[l] + d).max(0.0);
+        let row = self.capacity.row_mut(j.index());
+        for (c, d) in row.iter_mut().zip(delta) {
+            *c = (*c + d).max(0.0);
         }
-        let row = self.effective.row_mut(j.index());
-        for (l, e) in row.iter_mut().enumerate() {
-            *e = server.capacity[l] * server.factor[l];
-        }
+        self.refresh_effective(j);
     }
 
     /// Overwrites server `j`'s raw capacity (clamped at zero per
@@ -312,13 +403,20 @@ impl Infrastructure {
     pub fn set_capacity(&mut self, j: ServerId, capacity: &[f64]) {
         let h = self.attr_count();
         assert_eq!(capacity.len(), h, "capacity must have {h} attributes");
-        let server = &mut self.servers[j.index()];
-        for (l, &c) in capacity.iter().enumerate() {
-            server.capacity[l] = c.max(0.0);
+        let row = self.capacity.row_mut(j.index());
+        for (c, &new) in row.iter_mut().zip(capacity) {
+            *c = new.max(0.0);
         }
+        self.refresh_effective(j);
+    }
+
+    /// Recomputes effective row `j` from the live capacity row.
+    fn refresh_effective(&mut self, j: ServerId) {
+        let factor = &self.statics.servers[j.index()].factor;
+        let capacity = self.capacity.row(j.index());
         let row = self.effective.row_mut(j.index());
-        for (l, e) in row.iter_mut().enumerate() {
-            *e = server.capacity[l] * server.factor[l];
+        for ((e, c), f) in row.iter_mut().zip(capacity).zip(factor) {
+            *e = c * f;
         }
     }
 
@@ -431,8 +529,9 @@ mod tests {
         let infra = tiny_infra();
         let j = ServerId(0);
         let l = AttrId(0);
-        let s = infra.server(j);
-        assert!((infra.effective_capacity(j, l) - s.capacity[0] * s.factor[0]).abs() < 1e-12);
+        let cap = infra.capacity_row(j)[0];
+        let factor = infra.server(j).factor[0];
+        assert!((infra.effective_capacity(j, l) - cap * factor).abs() < 1e-12);
         // commodity: 32 vCPU * 0.9 = 28.8
         assert!((infra.effective_capacity(j, l) - 28.8).abs() < 1e-12);
     }
@@ -460,15 +559,15 @@ mod tests {
         let mut infra = tiny_infra();
         let j = ServerId(1);
         infra.adjust_capacity(j, &[-2.0, -1024.0, 0.0]);
-        assert_eq!(infra.server(j).capacity[0], 30.0);
+        assert_eq!(infra.capacity_row(j)[0], 30.0);
         assert!((infra.effective_capacity(j, AttrId(0)) - 27.0).abs() < 1e-12);
         // Over-subtracting clamps to zero instead of going negative.
         infra.adjust_capacity(j, &[-1000.0, 0.0, 0.0]);
-        assert_eq!(infra.server(j).capacity[0], 0.0);
+        assert_eq!(infra.capacity_row(j)[0], 0.0);
         assert_eq!(infra.effective_capacity(j, AttrId(0)), 0.0);
         // Returning capacity restores headroom.
         infra.adjust_capacity(j, &[32.0, 1024.0, 0.0]);
-        assert_eq!(infra.server(j).capacity[0], 32.0);
+        assert_eq!(infra.capacity_row(j)[0], 32.0);
         assert!((infra.effective_capacity(j, AttrId(0)) - 28.8).abs() < 1e-12);
     }
 
@@ -477,7 +576,7 @@ mod tests {
         let mut infra = tiny_infra();
         let j = ServerId(0);
         infra.set_capacity(j, &[10.0, 1024.0, -5.0]);
-        assert_eq!(infra.server(j).capacity, vec![10.0, 1024.0, 0.0]);
+        assert_eq!(infra.capacity_row(j), [10.0, 1024.0, 0.0]);
         assert!((infra.effective_capacity(j, AttrId(0)) - 9.0).abs() < 1e-12);
     }
 

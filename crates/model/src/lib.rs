@@ -90,7 +90,7 @@ pub mod prelude {
     pub use crate::eval_pool::EvaluatorPool;
     pub use crate::fleet::{ServerLoadTable, VmTable, NO_SLOT};
     pub use crate::infrastructure::{
-        Datacenter, DatacenterId, Infrastructure, Server, ServerId, ServerProfile,
+        Datacenter, DatacenterId, Infrastructure, Server, ServerId, ServerParams, ServerProfile,
     };
     pub use crate::load::LoadTracker;
     pub use crate::matrix::Matrix;

@@ -91,11 +91,15 @@ pub enum FlightKind {
     /// a bounced request hit contention, and the profiler can build
     /// per-server hotspot tables.
     CommitAttempt = 15,
+    /// A sharded scheduler's allocator panicked while solving one part
+    /// of a round; the part's requests were treated as unsolved.
+    /// `a` = window, `b` = part index.
+    SolverPanicked = 16,
 }
 
 impl FlightKind {
     /// All kinds, for iteration in tests and exporters.
-    pub const ALL: [FlightKind; 16] = [
+    pub const ALL: [FlightKind; 17] = [
         FlightKind::Generated,
         FlightKind::Arrived,
         FlightKind::Admitted,
@@ -112,6 +116,7 @@ impl FlightKind {
         FlightKind::Committed,
         FlightKind::Conflicted,
         FlightKind::CommitAttempt,
+        FlightKind::SolverPanicked,
     ];
 
     /// Stable lower-case name used in JSONL dumps.
@@ -133,6 +138,7 @@ impl FlightKind {
             FlightKind::Committed => "committed",
             FlightKind::Conflicted => "conflicted",
             FlightKind::CommitAttempt => "commit_attempt",
+            FlightKind::SolverPanicked => "solver_panicked",
         }
     }
 

@@ -208,32 +208,21 @@ impl WindowExecutor {
     /// The infrastructure as the scheduler must see it this window:
     /// offline servers get zero capacity, forcing the optimiser to move
     /// their tenants and to place nothing new there. Borrows when every
-    /// server is healthy (the common case); clones only when a capacity
-    /// mask must be applied.
+    /// server is healthy (the common case); otherwise a cheap clone
+    /// (shared static table, copied capacity matrices) with the offline
+    /// rows zeroed.
     pub fn effective_infra(&self) -> Cow<'_, Infrastructure> {
         if self.offline_until.iter().all(|&u| u <= self.window) {
             return Cow::Borrowed(&self.infra);
         }
-        let h = self.infra.attr_count();
-        let dcs = self
-            .infra
-            .datacenters()
-            .iter()
-            .map(|dc| {
-                let servers = dc
-                    .servers()
-                    .map(|j| {
-                        let mut s = self.infra.server(j).clone();
-                        if self.offline_until[j.index()] > self.window {
-                            s.capacity = vec![0.0; h];
-                        }
-                        s
-                    })
-                    .collect();
-                (dc.name.clone(), servers)
-            })
-            .collect();
-        Cow::Owned(Infrastructure::new(self.infra.attrs().clone(), dcs))
+        let zeros = vec![0.0; self.infra.attr_count()];
+        let mut masked = self.infra.clone();
+        for (j, &until) in self.offline_until.iter().enumerate() {
+            if until > self.window {
+                masked.set_capacity(ServerId(j), &zeros);
+            }
+        }
+        Cow::Owned(masked)
     }
 
     /// Phase 1 — failures and repairs. Draws at most two RNG values (the
@@ -679,10 +668,12 @@ impl WindowExecutor {
     /// never migrates — so this is exactly the capacity a new arrival
     /// may consume.
     pub(crate) fn admission_residual(&self) -> Infrastructure {
-        let mut residual = crate::store::residual_view(&self.effective_infra());
+        let mut residual = self.effective_infra().residual_view();
+        let mut neg = Vec::with_capacity(residual.attr_count());
         for t in &self.tenants {
             for (vm, &server) in t.vms.iter().zip(&t.placement) {
-                let neg: Vec<f64> = vm.demand.iter().map(|d| -d).collect();
+                neg.clear();
+                neg.extend(vm.demand.iter().map(|d| -d));
                 residual.adjust_capacity(server, &neg);
             }
         }
@@ -904,8 +895,8 @@ mod tests {
         assert!(exec.force_failure(ServerId(2)));
         let eff = exec.effective_infra();
         assert!(matches!(eff, Cow::Owned(_)));
-        assert!(eff.server(ServerId(2)).capacity.iter().all(|&c| c == 0.0));
-        assert!(eff.server(ServerId(0)).capacity.iter().any(|&c| c > 0.0));
+        assert!(eff.capacity_row(ServerId(2)).iter().all(|&c| c == 0.0));
+        assert!(eff.capacity_row(ServerId(0)).iter().any(|&c| c > 0.0));
         assert!(exec.force_repair(ServerId(2)));
         assert!(matches!(exec.effective_infra(), Cow::Borrowed(_)));
     }

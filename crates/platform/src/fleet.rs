@@ -336,7 +336,7 @@ impl FleetExecutor {
     /// Accounts one admitted VM onto server `j`: load, incremental
     /// provider cost and — when `reserve` is set — the residual store.
     fn admit_load(&mut self, j: u32, demand: &[f64], reserve: bool) {
-        let server = &self.infra.servers()[j as usize];
+        let server = self.infra.server(ServerId(j as usize));
         if self.loads.add(j, demand) {
             self.provider_cost += server.opex;
         }
@@ -358,13 +358,15 @@ impl FleetExecutor {
         while slot != NO_SLOT {
             let next = self.vms.next(slot);
             let j = self.vms.server(slot);
-            let demand: Vec<f64> = self.vms.demand(slot).to_vec();
-            let server = &self.infra.servers()[j as usize];
-            if self.loads.remove(j, &demand) {
+            // `vms` is disjoint from `loads` and `store`, so the demand
+            // stays borrowed across both updates.
+            let demand = self.vms.demand(slot);
+            let server = self.infra.server(ServerId(j as usize));
+            if self.loads.remove(j, demand) {
                 self.provider_cost -= server.opex;
             }
             self.provider_cost -= server.usage_cost;
-            self.store.release(ServerId(j as usize), &demand);
+            self.store.release(ServerId(j as usize), demand);
             self.vms.remove(slot);
             slot = next;
         }

@@ -28,11 +28,26 @@
 //! is bit-reproducible for a fixed seed and shard count whether the
 //! shards solved on real threads or serially.
 //!
-//! Shard solves run on `std::thread::scope` threads when the host has
-//! ≥2 CPUs; on a single CPU they run serially with each solve timed
-//! individually. Either way the *modeled* window service time under the
-//! DES clock is the critical path — `max` over shards per round — which
-//! is what [`WindowReport::solve_time`] carries for a sharded window.
+//! Each round's snapshot is a flat copy: two `m × h` capacity matrices
+//! plus a reference to the residual's shared static table (see
+//! [`Infrastructure`]). Every part solves on its own copy of that
+//! residual — a masked part zeroes the servers outside its regions in
+//! the copy — which then moves into the part's [`AllocationProblem`],
+//! so each part copies the residual exactly once per round.
+//!
+//! Part 0 solves on the coordinator's own thread; when the host has ≥2
+//! CPUs, parts 1..N−1 solve on `std::thread::scope` threads spawned for
+//! the round, and on a single CPU all parts run serially. Each solve is
+//! timed individually either way, and the *modeled* window service time
+//! under the DES clock is the critical path — `max` over shards per
+//! round — which is what [`WindowReport::solve_time`] carries for a
+//! sharded window.
+//!
+//! A part whose solve panics does not abort the run: it yields no
+//! solution, its requests take the unsolved path (bounce while the part
+//! was masked, reject otherwise), the `shard.solver_panics` counter
+//! moves and a [`FlightKind::SolverPanicked`] event records the window
+//! and part.
 //!
 //! At `shards = 1` the scheduler is bit-identical to the unsharded
 //! path: a [`WindowExecutor`] backend delegates to its native solve
@@ -41,6 +56,8 @@
 //! quiescent store commits every accepted request without conflict, and
 //! the per-VM commit arithmetic is the same float sequence as the
 //! native path (proven by `tests/sharded_equivalence.rs`).
+//!
+//! [`FlightKind::SolverPanicked`]: cpo_obs::flight::FlightKind::SolverPanicked
 
 use crate::accounting::WindowReport;
 use crate::backend::WindowBackend;
@@ -52,7 +69,7 @@ use cpo_core::prelude::Allocator;
 use cpo_model::delta::DeltaEvaluator;
 use cpo_model::prelude::*;
 use cpo_obs::flight;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 /// How a round's remaining requests are divided among the shards.
@@ -152,9 +169,7 @@ fn region_plan(
     let m = residual.server_count();
     let h = residual.attr_count();
     let by_datacenter = residual.datacenter_count() > 1;
-    let mut room: Vec<Vec<f64>> = (0..m)
-        .map(|j| residual.effective_row(ServerId(j)).to_vec())
-        .collect();
+    let mut room = residual.effective_matrix().clone();
     let mut cursor = 0usize;
     let mut demand = vec![0.0f64; h];
     remaining
@@ -170,8 +185,8 @@ fn region_plan(
             let mut predicted: Option<ServerId> = None;
             for step in 0..m {
                 let j = (cursor + step) % m;
-                if room[j].iter().zip(&demand).all(|(r, d)| d <= r) {
-                    for (r, d) in room[j].iter_mut().zip(&demand) {
+                if room.row(j).iter().zip(&demand).all(|(r, d)| d <= r) {
+                    for (r, d) in room.row_mut(j).iter_mut().zip(&demand) {
                         *r -= d;
                     }
                     predicted = Some(ServerId(j));
@@ -188,9 +203,9 @@ fn region_plan(
         .collect()
 }
 
-/// The snapshot residual as one masked shard sees it: servers outside
-/// the regions the shard owns this round are zeroed, so its solve
-/// cannot stray onto servers another shard's region owns.
+/// The snapshot residual as one masked shard sees it: an owned copy with
+/// the servers outside the regions the shard owns this round zeroed, so
+/// its solve cannot stray onto servers another shard's region owns.
 fn masked_residual(residual: &Infrastructure, mask: &[bool]) -> Infrastructure {
     let zeros = vec![0.0; residual.attr_count()];
     let mut masked = residual.clone();
@@ -249,10 +264,8 @@ fn partition_round(
                 parts[part].push(i);
                 match region {
                     Region::Dc(d) => {
-                        for (j, own) in owned[part].iter_mut().enumerate() {
-                            if residual.datacenter_of(ServerId(j)).index() == d {
-                                *own = true;
-                            }
+                        for j in residual.datacenters()[d].servers() {
+                            owned[part][j.index()] = true;
                         }
                     }
                     Region::Server(j) => owned[part][j] = true,
@@ -338,10 +351,12 @@ struct ShardSolution {
     solve_time: Duration,
 }
 
+/// Solves one part against `residual`, which the part owns: it moves
+/// straight into the part's [`AllocationProblem`] without another copy.
 fn solve_shard(
     allocator: &dyn Allocator,
     arrivals: &RequestBatch,
-    residual: &Infrastructure,
+    residual: Infrastructure,
     indices: &[usize],
     full_batch: bool,
 ) -> ShardSolution {
@@ -350,7 +365,7 @@ fn solve_shard(
     } else {
         arrivals.subset(indices)
     };
-    let problem = AllocationProblem::new(residual.clone(), batch, None);
+    let problem = AllocationProblem::new(residual, batch, None);
     let start = Instant::now();
     let outcome = allocator.allocate(&problem);
     let solve_time = start.elapsed();
@@ -374,45 +389,58 @@ fn solve_shard(
     }
 }
 
-/// Solves one round's partitions, on scoped threads when the host has
-/// the cores for it, serially otherwise. Either way each shard's solve
-/// is timed individually, so the critical-path (max-over-shards) window
-/// service time is honest on any host.
+/// Whether the host has ≥2 CPUs. Asked once per process: on Linux the
+/// query reads cgroup files, which is not worth repeating every round.
+fn host_is_parallel() -> bool {
+    static PARALLEL: OnceLock<bool> = OnceLock::new();
+    *PARALLEL.get_or_init(|| std::thread::available_parallelism().is_ok_and(|p| p.get() >= 2))
+}
+
+/// Solves one round's partitions: part 0 on the calling thread and the
+/// other N−1 on scoped threads when the host has the cores for it,
+/// serially otherwise. Either way each shard's solve is timed
+/// individually, so the critical-path (max-over-shards) window service
+/// time is honest on any host.
+///
+/// A part whose solve panics yields `None` instead of aborting the run:
+/// the caller treats its requests as unsolved.
 fn solve_round(
     allocator: &dyn Allocator,
     arrivals: &RequestBatch,
     snapshot: &StoreSnapshot,
     parts: &[Vec<usize>],
     masks: &[Option<Vec<bool>>],
-) -> Vec<ShardSolution> {
+) -> Vec<Option<ShardSolution>> {
     let full_batch = parts.len() == 1 && parts[0].len() == arrivals.request_count();
-    let solve_one = |p: usize, indices: &[usize]| match &masks[p] {
-        Some(mask) => {
-            let masked = masked_residual(&snapshot.residual, mask);
-            solve_shard(allocator, arrivals, &masked, indices, false)
-        }
-        None => solve_shard(allocator, arrivals, &snapshot.residual, indices, full_batch),
+    let solve_one = |p: usize| {
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match &masks[p] {
+            Some(mask) => {
+                let masked = masked_residual(&snapshot.residual, mask);
+                solve_shard(allocator, arrivals, masked, &parts[p], false)
+            }
+            None => solve_shard(
+                allocator,
+                arrivals,
+                snapshot.residual.clone(),
+                &parts[p],
+                full_batch,
+            ),
+        }))
+        .ok()
     };
-    let parallel =
-        parts.len() > 1 && std::thread::available_parallelism().is_ok_and(|p| p.get() >= 2);
-    if parallel {
+    if parts.len() > 1 && host_is_parallel() {
         std::thread::scope(|s| {
-            let handles: Vec<_> = parts
-                .iter()
-                .enumerate()
-                .map(|(p, indices)| s.spawn(move || solve_one(p, indices)))
+            let handles: Vec<_> = (1..parts.len())
+                .map(|p| s.spawn(move || solve_one(p)))
                 .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("shard solver panicked"))
-                .collect()
+            let mut solutions = Vec::with_capacity(parts.len());
+            solutions.push(solve_one(0));
+            // `solve_one` catches every panic, so a join cannot fail.
+            solutions.extend(handles.into_iter().map(|h| h.join().unwrap_or(None)));
+            solutions
         })
     } else {
-        parts
-            .iter()
-            .enumerate()
-            .map(|(p, indices)| solve_one(p, indices))
-            .collect()
+        (0..parts.len()).map(solve_one).collect()
     }
 }
 
@@ -495,6 +523,7 @@ impl<B: ShardBackend> WindowBackend for ShardedScheduler<B> {
         let mut solve_critical = Duration::ZERO;
         let mut commit_wall = Duration::ZERO;
         let mut round = 0u64;
+        let mut placement: Vec<ServerId> = Vec::new();
 
         while !remaining.is_empty() {
             let last_round = round >= self.config.retry_budget as u64;
@@ -511,10 +540,22 @@ impl<B: ShardBackend> WindowBackend for ShardedScheduler<B> {
             let prof_on = cpo_obs::prof::is_enabled();
             let solve_start_us = if prof_on { cpo_obs::now_us() } else { 0 };
             let solutions = solve_round(allocator, arrivals, &snapshot, &parts, &masks);
+            for (p, _) in solutions.iter().enumerate().filter(|(_, s)| s.is_none()) {
+                cpo_obs::counter_add("shard.solver_panics", 1);
+                flight::record(
+                    flight::FlightKind::SolverPanicked,
+                    flight::NONE,
+                    flight::NONE,
+                    window,
+                    p as u64,
+                );
+            }
+            let solve_time =
+                |s: &Option<ShardSolution>| s.as_ref().map_or(Duration::ZERO, |s| s.solve_time);
             if prof_on {
                 let shard_us: Vec<u64> = solutions
                     .iter()
-                    .map(|s| s.solve_time.as_micros() as u64)
+                    .map(|s| solve_time(s).as_micros() as u64)
                     .collect();
                 cpo_obs::prof::solve_phase(
                     window,
@@ -526,7 +567,7 @@ impl<B: ShardBackend> WindowBackend for ShardedScheduler<B> {
             }
             solve_critical += solutions
                 .iter()
-                .map(|s| s.solve_time)
+                .map(solve_time)
                 .max()
                 .unwrap_or(Duration::ZERO);
 
@@ -534,12 +575,17 @@ impl<B: ShardBackend> WindowBackend for ShardedScheduler<B> {
             // arrival order, sequentially against the live store.
             let commit_start = Instant::now();
             let mut bounced: Vec<usize> = Vec::new();
+            let mut placements: Vec<(ServerId, &[f64])> = Vec::new();
             for (p, &i) in remaining.iter().enumerate() {
                 let (part, local) = slots[p];
-                let sol = &solutions[part];
                 let local = RequestId(local);
                 let tid = arrival_tenant_ids[i];
-                if !sol.accepted[local.index()] {
+                // A part whose solver panicked solved nothing: its
+                // requests take the unsolved path like a rejection.
+                let Some(sol) = solutions[part]
+                    .as_ref()
+                    .filter(|sol| sol.accepted[local.index()])
+                else {
                     if masks[part].is_some() {
                         // A masked solve only saw the regions its shard
                         // owns — its rejection is not evidence the fleet
@@ -553,19 +599,23 @@ impl<B: ShardBackend> WindowBackend for ShardedScheduler<B> {
                         rejected += 1;
                     }
                     continue;
-                }
+                };
                 let local_req = sol.problem.batch().request(local);
-                let placement: Vec<ServerId> = local_req
-                    .vms
-                    .iter()
-                    .map(|&k| sol.assignment.server_of(k).expect("accepted ⇒ placed"))
-                    .collect();
-                let placements: Vec<(ServerId, &[f64])> = local_req
-                    .vms
-                    .iter()
-                    .zip(&placement)
-                    .map(|(&k, &j)| (j, sol.problem.batch().vm(k).demand.as_slice()))
-                    .collect();
+                placement.clear();
+                placement.extend(
+                    local_req
+                        .vms
+                        .iter()
+                        .map(|&k| sol.assignment.server_of(k).expect("accepted ⇒ placed")),
+                );
+                placements.clear();
+                placements.extend(
+                    local_req
+                        .vms
+                        .iter()
+                        .zip(&placement)
+                        .map(|(&k, &j)| (j, sol.problem.batch().vm(k).demand.as_slice())),
+                );
                 let ctx = CommitCtx {
                     key: self.backend.flight_key_of(tid),
                     tenant: tid.0,

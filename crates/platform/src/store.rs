@@ -6,7 +6,10 @@
 //! every mutation (commit, reserve, release, failure, repair). Scheduler
 //! shards solve on a [`StoreSnapshot`] (a point-in-time clone of the
 //! residual infrastructure plus all versions) and then propose their
-//! placements back through [`PlacementStore::try_commit`]:
+//! placements back through [`PlacementStore::try_commit`]. The clone is
+//! flat: two `m × h` matrices (raw and effective capacity) copied, plus
+//! one reference-count bump on the residual's shared static table of
+//! attributes, datacenters and per-server parameters.
 //!
 //! * if every touched server still **fits** the proposed demand, the
 //!   commit is applied atomically — per-VM, in order, with the exact same
@@ -35,8 +38,10 @@
 //! Interior mutability is a single [`Mutex`] around the whole entry
 //! table: commits must observe a consistent multi-server state, and the
 //! commit critical section is O(touched servers × h) — far smaller than
-//! the solve work done outside it. The store is `Send + Sync` and is
-//! shared via [`std::sync::Arc`].
+//! the solve work done outside it. The fit check and the negated
+//! per-VM demand use scratch buffers held under the same lock, so a
+//! warm commit, reserve or release allocates nothing. The store is
+//! `Send + Sync` and is shared via [`std::sync::Arc`].
 
 use cpo_model::prelude::*;
 use cpo_obs::flight::{self, FlightKind};
@@ -47,35 +52,6 @@ use std::time::Instant;
 /// residual: absorbs the floating-point disagreement between the
 /// solver's own feasibility arithmetic and the store's re-check.
 const FIT_EPS: f64 = 1e-9;
-
-/// Builds the residual-headroom view of `infra`: capacity rows start at
-/// the *effective* capacity (factors already applied, so residual factors
-/// are 1.0); admissions carve demand out, departures return it.
-pub fn residual_view(infra: &Infrastructure) -> Infrastructure {
-    let h = infra.attr_count();
-    let dcs = infra
-        .datacenters()
-        .iter()
-        .map(|dc| {
-            let servers = dc
-                .servers()
-                .map(|j| {
-                    let s = infra.server(j);
-                    Server {
-                        capacity: (0..h).map(|l| s.effective_capacity(AttrId(l))).collect(),
-                        factor: vec![1.0; h],
-                        opex: s.opex,
-                        usage_cost: s.usage_cost,
-                        max_load: s.max_load.clone(),
-                        max_qos: s.max_qos.clone(),
-                    }
-                })
-                .collect();
-            (dc.name.clone(), servers)
-        })
-        .collect();
-    Infrastructure::new(infra.attrs().clone(), dcs)
-}
 
 /// Why an optimistic commit bounced.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -177,6 +153,20 @@ struct StoreInner {
     versions: Vec<u64>,
     offline: Vec<bool>,
     metrics: StoreMetrics,
+    /// Reusable scratch so commits, reserves and releases allocate
+    /// nothing once warm.
+    scratch: Scratch,
+}
+
+/// Per-store working buffers, reused across calls under the store lock.
+#[derive(Default)]
+struct Scratch {
+    /// Touched servers of the current proposal, in first-touch order.
+    touched: Vec<usize>,
+    /// Flat `touched × h` copy of their residual rows for the fit check.
+    rows: Vec<f64>,
+    /// One demand negated (`a + (−d)` is bit-identical to `a − d`).
+    neg: Vec<f64>,
 }
 
 /// Versioned per-server residual store with optimistic atomic commits.
@@ -187,7 +177,7 @@ pub struct PlacementStore {
 impl PlacementStore {
     /// A store over the full effective capacity of `infra` (idle fleet).
     pub fn new(infra: &Infrastructure) -> Self {
-        Self::from_residual(residual_view(infra))
+        Self::from_residual(infra.residual_view())
     }
 
     /// A store over an explicit residual view — used to materialise a
@@ -201,6 +191,7 @@ impl PlacementStore {
                 versions: vec![0; m],
                 offline: vec![false; m],
                 metrics: StoreMetrics::default(),
+                scratch: Scratch::default(),
             }),
         }
     }
@@ -255,14 +246,14 @@ impl PlacementStore {
     /// Emits [`FlightKind::Committed`] / [`FlightKind::Conflicted`] with
     /// `ctx`'s correlation key so the decision lands on the request's
     /// timeline, and records the commit latency histogram
-    /// (`store.commit_ns`).
+    /// (`store.commit_ns`) when telemetry is on.
     pub fn try_commit(
         &self,
         placements: &[(ServerId, &[f64])],
         snapshot_versions: &[u64],
         ctx: &CommitCtx,
     ) -> Result<(), ConflictReason> {
-        let start = Instant::now();
+        let start = cpo_obs::is_enabled().then(Instant::now);
         let mut inner = self.lock();
         let result = inner.validate_and_apply(placements, snapshot_versions);
         match result {
@@ -301,7 +292,9 @@ impl PlacementStore {
             }
         }
         drop(inner);
-        cpo_obs::record_value("store.commit_ns", start.elapsed().as_nanos() as u64);
+        if let Some(start) = start {
+            cpo_obs::record_value("store.commit_ns", start.elapsed().as_nanos() as u64);
+        }
         result.map_err(|(reason, _)| reason)
     }
 
@@ -314,9 +307,7 @@ impl PlacementStore {
         if inner.offline[j.index()] {
             return;
         }
-        let neg: Vec<f64> = demand.iter().map(|d| -d).collect();
-        inner.residual.adjust_capacity(j, &neg);
-        inner.versions[j.index()] += 1;
+        inner.consume(j, demand);
     }
 
     /// Returns `demand` to server `j`'s residual on departure (no-op
@@ -358,6 +349,17 @@ impl PlacementStore {
 }
 
 impl StoreInner {
+    /// Carves `demand` out of server `j`'s residual and bumps its
+    /// version — the one per-VM update both the native reserve and the
+    /// optimistic commit make, so their floats agree bit for bit.
+    fn consume(&mut self, j: ServerId, demand: &[f64]) {
+        let neg = &mut self.scratch.neg;
+        neg.clear();
+        neg.extend(demand.iter().map(|d| -d));
+        self.residual.adjust_capacity(j, neg);
+        self.versions[j.index()] += 1;
+    }
+
     /// On a bounce, returns the reason plus the first touched server
     /// (in first-touch order) whose residual the proposal overdraws —
     /// the attribution target for hot-server conflict tables.
@@ -366,34 +368,35 @@ impl StoreInner {
         placements: &[(ServerId, &[f64])],
         snapshot_versions: &[u64],
     ) -> Result<(), (ConflictReason, ServerId)> {
-        // Touched servers, deduplicated in first-touch order.
-        let mut touched: Vec<usize> = Vec::with_capacity(placements.len());
+        let h = self.residual.attr_count();
+        let Scratch { touched, rows, .. } = &mut self.scratch;
+        // Touched servers, deduplicated in first-touch order, with a
+        // copy of each one's residual row.
+        touched.clear();
+        rows.clear();
         for &(j, _) in placements {
             if !touched.contains(&j.index()) {
                 touched.push(j.index());
+                rows.extend_from_slice(self.residual.effective_row(j));
             }
         }
         let stale = touched.iter().any(|&j| {
             self.offline[j] || self.versions[j] != snapshot_versions.get(j).copied().unwrap_or(0)
         });
-        // Fit check: walk the proposed per-VM subtractions over a copy of
-        // the touched rows; all demands are non-negative, so checking the
+        // Fit check: walk the proposed per-VM subtractions over the
+        // copied rows; all demands are non-negative, so checking the
         // final rows is equivalent to checking after every VM.
-        let mut rows: Vec<Vec<f64>> = touched
-            .iter()
-            .map(|&j| self.residual.effective_row(ServerId(j)).to_vec())
-            .collect();
         for &(j, demand) in placements {
             let slot = touched
                 .iter()
                 .position(|&t| t == j.index())
                 .expect("touched");
-            for (c, d) in rows[slot].iter_mut().zip(demand) {
+            for (c, d) in rows[slot * h..(slot + 1) * h].iter_mut().zip(demand) {
                 *c -= d;
             }
         }
         if let Some(slot) = rows
-            .iter()
+            .chunks_exact(h)
             .position(|row| row.iter().any(|&c| c < -FIT_EPS))
         {
             let reason = if stale {
@@ -408,9 +411,7 @@ impl StoreInner {
         // residual floats are bit-identical to an unsharded execution of
         // the same admission sequence.
         for &(j, demand) in placements {
-            let neg: Vec<f64> = demand.iter().map(|d| -d).collect();
-            self.residual.adjust_capacity(j, &neg);
-            self.versions[j.index()] += 1;
+            self.consume(j, demand);
         }
         Ok(())
     }
@@ -458,6 +459,41 @@ mod tests {
         assert_eq!(store.version(ServerId(1)), 0, "untouched server");
         assert_eq!(store.metrics().commits, 1);
         assert_eq!(store.metrics().conflicts, 0);
+    }
+
+    #[test]
+    fn snapshot_keeps_its_rows_after_later_mutations() {
+        let store = PlacementStore::new(&infra(3));
+        let snap = store.snapshot();
+        let rows = |infra: &Infrastructure| -> Vec<Vec<f64>> {
+            infra
+                .server_ids()
+                .map(|j| {
+                    let mut row = infra.capacity_row(j).to_vec();
+                    row.extend_from_slice(infra.effective_row(j));
+                    row
+                })
+                .collect()
+        };
+        let before = rows(&snap.residual);
+        let versions = snap.versions.clone();
+        let demand = vec![2.0, 4096.0, 40.0];
+        let oversized = vec![1_000.0, 1.0, 1.0];
+        store
+            .try_commit(&[(ServerId(0), &demand)], &snap.versions, &ctx())
+            .unwrap();
+        store
+            .try_commit(&[(ServerId(1), &oversized)], &snap.versions, &ctx())
+            .unwrap_err();
+        store.reserve(ServerId(1), &demand);
+        store.release(ServerId(2), &demand);
+        store.fail(ServerId(2));
+        store.restore(ServerId(2), &[1.0, 2.0, 3.0]);
+        assert_eq!(rows(&snap.residual), before, "snapshot rows moved");
+        assert_eq!(snap.versions, versions, "snapshot versions moved");
+        let live = store.residual_clone();
+        assert_ne!(rows(&live), before, "the live residual did move");
+        assert!(std::ptr::eq(live.servers(), snap.residual.servers()));
     }
 
     #[test]

@@ -170,8 +170,8 @@ mod tests {
         let spec = InfraSpec::default();
         let a = generate_infra(&spec, 7);
         let b = generate_infra(&spec, 7);
-        for (sa, sb) in a.infra.servers().iter().zip(b.infra.servers()) {
-            assert_eq!(sa, sb);
+        for j in a.infra.server_ids() {
+            assert_eq!(a.infra.server_spec(j), b.infra.server_spec(j));
         }
     }
 
@@ -182,10 +182,8 @@ mod tests {
         let b = generate_infra(&spec, 2);
         let same = a
             .infra
-            .servers()
-            .iter()
-            .zip(b.infra.servers())
-            .all(|(x, y)| x == y);
+            .server_ids()
+            .all(|j| a.infra.server_spec(j) == b.infra.server_spec(j));
         assert!(!same);
     }
 
@@ -197,8 +195,8 @@ mod tests {
             ..Default::default()
         };
         let g = generate_infra(&spec, 3);
-        for s in g.infra.servers() {
-            assert!(s.validate(3).is_ok());
+        for j in g.infra.server_ids() {
+            assert!(g.infra.server_spec(j).validate(3).is_ok());
         }
     }
 
@@ -211,9 +209,8 @@ mod tests {
         let g = generate_infra(&spec, 11);
         let mut caps: Vec<u64> = g
             .infra
-            .servers()
-            .iter()
-            .map(|s| s.capacity[0] as u64)
+            .server_ids()
+            .map(|j| g.infra.capacity_row(j)[0] as u64)
             .collect();
         caps.sort_unstable();
         caps.dedup();
@@ -228,7 +225,10 @@ mod tests {
             ..Default::default()
         };
         let g = generate_infra(&spec, 5);
-        assert!(g.infra.servers().iter().all(|s| s.capacity[0] == 32.0));
+        assert!(g
+            .infra
+            .server_ids()
+            .all(|j| g.infra.capacity_row(j)[0] == 32.0));
     }
 
     #[test]

@@ -232,8 +232,8 @@ mod tests {
         for (x, y) in a.batch().vms().iter().zip(b.batch().vms()) {
             assert_eq!(x, y);
         }
-        for (x, y) in a.infra().servers().iter().zip(b.infra().servers()) {
-            assert_eq!(x, y);
+        for j in a.infra().server_ids() {
+            assert_eq!(a.infra().server_spec(j), b.infra().server_spec(j));
         }
     }
 
