@@ -9,9 +9,8 @@
 //! * [`time`] — a finite, totally ordered simulation clock;
 //! * [`queue`] — the deterministic future-event list: timestamp order
 //!   with stable FIFO tie-breaking;
-//! * [`sources`] — seeded Poisson arrivals, trace-driven replay of
-//!   recorded [`cpo_platform::prelude::EventLog`]s, and MTBF/MTTR
-//!   failure processes;
+//! * [`sources`] — the [`sources::ArrivalSource`] trait, seeded Poisson
+//!   arrivals and MTBF/MTTR failure processes;
 //! * [`scheduler`] — [`scheduler::WindowedScheduler`]: accumulates
 //!   arrivals into cyclic windows, invokes any
 //!   [`cpo_core::prelude::Allocator`] at boundaries through any
@@ -53,9 +52,7 @@ pub mod prelude {
     pub use crate::scheduler::{
         DesConfig, DesReport, FailureSpec, LatencyModel, WaitingStats, WindowedScheduler,
     };
-    pub use crate::sources::{
-        Arrival, ArrivalSource, FailureProcess, PoissonArrivals, TraceArrivals,
-    };
+    pub use crate::sources::{Arrival, ArrivalSource, FailureProcess, PoissonArrivals};
     pub use crate::time::SimTime;
     pub use cpo_platform::prelude::WindowBackend;
 }

@@ -1,23 +1,17 @@
 //! Event sources: seeded arrival processes and server failure/repair.
 //!
-//! Two arrival sources feed the kernel:
-//!
-//! * [`PoissonArrivals`] — an open-loop Poisson process over an
-//!   [`ArrivalSpec`]: exponential interarrivals at rate λ, each arrival a
-//!   deterministic single-request draw from the spec's template;
-//! * [`TraceArrivals`] — replay of a JSON-lines [`EventLog`] produced by
-//!   any earlier run: `request_arrived` events become arrivals at
-//!   `window × window_length`, and each tenant's observed departure
-//!   window reconstructs its holding time.
+//! [`PoissonArrivals`] is an open-loop Poisson process over an
+//! [`ArrivalSpec`]: exponential interarrivals at rate λ, each arrival a
+//! deterministic single-request draw from the spec's template.
+//! Production traces enter through the same [`ArrivalSource`] trait
+//! (`cpo_traces::TraceArrivalSource`).
 //!
 //! [`FailureProcess`] samples exponential uptimes (MTBF) and downtimes
 //! (MTTR) for server failure/repair event chains.
 
 use crate::time::SimTime;
 use cpo_model::prelude::RequestBatch;
-use cpo_platform::prelude::{Event, EventLog};
 use cpo_scenario::arrival_gen::ArrivalSpec;
-use cpo_scenario::request_gen::RequestSpec;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -87,87 +81,6 @@ impl ArrivalSource for PoissonArrivals {
         self.index += 1;
         Some(Arrival {
             at: SimTime::new(self.clock),
-            batch,
-            holding,
-            key,
-        })
-    }
-}
-
-/// Replays the arrival pattern of a recorded [`EventLog`].
-pub struct TraceArrivals {
-    /// (time, vm count, holding time), in trace order.
-    entries: std::vec::IntoIter<(f64, usize, f64)>,
-    spec: ArrivalSpec,
-    seed: u64,
-    index: u64,
-}
-
-impl TraceArrivals {
-    /// Builds the replay stream. Each `request_arrived` event at window
-    /// `w` becomes an arrival at `w × window_length` with the same VM
-    /// count (bodies re-drawn from `template`); its holding time spans to
-    /// the tenant's logged departure, or to the end of the trace when the
-    /// tenant never departed.
-    pub fn from_log(log: &EventLog, window_length: f64, template: RequestSpec, seed: u64) -> Self {
-        assert!(window_length > 0.0);
-        let mut arrivals: Vec<(u64, u64, usize)> = Vec::new(); // (window, tenant, vms)
-        let mut departures: Vec<(u64, u64)> = Vec::new(); // (tenant, window)
-        let mut last_window = 0u64;
-        for e in log.events() {
-            match e {
-                Event::RequestArrived {
-                    window,
-                    tenant,
-                    vms,
-                } => {
-                    arrivals.push((*window, tenant.0, *vms));
-                    last_window = last_window.max(*window);
-                }
-                Event::TenantDeparted { window, tenant } => {
-                    departures.push((tenant.0, *window));
-                    last_window = last_window.max(*window);
-                }
-                Event::WindowClosed { window, .. } => last_window = last_window.max(*window),
-                _ => {}
-            }
-        }
-        let horizon = (last_window + 1) as f64 * window_length;
-        let entries: Vec<(f64, usize, f64)> = arrivals
-            .into_iter()
-            .map(|(w, tenant, vms)| {
-                let at = w as f64 * window_length;
-                let holding = departures
-                    .iter()
-                    .find(|&&(t, _)| t == tenant)
-                    .map(|&(_, dep)| (dep.saturating_sub(w)).max(1) as f64 * window_length)
-                    .unwrap_or(horizon - at);
-                (at, vms.max(1), holding)
-            })
-            .collect();
-        Self {
-            entries: entries.into_iter(),
-            spec: ArrivalSpec {
-                request: template,
-                ..ArrivalSpec::default()
-            },
-            seed,
-            index: 0,
-        }
-    }
-}
-
-impl ArrivalSource for TraceArrivals {
-    fn next_arrival(&mut self) -> Option<Arrival> {
-        let (at, vms, holding) = self.entries.next()?;
-        // The same constructor the live path uses, with the size pinned
-        // to the logged VM count — identical sub-seed derivation and
-        // flight-recorder minting, so replayed timelines are gap-free.
-        let batch = self.spec.replayed_request_at(self.seed, self.index, vms);
-        let key = self.index;
-        self.index += 1;
-        Some(Arrival {
-            at: SimTime::new(at),
             batch,
             holding,
             key,

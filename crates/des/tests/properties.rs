@@ -1,11 +1,6 @@
 //! Property tests for the kernel's determinism guarantees.
 
-use cpo_core::prelude::RoundRobinAllocator;
 use cpo_des::prelude::*;
-use cpo_model::attr::AttrSet;
-use cpo_model::prelude::*;
-use cpo_platform::prelude::{EventLog, SimConfig};
-use cpo_scenario::arrival_gen::ArrivalSpec;
 use proptest::collection::vec;
 use proptest::prelude::*;
 
@@ -26,31 +21,5 @@ proptest! {
         expected.sort_by_key(|&(s, _)| s); // stable: preserves insertion order per stamp
         let popped: Vec<(u8, usize)> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
         prop_assert_eq!(popped, expected);
-    }
-
-    /// A DES-produced trace survives the JSON-lines round trip intact.
-    #[test]
-    fn event_log_roundtrips_des_traces(seed in 0u64..1_000, rate_steps in 1u32..6) {
-        let infra = Infrastructure::new(
-            AttrSet::standard(),
-            vec![("dc".into(), ServerProfile::commodity(3).build_many(6))],
-        );
-        let arrivals = PoissonArrivals::new(
-            ArrivalSpec { rate: f64::from(rate_steps), lifetime: (1.0, 3.0), ..Default::default() },
-            seed,
-        );
-        let des = DesConfig {
-            latency: LatencyModel::Fixed(0.05),
-            failures: Some(FailureSpec { mtbf: 8.0, mttr: 2.0 }),
-            seed,
-            ..Default::default()
-        };
-        let mut sched = WindowedScheduler::new(infra, SimConfig::default(), des, arrivals);
-        sched.run(&RoundRobinAllocator, 6.0);
-
-        let trace = sched.executor().log().to_json_lines();
-        let parsed = EventLog::from_json_lines(&trace).expect("own trace must parse");
-        prop_assert_eq!(parsed.events(), sched.executor().log().events());
-        prop_assert_eq!(parsed.to_json_lines(), trace);
     }
 }

@@ -9,8 +9,9 @@
 //! * [`ansi_summary`] — a terminal block using the Unicode eighth-block
 //!   ramp (`▁▂▃▄▅▆▇█`) for sparklines, suitable for CI logs.
 //!
-//! Neither renderer mutates the bus; both draw [`SeriesRing::collect`]
-//! output so the freshest (partial-stride) sample is visible.
+//! Neither renderer mutates the bus; both draw
+//! [`SeriesRing::collect`](crate::series::SeriesRing::collect) output so
+//! the freshest (partial-stride) sample is visible.
 
 use crate::series::{Point, SeriesKind, TelemetryBus};
 use std::fmt::Write as _;

@@ -1,5 +1,6 @@
 //! Exporters: metrics JSON-lines (same tagged-line shape as the
-//! platform `EventLog`) and the Chrome trace-event format
+//! platform event log written by `cpo_platform::lifecycle::EventLog`)
+//! and the Chrome trace-event format
 //! (`chrome://tracing` / Perfetto "Open trace file").
 
 use crate::event::{FieldValue, TraceEvent, TraceKind};

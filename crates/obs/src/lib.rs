@@ -6,7 +6,8 @@
 //! point costs a single relaxed atomic load and performs no allocation
 //! until [`enable`] is called. Two exporters turn the recorded data into
 //! files: [`metrics_json_lines`] writes the same tagged JSON-lines shape
-//! as the platform `EventLog`, and [`chrome_trace`] writes the Chrome
+//! as the platform event log (`EventLog::to_json_lines` in
+//! `cpo_platform::lifecycle`), and [`chrome_trace`] writes the Chrome
 //! trace-event format for flame-style inspection in `chrome://tracing`
 //! or Perfetto. On top of the point-in-time registry, [`series`] records
 //! constant-memory time series (per-window fleet-health probes,

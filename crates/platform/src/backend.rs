@@ -7,8 +7,9 @@
 
 use crate::accounting::WindowReport;
 use crate::tenant::TenantId;
-use cpo_core::prelude::Allocator;
-use cpo_model::prelude::{RequestBatch, ServerId};
+use cpo_core::prelude::{AllocationOutcome, Allocator};
+use cpo_model::prelude::{AllocationProblem, RequestBatch, ServerId};
+use std::time::{Duration, Instant};
 
 /// The window-engine surface `WindowedScheduler` drives: everything the
 /// continuous-time loop needs from a platform, abstracted so the same
@@ -44,4 +45,24 @@ pub trait WindowBackend {
     /// Requests currently resident (sizes the window problem for the
     /// per-request latency model).
     fn resident_requests(&self) -> usize;
+}
+
+/// Solves one window's problem on the calling thread and times it; with
+/// the latency profiler on, the solve is also reported as round 0's
+/// single-shard solve phase.
+pub(crate) fn timed_solve(
+    allocator: &dyn Allocator,
+    problem: &AllocationProblem,
+    window: u64,
+) -> (AllocationOutcome, Duration) {
+    let prof_on = cpo_obs::prof::is_enabled();
+    let start_us = if prof_on { cpo_obs::now_us() } else { 0 };
+    let start = Instant::now();
+    let outcome = allocator.allocate(problem);
+    let solve_time = start.elapsed();
+    if prof_on {
+        let shard_us = [solve_time.as_micros() as u64];
+        cpo_obs::prof::solve_phase(window, 0, start_us, cpo_obs::now_us(), &shard_us);
+    }
+    (outcome, solve_time)
 }

@@ -20,21 +20,20 @@
 //! pins its per-window outcomes and event log.
 
 use crate::accounting::{SimReport, WindowReport};
-use crate::backend::WindowBackend;
-use crate::events::{Event, EventLog};
+use crate::backend::{timed_solve, WindowBackend};
+use crate::lifecycle::{EventLog, Lifecycle};
 use crate::network::NetworkModel;
 use crate::sla::SlaLedger;
 use crate::tenant::{rebase_rules, Tenant, TenantId};
 use cpo_core::prelude::Allocator;
 use cpo_model::cost;
 use cpo_model::prelude::*;
-use cpo_obs::flight::{self, FlightKind};
+use cpo_obs::flight;
 use cpo_scenario::request_gen::{generate_requests, RequestSpec};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::borrow::Cow;
-use std::collections::HashMap;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Simulation configuration.
 #[derive(Clone, Debug)]
@@ -99,9 +98,9 @@ pub struct WindowExecutor {
     infra: Infrastructure,
     config: SimConfig,
     tenants: Vec<Tenant>,
-    next_tenant: u64,
     window: u64,
-    log: EventLog,
+    pub(crate) lifecycle: Lifecycle,
+    pub(crate) log: EventLog,
     rng: SmallRng,
     /// `offline_until[j]` — window index at which server `j` returns, or 0.
     offline_until: Vec<u64>,
@@ -109,11 +108,6 @@ pub struct WindowExecutor {
     network: Option<NetworkModel>,
     /// Per-tenant SLA ledger (Eq. 23 accumulated over windows).
     sla: SlaLedger,
-    /// Tenant → flight-recorder correlation key (the request uid assigned
-    /// at generation). Populated by [`WindowExecutor::bind_request_keys`];
-    /// entries are dropped when the tenant departs or its request is
-    /// rejected.
-    flight_keys: HashMap<TenantId, u64>,
 }
 
 impl WindowExecutor {
@@ -125,33 +119,14 @@ impl WindowExecutor {
             infra,
             config,
             tenants: Vec::new(),
-            next_tenant: 0,
             window: 0,
+            lifecycle: Lifecycle::default(),
             log: EventLog::new(),
             rng,
             offline_until: vec![0; m],
             network: None,
             sla: SlaLedger::new(),
-            flight_keys: HashMap::new(),
         }
-    }
-
-    /// Associates registered arrival tenant ids with their flight-recorder
-    /// correlation keys (request uids). `ids` and `keys` are parallel;
-    /// entries with the [`flight::NONE`] sentinel are skipped. Event-driven
-    /// drivers call this between [`WindowExecutor::register_arrivals`] and
-    /// [`WindowExecutor::execute`] so lifecycle events carry the uid.
-    pub fn bind_request_keys(&mut self, ids: &[TenantId], keys: &[u64]) {
-        for (&id, &key) in ids.iter().zip(keys) {
-            if key != flight::NONE {
-                self.flight_keys.insert(id, key);
-            }
-        }
-    }
-
-    /// The correlation key bound to a tenant, or [`flight::NONE`].
-    pub(crate) fn flight_key(&self, id: TenantId) -> u64 {
-        self.flight_keys.get(&id).copied().unwrap_or(flight::NONE)
     }
 
     /// Attaches a network model: one spine-leaf pod per datacenter plus a
@@ -242,82 +217,18 @@ impl WindowExecutor {
             if !healthy.is_empty() {
                 let j = healthy[self.rng.gen_range(0..healthy.len())];
                 self.offline_until[j] = window + u64::from(self.config.repair_windows);
-                self.log.push(Event::ServerFailed {
-                    window,
-                    server: ServerId(j),
-                });
-                flight::record(
-                    FlightKind::ServerFailed,
-                    flight::NONE,
-                    flight::NONE,
-                    j as u64,
-                    window,
-                );
+                self.log
+                    .push(self.lifecycle.server_failed(window, ServerId(j)));
             }
         }
 
         for j in 0..self.offline_until.len() {
             if self.offline_until[j] == window && window > 0 {
-                self.log.push(Event::ServerRepaired {
-                    window,
-                    server: ServerId(j),
-                });
-                flight::record(
-                    FlightKind::ServerRepaired,
-                    flight::NONE,
-                    flight::NONE,
-                    j as u64,
-                    window,
-                );
+                self.log
+                    .push(self.lifecycle.server_repaired(window, ServerId(j)));
                 self.offline_until[j] = 0;
             }
         }
-    }
-
-    /// Marks one server failed without an RNG draw — the continuous-time
-    /// driver chooses victims from its own failure process and owns the
-    /// repair instant ([`WindowExecutor::force_repair`]); the server stays
-    /// down until then. No-op (returning `false`) if already offline.
-    pub fn force_failure(&mut self, server: ServerId) -> bool {
-        let j = server.index();
-        if self.offline_until[j] > self.window {
-            return false;
-        }
-        self.offline_until[j] = u64::MAX;
-        self.log.push(Event::ServerFailed {
-            window: self.window,
-            server,
-        });
-        flight::record(
-            FlightKind::ServerFailed,
-            flight::NONE,
-            flight::NONE,
-            j as u64,
-            self.window,
-        );
-        true
-    }
-
-    /// Repairs one server immediately (continuous-time driver owns MTTR).
-    /// No-op (returning `false`) if the server is already healthy.
-    pub fn force_repair(&mut self, server: ServerId) -> bool {
-        let j = server.index();
-        if self.offline_until[j] <= self.window {
-            return false;
-        }
-        self.offline_until[j] = 0;
-        self.log.push(Event::ServerRepaired {
-            window: self.window,
-            server,
-        });
-        flight::record(
-            FlightKind::ServerRepaired,
-            flight::NONE,
-            flight::NONE,
-            j as u64,
-            self.window,
-        );
-        true
     }
 
     /// Phase 2 — decrements every tenant's remaining windows and removes
@@ -331,45 +242,14 @@ impl WindowExecutor {
                 departing.push(t.id);
             }
         }
-        for id in &departing {
-            self.log.push(Event::TenantDeparted {
-                window,
-                tenant: *id,
-            });
-            flight::record(FlightKind::Departed, self.flight_key(*id), id.0, window, 0);
-            self.flight_keys.remove(id);
+        for &id in &departing {
+            self.log.push(self.lifecycle.departed(window, id));
             if let Some(net) = &mut self.network {
-                net.release_tenant(*id);
+                net.release_tenant(id);
             }
         }
         self.tenants.retain(|t| t.remaining_windows > 0);
         departing
-    }
-
-    /// Removes one tenant by id (a continuous-time departure event).
-    /// Returns `false` when the tenant is not resident (e.g. it was
-    /// rejected at admission).
-    pub fn depart_tenant(&mut self, id: TenantId) -> bool {
-        let Some(pos) = self.tenants.iter().position(|t| t.id == id) else {
-            return false;
-        };
-        self.log.push(Event::TenantDeparted {
-            window: self.window,
-            tenant: id,
-        });
-        flight::record(
-            FlightKind::Departed,
-            self.flight_key(id),
-            id.0,
-            self.window,
-            0,
-        );
-        self.flight_keys.remove(&id);
-        if let Some(net) = &mut self.network {
-            net.release_tenant(id);
-        }
-        self.tenants.remove(pos);
-        true
     }
 
     /// Phase 3 (fixed-step form) — generates this window's arrival batch
@@ -383,60 +263,17 @@ impl WindowExecutor {
         (arrivals, ids)
     }
 
-    /// Phase 3 (event-driven form) — assigns tenant ids to an externally
-    /// collected arrival batch and logs the arrivals. Draws no RNG values,
-    /// so id assignment matches the fixed-step loop for identical batches.
-    pub fn register_arrivals(&mut self, arrivals: &RequestBatch) -> Vec<TenantId> {
-        let window = self.window;
-        let ids: Vec<TenantId> = (0..arrivals.request_count())
-            .map(|i| TenantId(self.next_tenant + i as u64))
-            .collect();
-        for (req, &tid) in arrivals.requests().iter().zip(&ids) {
-            self.log.push(Event::RequestArrived {
-                window,
-                tenant: tid,
-                vms: req.vms.len(),
-            });
-        }
-        self.next_tenant += arrivals.request_count() as u64;
-        ids
-    }
-
     /// Builds the combined window problem: one request per running tenant
     /// (placed, in `previous`) followed by the new arrivals (unplaced).
     /// Returns the problem plus the number of running requests.
     pub fn build_window_problem(&self, arrivals: &RequestBatch) -> (AllocationProblem, usize) {
-        let mut batch = RequestBatch::new();
-        let mut previous_placements: Vec<Option<ServerId>> = Vec::new();
-        for t in &self.tenants {
-            let base = previous_placements.len();
-            let rules = t
-                .rules
-                .iter()
-                .map(|(kind, locals)| {
-                    AffinityRule::new(*kind, locals.iter().map(|&l| VmId(base + l)).collect())
-                })
-                .collect();
-            batch.push_request(t.vms.clone(), rules);
-            previous_placements.extend(t.placement.iter().map(|&s| Some(s)));
-        }
-        let running_requests = self.tenants.len();
-        for req in arrivals.requests() {
-            let base = previous_placements.len();
-            let vms: Vec<VmSpec> = req.vms.iter().map(|&k| arrivals.vm(k).clone()).collect();
-            let rules = rebase_rules(req)
-                .into_iter()
-                .map(|(kind, locals)| {
-                    AffinityRule::new(kind, locals.iter().map(|&l| VmId(base + l)).collect())
-                })
-                .collect();
-            batch.push_request(vms, rules);
-            previous_placements.extend(std::iter::repeat_n(None, req.vms.len()));
-        }
-        let previous = Assignment::from_placements(previous_placements);
+        let (mut batch, mut previous) = self.resident_batch();
+        batch.append(arrivals.clone());
+        previous.extend(std::iter::repeat_n(None, arrivals.vm_count()));
+        let previous = Assignment::from_placements(previous);
         (
             AllocationProblem::new(self.effective_infra().into_owned(), batch, Some(previous)),
-            running_requests,
+            self.tenants.len(),
         )
     }
 
@@ -455,20 +292,7 @@ impl WindowExecutor {
         let window = self.window;
         let mut sp = cpo_obs::span!("platform.window", window = window);
         let (problem, running_requests) = self.build_window_problem(arrivals);
-        let prof_on = cpo_obs::prof::is_enabled();
-        let solve_start_us = if prof_on { cpo_obs::now_us() } else { 0 };
-        let solve_start = Instant::now();
-        let outcome = allocator.allocate(&problem);
-        let solve_time = solve_start.elapsed();
-        if prof_on {
-            cpo_obs::prof::solve_phase(
-                window,
-                0,
-                solve_start_us,
-                cpo_obs::now_us(),
-                &[solve_time.as_micros() as u64],
-            );
-        }
+        let (outcome, solve_time) = timed_solve(allocator, &problem, window);
         let accepted = problem.accepted_mask(&outcome.assignment);
 
         // --- Apply to running tenants (never evicted: a tenant whose
@@ -489,19 +313,9 @@ impl WindowExecutor {
                     if new_server != old_server {
                         migrations += 1;
                         migration_cost += t.vms[local].migration_cost;
-                        self.log.push(Event::VmMigrated {
-                            window,
-                            tenant: t.id,
-                            vm: local,
-                            from: old_server,
-                            to: new_server,
-                        });
-                        flight::record(
-                            FlightKind::Migrated,
-                            self.flight_keys.get(&t.id).copied().unwrap_or(flight::NONE),
-                            t.id.0,
-                            old_server.0 as u64,
-                            new_server.0 as u64,
+                        self.log.push(
+                            self.lifecycle
+                                .migrated(window, t.id, local, old_server, new_server),
                         );
                         t.placement[local] = new_server;
                         moved = true;
@@ -527,28 +341,18 @@ impl WindowExecutor {
             let req_id = RequestId(running_requests + i);
             let tid = arrival_tenant_ids[i];
             if accepted[req_id.index()] {
-                // Global VM ids of this request within the window problem.
-                let first = problem
-                    .batch()
-                    .request(req_id)
-                    .vms
-                    .first()
-                    .copied()
-                    .expect("non-empty request");
-                let placement: Vec<ServerId> = (0..req.vms.len())
-                    .map(|l| {
-                        outcome
-                            .assignment
-                            .server_of(VmId(first.index() + l))
-                            .expect("accepted ⇒ placed")
-                    })
+                // The request's VMs under their window-problem ids.
+                let vms = &problem.batch().request(req_id).vms;
+                let placement: Vec<ServerId> = vms
+                    .iter()
+                    .map(|&k| outcome.assignment.server_of(k).expect("accepted ⇒ placed"))
                     .collect();
                 denied_flows +=
                     self.apply_admission(tid, arrivals, req, placement, lifetime, window);
                 admitted += 1;
                 admitted_ids.push(tid);
             } else {
-                self.apply_rejection(tid, window);
+                self.log.push(self.lifecycle.rejected(window, tid));
                 rejected += 1;
             }
         }
@@ -589,11 +393,9 @@ impl WindowExecutor {
     }
 
     /// Admits one accepted arrival: tenant pushed with its placement,
-    /// network flows admitted, `tenant_admitted` log entry, `admitted` +
-    /// per-VM `placed` flight events (in that order — `admitted` binds
-    /// key↔tenant in the timeline). Returns the number of denied network
-    /// flows. Shared by the native solve path and the sharded
-    /// store-commit path.
+    /// network flows admitted, admission recorded and logged. Returns the
+    /// number of denied network flows. Shared by the native solve path
+    /// and the sharded store-commit path.
     pub(crate) fn apply_admission(
         &mut self,
         tid: TenantId,
@@ -623,42 +425,10 @@ impl WindowExecutor {
                 .admit_tenant(self.tenants.last().expect("just pushed"))
                 .denied;
         }
-        self.log.push(Event::TenantAdmitted {
-            window,
-            tenant: tid,
-        });
-        if flight::is_enabled() {
-            let key = self.flight_key(tid);
-            flight::record(
-                FlightKind::Admitted,
-                key,
-                tid.0,
-                window,
-                req.vms.len() as u64,
-            );
-            let placed = self.tenants.last().expect("just pushed");
-            for (local, &server) in placed.placement.iter().enumerate() {
-                flight::record(
-                    FlightKind::Placed,
-                    key,
-                    tid.0,
-                    server.0 as u64,
-                    local as u64,
-                );
-            }
-        }
+        let placed = self.tenants.last().expect("just pushed");
+        let servers = placed.placement.iter().map(|s| s.index());
+        self.log.push(self.lifecycle.admitted(window, tid, servers));
         denied_flows
-    }
-
-    /// Rejects one arrival: `request_rejected` log entry, `rejected`
-    /// flight event, correlation key dropped.
-    pub(crate) fn apply_rejection(&mut self, tid: TenantId, window: u64) {
-        self.log.push(Event::RequestRejected {
-            window,
-            tenant: tid,
-        });
-        flight::record(FlightKind::Rejected, self.flight_key(tid), tid.0, window, 0);
-        self.flight_keys.remove(&tid);
     }
 
     /// Residual-headroom view of the live platform for admission-only
@@ -682,9 +452,8 @@ impl WindowExecutor {
 
     /// Post-admission window close shared by the native and sharded
     /// paths: SLA observation, online invariant monitors, provider and
-    /// downtime cost on the real platform state, report, log +
-    /// `window_closed` flight event, fleet probe, gauges; advances the
-    /// window counter.
+    /// downtime cost on the real platform state, report, window-close
+    /// record and log entry, fleet probe; advances the window counter.
     pub(crate) fn finish_window(&mut self, totals: WindowTotals) -> WindowReport {
         let window = self.window;
         let WindowTotals {
@@ -705,16 +474,8 @@ impl WindowExecutor {
                     .observe_window(&self.tenants, &state_batch, &tracker, &self.infra);
             if !breaches.is_empty() {
                 cpo_obs::counter_add("monitor.sla_breaches", breaches.len() as u64);
-                for (tid, credit) in &breaches {
-                    // Credit in integer micro-units: exact round trip
-                    // through the u64 event payload.
-                    flight::record(
-                        FlightKind::SlaViolated,
-                        self.flight_key(*tid),
-                        tid.0,
-                        window,
-                        (credit * 1e6).round() as u64,
-                    );
+                for &(tid, credit) in &breaches {
+                    self.lifecycle.sla_violated(window, tid, credit);
                 }
             }
             // Online invariant monitors (Eqs. 4/16 capacity, 5/17
@@ -761,18 +522,7 @@ impl WindowExecutor {
             denied_flows,
             solve_time,
         };
-        self.log.push(Event::WindowClosed {
-            window,
-            running_tenants: self.tenants.len(),
-            active_servers: tracker.active_servers(),
-        });
-        flight::record(
-            FlightKind::WindowClosed,
-            flight::NONE,
-            flight::NONE,
-            window,
-            self.tenants.len() as u64,
-        );
+        self.log.push(self.lifecycle.window_closed(&report));
         crate::probe::emit(
             &self.infra,
             (0..self.offline_until.len()).filter(|&j| self.offline_until[j] <= window),
@@ -786,9 +536,6 @@ impl WindowExecutor {
                 solve_latency_us: solve_time.as_micros() as u64,
             },
         );
-        cpo_obs::record_value("platform.solve_ns", solve_time.as_nanos() as u64);
-        cpo_obs::gauge_set("platform.running_tenants", self.tenants.len() as f64);
-        cpo_obs::gauge_set("platform.active_servers", tracker.active_servers() as f64);
         self.window += 1;
         report
     }
@@ -796,6 +543,13 @@ impl WindowExecutor {
     /// Snapshot of the running platform as (batch, assignment) — the state
     /// the accounting evaluates.
     pub fn snapshot(&self) -> (RequestBatch, Assignment) {
+        let (batch, placements) = self.resident_batch();
+        (batch, Assignment::from_placements(placements))
+    }
+
+    /// The running tenants as one batch, rules rebased onto batch-global
+    /// VM ids, plus each VM's current server.
+    fn resident_batch(&self) -> (RequestBatch, Vec<Option<ServerId>>) {
         let mut batch = RequestBatch::new();
         let mut placements = Vec::new();
         for t in &self.tenants {
@@ -810,7 +564,7 @@ impl WindowExecutor {
             batch.push_request(t.vms.clone(), rules);
             placements.extend(t.placement.iter().map(|&s| Some(s)));
         }
-        (batch, Assignment::from_placements(placements))
+        (batch, placements)
     }
 
     /// Consistency check: the running platform state never violates
@@ -822,12 +576,24 @@ impl WindowExecutor {
 }
 
 impl WindowBackend for WindowExecutor {
+    /// Phase 3 (event-driven form) — assigns tenant ids to an externally
+    /// collected arrival batch and logs the arrivals. Draws no RNG values,
+    /// so id assignment matches the fixed-step loop for identical batches.
     fn register_arrivals(&mut self, arrivals: &RequestBatch) -> Vec<TenantId> {
-        WindowExecutor::register_arrivals(self, arrivals)
+        let window = self.window;
+        arrivals
+            .requests()
+            .iter()
+            .map(|req| {
+                let (tid, event) = self.lifecycle.arrived(window, req.vms.len());
+                self.log.push(event);
+                tid
+            })
+            .collect()
     }
 
     fn bind_request_keys(&mut self, ids: &[TenantId], keys: &[u64]) {
-        WindowExecutor::bind_request_keys(self, ids, keys)
+        self.lifecycle.bind_keys(ids, keys);
     }
 
     fn execute_window(
@@ -839,16 +605,45 @@ impl WindowBackend for WindowExecutor {
         self.execute(allocator, arrivals, ids, LifetimePolicy::External)
     }
 
+    /// Removes one tenant by id (a continuous-time departure event).
     fn depart_tenant(&mut self, id: TenantId) -> bool {
-        WindowExecutor::depart_tenant(self, id)
+        let Some(pos) = self.tenants.iter().position(|t| t.id == id) else {
+            return false;
+        };
+        self.log.push(self.lifecycle.departed(self.window, id));
+        if let Some(net) = &mut self.network {
+            net.release_tenant(id);
+        }
+        self.tenants.remove(pos);
+        true
     }
 
+    /// Marks one server failed without an RNG draw — the continuous-time
+    /// driver chooses victims from its own failure process and owns the
+    /// repair instant; the server stays down until
+    /// [`WindowBackend::force_repair`].
     fn force_failure(&mut self, server: ServerId) -> bool {
-        WindowExecutor::force_failure(self, server)
+        let j = server.index();
+        if self.offline_until[j] > self.window {
+            return false;
+        }
+        self.offline_until[j] = u64::MAX;
+        self.log
+            .push(self.lifecycle.server_failed(self.window, server));
+        true
     }
 
+    /// Repairs one server immediately (the continuous-time driver owns
+    /// MTTR).
     fn force_repair(&mut self, server: ServerId) -> bool {
-        WindowExecutor::force_repair(self, server)
+        let j = server.index();
+        if self.offline_until[j] <= self.window {
+            return false;
+        }
+        self.offline_until[j] = 0;
+        self.log
+            .push(self.lifecycle.server_repaired(self.window, server));
+        true
     }
 
     fn server_count(&self) -> usize {
@@ -863,6 +658,7 @@ impl WindowBackend for WindowExecutor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lifecycle::Event;
     use cpo_core::prelude::RoundRobinAllocator;
     use cpo_model::attr::AttrSet;
 

@@ -21,26 +21,27 @@
 //!   per-tenant chains) and per-server loads in a
 //!   [`cpo_model::fleet::ServerLoadTable`], maintained incrementally in
 //!   O(h) per admit/depart;
-//! * **no event log** — the flight recorder (bounded ring) is the only
-//!   observability channel, with the same lifecycle events and ordering
-//!   as `WindowExecutor`: `admitted` (binding key↔tenant) precedes the
-//!   per-VM `placed` events.
+//! * **no event log** — its `Lifecycle` records the same flight
+//!   events in the same order as `WindowExecutor`'s (`admitted`, binding
+//!   key↔tenant, precedes the per-VM `placed` events) and the typed
+//!   events it returns are dropped.
 //!
 //! Provider cost is maintained incrementally: a server's opex enters the
 //! sum when it transitions idle→active and leaves at active→idle; each
 //! hosted VM contributes the server's usage cost.
 
 use crate::accounting::WindowReport;
-use crate::backend::WindowBackend;
+use crate::backend::{timed_solve, WindowBackend};
+use crate::lifecycle::Lifecycle;
 use crate::store::PlacementStore;
 use crate::tenant::TenantId;
 use cpo_core::prelude::Allocator;
 use cpo_model::fleet::{ServerLoadTable, VmTable, NO_SLOT};
 use cpo_model::prelude::*;
-use cpo_obs::flight::{self, FlightKind};
+use cpo_obs::flight;
 use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Streaming admission-only window executor over packed fleet tables.
 pub struct FleetExecutor {
@@ -54,9 +55,7 @@ pub struct FleetExecutor {
     loads: ServerLoadTable,
     /// Tenant → head slot of its VM chain.
     heads: HashMap<u64, u32>,
-    /// Tenant → flight-recorder correlation key.
-    flight_keys: HashMap<u64, u64>,
-    next_tenant: u64,
+    pub(crate) lifecycle: Lifecycle,
     window: u64,
     offline: Vec<bool>,
     /// Incremental Σ_active (opex + usage_cost × hosted).
@@ -75,8 +74,7 @@ impl FleetExecutor {
             vms: VmTable::new(h),
             loads: ServerLoadTable::new(m, h),
             heads: HashMap::new(),
-            flight_keys: HashMap::new(),
-            next_tenant: 0,
+            lifecycle: Lifecycle::default(),
             window: 0,
             offline: vec![false; m],
             provider_cost: 0.0,
@@ -105,119 +103,17 @@ impl FleetExecutor {
         self.vms.live()
     }
 
-    /// Resident tenants (requests).
-    pub fn resident_requests(&self) -> usize {
-        self.heads.len()
-    }
-
-    /// Number of servers `m`.
-    pub fn server_count(&self) -> usize {
-        self.infra.server_count()
-    }
-
     /// Completed windows.
     pub fn window(&self) -> u64 {
         self.window
     }
 
-    /// Assigns sequential tenant ids to an arrival batch (one per
-    /// request), mirroring `WindowExecutor::register_arrivals` minus the
-    /// event log.
-    pub fn register_arrivals(&mut self, arrivals: &RequestBatch) -> Vec<TenantId> {
-        let ids: Vec<TenantId> = (0..arrivals.request_count())
-            .map(|i| TenantId(self.next_tenant + i as u64))
-            .collect();
-        self.next_tenant += arrivals.request_count() as u64;
-        ids
-    }
-
-    /// Associates registered tenant ids with flight correlation keys
-    /// (entries with the [`flight::NONE`] sentinel are skipped).
-    pub fn bind_request_keys(&mut self, ids: &[TenantId], keys: &[u64]) {
-        for (&id, &key) in ids.iter().zip(keys) {
-            if key != flight::NONE {
-                self.flight_keys.insert(id.0, key);
-            }
-        }
-    }
-
-    pub(crate) fn flight_key(&self, tenant: u64) -> u64 {
-        self.flight_keys
-            .get(&tenant)
-            .copied()
-            .unwrap_or(flight::NONE)
-    }
-
-    /// Solves one admission-only window: packs `arrivals` against the
-    /// residual headroom, admits the accepted requests into the packed
-    /// tables and rejects the rest. Returns the report plus admitted
-    /// tenant ids in arrival order.
-    pub fn execute_window(
-        &mut self,
-        allocator: &dyn Allocator,
-        arrivals: &RequestBatch,
-        arrival_tenant_ids: &[TenantId],
-    ) -> (WindowReport, Vec<TenantId>) {
-        let window = self.window;
-        let mut sp = cpo_obs::span!("fleet.window", window = window);
-        let problem = AllocationProblem::new(self.store.residual_clone(), arrivals.clone(), None);
-        let prof_on = cpo_obs::prof::is_enabled();
-        let solve_start_us = if prof_on { cpo_obs::now_us() } else { 0 };
-        let solve_start = Instant::now();
-        let outcome = allocator.allocate(&problem);
-        let solve_time = solve_start.elapsed();
-        if prof_on {
-            cpo_obs::prof::solve_phase(
-                window,
-                0,
-                solve_start_us,
-                cpo_obs::now_us(),
-                &[solve_time.as_micros() as u64],
-            );
-        }
-        let accepted = problem.accepted_mask(&outcome.assignment);
-
-        let mut admitted = 0usize;
-        let mut rejected = 0usize;
-        let mut admitted_ids = Vec::new();
-        for (i, req) in arrivals.requests().iter().enumerate() {
-            let tid = arrival_tenant_ids[i];
-            if accepted[i] {
-                self.admit_request(
-                    tid,
-                    window,
-                    arrivals,
-                    req,
-                    |_, k| {
-                        outcome
-                            .assignment
-                            .server_of(k)
-                            .expect("accepted ⇒ placed")
-                            .index() as u32
-                    },
-                    true,
-                );
-                admitted += 1;
-                admitted_ids.push(tid);
-            } else {
-                self.reject_request(tid, window);
-                rejected += 1;
-            }
-        }
-
-        let report = self.finish_window(arrivals.request_count(), admitted, rejected, solve_time);
-        sp.field("admitted", admitted).field("rejected", rejected);
-        (report, admitted_ids)
-    }
-
-    /// Admits one accepted request into the packed tables: the
-    /// `admitted` flight event binds key↔tenant, then each VM is
-    /// inserted in order (per-VM `placed` events), matching
-    /// `WindowExecutor`'s event order. When `reserve` is set the
-    /// residual store is charged per VM (the native path); the sharded
-    /// path passes `false` because its optimistic commit has already
-    /// reserved the capacity. `server_of` maps a VM's index within the
-    /// request and its batch id to the hosting server.
+    /// Admits one accepted request into the packed tables, after its
+    /// `admitted` and per-VM `placed` lifecycle events. When `reserve` is
+    /// set the residual store is charged per VM (the native path); the
+    /// sharded path passes `false` because its optimistic commit has
+    /// already reserved the capacity. `server_of` maps a VM's index
+    /// within the request and its batch id to the hosting server.
     pub(crate) fn admit_request(
         &mut self,
         tid: TenantId,
@@ -227,45 +123,22 @@ impl FleetExecutor {
         server_of: impl Fn(usize, VmId) -> u32,
         reserve: bool,
     ) {
-        let key = self.flight_key(tid.0);
-        if flight::is_enabled() {
-            flight::record(
-                FlightKind::Admitted,
-                key,
-                tid.0,
-                window,
-                req.vms.len() as u64,
-            );
-        }
+        let servers = req.vms.iter().enumerate();
+        self.lifecycle
+            .admitted(window, tid, servers.map(|(l, &k)| server_of(l, k) as usize));
         let mut head = NO_SLOT;
         for (local, &k) in req.vms.iter().enumerate() {
             let j = server_of(local, k);
             let vm = arrivals.vm(k);
             head = self.vms.insert(tid.0, j, &vm.demand, vm.revenue, head);
             self.admit_load(j, &vm.demand, reserve);
-            if flight::is_enabled() {
-                flight::record(FlightKind::Placed, key, tid.0, j as u64, local as u64);
-            }
         }
         self.heads.insert(tid.0, head);
     }
 
-    /// Rejects one request: `rejected` flight event, correlation key
-    /// dropped.
-    pub(crate) fn reject_request(&mut self, tid: TenantId, window: u64) {
-        flight::record(
-            FlightKind::Rejected,
-            self.flight_key(tid.0),
-            tid.0,
-            window,
-            0,
-        );
-        self.flight_keys.remove(&tid.0);
-    }
-
     /// Post-admission window close shared by the native and sharded
-    /// paths: capacity monitor, report, `window_closed` flight event,
-    /// fleet probe, gauges; advances the window counter.
+    /// paths: capacity monitor, report, window-close lifecycle record,
+    /// fleet probe; advances the window counter.
     pub(crate) fn finish_window(
         &mut self,
         arrivals: usize,
@@ -306,13 +179,7 @@ impl FleetExecutor {
             denied_flows: 0,
             solve_time,
         };
-        flight::record(
-            FlightKind::WindowClosed,
-            flight::NONE,
-            flight::NONE,
-            window,
-            self.heads.len() as u64,
-        );
+        self.lifecycle.window_closed(&report);
         crate::probe::emit(
             &self.infra,
             (0..self.offline.len()).filter(|&j| !self.offline[j]),
@@ -326,9 +193,6 @@ impl FleetExecutor {
                 solve_latency_us: solve_time.as_micros() as u64,
             },
         );
-        cpo_obs::record_value("fleet.solve_ns", solve_time.as_nanos() as u64);
-        cpo_obs::gauge_set("fleet.running_vms", self.vms.live() as f64);
-        cpo_obs::gauge_set("fleet.active_servers", self.loads.active_servers() as f64);
         self.window += 1;
         report
     }
@@ -344,89 +208,6 @@ impl FleetExecutor {
         if reserve {
             self.store.reserve(ServerId(j as usize), demand);
         }
-    }
-
-    /// Departs one tenant, walking its chain and returning every VM's
-    /// demand to the residual headroom (unless the hosting server is
-    /// offline — a failed server has no headroom to return to). Returns
-    /// `false` when the tenant is not resident (e.g. it was rejected).
-    pub fn depart_tenant(&mut self, id: TenantId) -> bool {
-        let Some(head) = self.heads.remove(&id.0) else {
-            return false;
-        };
-        let mut slot = head;
-        while slot != NO_SLOT {
-            let next = self.vms.next(slot);
-            let j = self.vms.server(slot);
-            // `vms` is disjoint from `loads` and `store`, so the demand
-            // stays borrowed across both updates.
-            let demand = self.vms.demand(slot);
-            let server = self.infra.server(ServerId(j as usize));
-            if self.loads.remove(j, demand) {
-                self.provider_cost -= server.opex;
-            }
-            self.provider_cost -= server.usage_cost;
-            self.store.release(ServerId(j as usize), demand);
-            self.vms.remove(slot);
-            slot = next;
-        }
-        flight::record(
-            FlightKind::Departed,
-            self.flight_key(id.0),
-            id.0,
-            self.window,
-            0,
-        );
-        self.flight_keys.remove(&id.0);
-        true
-    }
-
-    /// Fails one server: its residual headroom drops to zero so nothing
-    /// new lands there. Resident VMs stay (counted as stranded). No-op
-    /// returning `false` when already offline.
-    pub fn force_failure(&mut self, server: ServerId) -> bool {
-        let j = server.index();
-        if self.offline[j] {
-            return false;
-        }
-        self.offline[j] = true;
-        self.store.fail(server);
-        flight::record(
-            FlightKind::ServerFailed,
-            flight::NONE,
-            flight::NONE,
-            j as u64,
-            self.window,
-        );
-        true
-    }
-
-    /// Repairs one server, restoring its residual headroom to effective
-    /// capacity minus the load still resident there. No-op returning
-    /// `false` when healthy.
-    pub fn force_repair(&mut self, server: ServerId) -> bool {
-        let j = server.index();
-        if !self.offline[j] {
-            return false;
-        }
-        self.offline[j] = false;
-        let used = self.loads.used(j as u32);
-        let restored: Vec<f64> = self
-            .infra
-            .effective_row(server)
-            .iter()
-            .zip(used)
-            .map(|(e, u)| (e - u).max(0.0))
-            .collect();
-        self.store.restore(server, &restored);
-        flight::record(
-            FlightKind::ServerRepaired,
-            flight::NONE,
-            flight::NONE,
-            j as u64,
-            self.window,
-        );
-        true
     }
 
     /// Capacity violations of the packed state: servers (offline ones
@@ -489,40 +270,124 @@ impl FleetExecutor {
 
 impl WindowBackend for FleetExecutor {
     fn register_arrivals(&mut self, arrivals: &RequestBatch) -> Vec<TenantId> {
-        FleetExecutor::register_arrivals(self, arrivals)
+        let window = self.window;
+        arrivals
+            .requests()
+            .iter()
+            .map(|req| self.lifecycle.arrived(window, req.vms.len()).0)
+            .collect()
     }
 
     fn bind_request_keys(&mut self, ids: &[TenantId], keys: &[u64]) {
-        FleetExecutor::bind_request_keys(self, ids, keys)
+        self.lifecycle.bind_keys(ids, keys);
     }
 
+    /// Solves one admission-only window: packs `arrivals` against the
+    /// residual headroom, admits the accepted requests into the packed
+    /// tables and rejects the rest.
     fn execute_window(
         &mut self,
         allocator: &dyn Allocator,
         arrivals: &RequestBatch,
-        ids: &[TenantId],
+        arrival_tenant_ids: &[TenantId],
     ) -> (WindowReport, Vec<TenantId>) {
-        FleetExecutor::execute_window(self, allocator, arrivals, ids)
+        let window = self.window;
+        let mut sp = cpo_obs::span!("platform.window", window = window);
+        let problem = AllocationProblem::new(self.store.residual_clone(), arrivals.clone(), None);
+        let (outcome, solve_time) = timed_solve(allocator, &problem, window);
+        let accepted = problem.accepted_mask(&outcome.assignment);
+
+        let mut admitted = 0usize;
+        let mut rejected = 0usize;
+        let mut admitted_ids = Vec::new();
+        for (i, req) in arrivals.requests().iter().enumerate() {
+            let tid = arrival_tenant_ids[i];
+            if accepted[i] {
+                let server_of = |_, k| {
+                    let j = outcome.assignment.server_of(k);
+                    j.expect("accepted ⇒ placed").index() as u32
+                };
+                self.admit_request(tid, window, arrivals, req, server_of, true);
+                admitted += 1;
+                admitted_ids.push(tid);
+            } else {
+                self.lifecycle.rejected(window, tid);
+                rejected += 1;
+            }
+        }
+
+        let report = self.finish_window(arrivals.request_count(), admitted, rejected, solve_time);
+        sp.field("admitted", admitted).field("rejected", rejected);
+        (report, admitted_ids)
     }
 
+    /// Departs one tenant, walking its chain and returning every VM's
+    /// demand to the residual headroom (unless the hosting server is
+    /// offline — a failed server has no headroom to return to).
     fn depart_tenant(&mut self, id: TenantId) -> bool {
-        FleetExecutor::depart_tenant(self, id)
+        let Some(head) = self.heads.remove(&id.0) else {
+            return false;
+        };
+        let mut slot = head;
+        while slot != NO_SLOT {
+            let next = self.vms.next(slot);
+            let j = self.vms.server(slot);
+            // `vms` is disjoint from `loads` and `store`, so the demand
+            // stays borrowed across both updates.
+            let demand = self.vms.demand(slot);
+            let server = self.infra.server(ServerId(j as usize));
+            if self.loads.remove(j, demand) {
+                self.provider_cost -= server.opex;
+            }
+            self.provider_cost -= server.usage_cost;
+            self.store.release(ServerId(j as usize), demand);
+            self.vms.remove(slot);
+            slot = next;
+        }
+        self.lifecycle.departed(self.window, id);
+        true
     }
 
+    /// Fails one server: its residual headroom drops to zero so nothing
+    /// new lands there. Resident VMs stay (counted as stranded).
     fn force_failure(&mut self, server: ServerId) -> bool {
-        FleetExecutor::force_failure(self, server)
+        let j = server.index();
+        if self.offline[j] {
+            return false;
+        }
+        self.offline[j] = true;
+        self.store.fail(server);
+        self.lifecycle.server_failed(self.window, server);
+        true
     }
 
+    /// Repairs one server, restoring its residual headroom to effective
+    /// capacity minus the load still resident there.
     fn force_repair(&mut self, server: ServerId) -> bool {
-        FleetExecutor::force_repair(self, server)
+        let j = server.index();
+        if !self.offline[j] {
+            return false;
+        }
+        self.offline[j] = false;
+        let used = self.loads.used(j as u32);
+        let restored: Vec<f64> = self
+            .infra
+            .effective_row(server)
+            .iter()
+            .zip(used)
+            .map(|(e, u)| (e - u).max(0.0))
+            .collect();
+        self.store.restore(server, &restored);
+        self.lifecycle.server_repaired(self.window, server);
+        true
     }
 
     fn server_count(&self) -> usize {
-        FleetExecutor::server_count(self)
+        self.infra.server_count()
     }
 
     fn resident_requests(&self) -> usize {
-        FleetExecutor::resident_requests(self)
+        self.heads.len()
     }
 }
 

@@ -14,12 +14,15 @@
 //!   [`executor::WindowExecutor::step`];
 //! * [`backend`] — [`backend::WindowBackend`], the one window-engine
 //!   trait every engine implements and the `cpo-des` scheduler drives;
-//! * [`events`] — an append-only platform event log;
+//! * [`lifecycle`] — `Lifecycle`, the one recorder of tenant lifecycles
+//!   both engines share (id minting, flight correlation keys, lifecycle
+//!   flight events, window-close metrics), and the append-only
+//!   [`lifecycle::EventLog`] `WindowExecutor` keeps;
 //! * [`accounting`] — per-window and per-run metrics (provider cost,
 //!   downtime, migrations, rejection rate);
 //! * [`fleet`] — [`fleet::FleetExecutor`], the memory-lean admission-only
 //!   engine for production-scale trace replay (packed tables, residual
-//!   headroom, no event log);
+//!   headroom, the same lifecycle records but no event log);
 //! * [`shard`] — [`shard::ShardedScheduler`], sharded admission over
 //!   either engine through the optimistic-commit [`store`].
 //!
@@ -47,9 +50,9 @@
 
 pub mod accounting;
 pub mod backend;
-pub mod events;
 pub mod executor;
 pub mod fleet;
+pub mod lifecycle;
 pub mod network;
 pub mod probe;
 pub mod shard;
@@ -61,9 +64,9 @@ pub mod tenant;
 pub mod prelude {
     pub use crate::accounting::{SimReport, WindowReport};
     pub use crate::backend::WindowBackend;
-    pub use crate::events::{Event, EventLog, EVENT_LOG_SCHEMA_VERSION};
     pub use crate::executor::{LifetimePolicy, SimConfig, WindowExecutor};
     pub use crate::fleet::FleetExecutor;
+    pub use crate::lifecycle::{Event, EventLog, EVENT_LOG_SCHEMA_VERSION};
     pub use crate::network::{FlowAdmission, NetworkModel};
     pub use crate::shard::{PartitionStrategy, ShardBackend, ShardConfig, ShardedScheduler};
     pub use crate::sla::{SlaLedger, SlaRecord};

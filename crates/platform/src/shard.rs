@@ -374,8 +374,10 @@ fn solve_shard(
     // Score the shard's solution with its own owned evaluator — each
     // shard gets a private DeltaEvaluator over its private problem, so
     // no lock is ever held across a solve (the Mutex evaluator *pools*
-    // in cpo-core remain, but only for intra-solve rayon scoring).
-    if flight::is_enabled() || cpo_obs::series::is_enabled() {
+    // in cpo-core remain, but only for intra-solve rayon scoring). The
+    // score and the solve count go only to the metrics registry, so the
+    // scoring runs only while the registry records.
+    if cpo_obs::is_enabled() {
         let ev = DeltaEvaluator::new(&problem, outcome.assignment.clone());
         let score = ev.score();
         cpo_obs::gauge_set("shard.solution_cost", score.total_cost());
@@ -717,7 +719,7 @@ impl ShardBackend for FleetExecutor {
     }
 
     fn flight_key_of(&self, tid: TenantId) -> u64 {
-        self.flight_key(tid.0)
+        self.lifecycle.key(tid)
     }
 
     fn shard_admit(
@@ -743,7 +745,7 @@ impl ShardBackend for FleetExecutor {
     }
 
     fn shard_reject(&mut self, tid: TenantId, window: u64) {
-        self.reject_request(tid, window);
+        self.lifecycle.rejected(window, tid);
     }
 
     fn shard_finish(
@@ -775,7 +777,7 @@ impl ShardBackend for WindowExecutor {
     }
 
     fn flight_key_of(&self, tid: TenantId) -> u64 {
-        self.flight_key(tid)
+        self.lifecycle.key(tid)
     }
 
     fn shard_admit(
@@ -798,7 +800,7 @@ impl ShardBackend for WindowExecutor {
     }
 
     fn shard_reject(&mut self, tid: TenantId, window: u64) {
-        self.apply_rejection(tid, window);
+        self.log.push(self.lifecycle.rejected(window, tid));
     }
 
     fn shard_finish(

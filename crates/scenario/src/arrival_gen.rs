@@ -51,24 +51,6 @@ impl ArrivalSpec {
         batch
     }
 
-    /// Draws the `i`-th request of stream `seed` with the size pinned to
-    /// `vm_count` — the replay path for logged arrivals whose size is
-    /// known but whose VM shapes must still come from the template.
-    /// Same sub-seed derivation and flight-recorder minting as
-    /// [`ArrivalSpec::request_at`], so a replayed stream is correlated
-    /// exactly like a live one.
-    pub fn replayed_request_at(&self, seed: u64, i: u64, vm_count: usize) -> RequestBatch {
-        assert!(vm_count >= 1, "a request needs at least one VM");
-        let pinned = RequestSpec {
-            total_vms: vm_count,
-            request_size: (vm_count, vm_count),
-            ..self.request.clone()
-        };
-        let batch = generate_single_request(&pinned, arrival_seed(seed, i));
-        mint_generated(i, &batch);
-        batch
-    }
-
     /// Builds the `i`-th request of stream `seed` from an *exact* demand
     /// vector — the production-trace path. The trace dictates shape
     /// (`demand`, in the model's standard attribute order) and fan-out
@@ -185,16 +167,6 @@ mod tests {
         assert_eq!(sizes, again);
         // Not all arrivals are identical (the stream actually varies).
         assert!(sizes.iter().any(|&s| s != sizes[0]));
-    }
-
-    #[test]
-    fn replayed_request_pins_size() {
-        let spec = ArrivalSpec::default();
-        for i in 0..16 {
-            let b = spec.replayed_request_at(11, i, 3);
-            assert_eq!(b.request_count(), 1);
-            assert_eq!(b.vm_count(), 3);
-        }
     }
 
     #[test]

@@ -1,13 +1,14 @@
 //! Parallel neighborhood scanning for the tabu engine.
 //!
 //! The exhaustive `n·m` relocation scan (and any explicit candidate
-//! list) is partitioned into [`TabuConfig::threads`] **contiguous**
-//! chunks of the canonical `(vm, server)` order. Each chunk is scored by
-//! a dedicated scan worker — a [`DeltaEvaluator`] drawn from an
-//! [`EvaluatorPool`] at search start and held for the whole search —
-//! and reduced to the chunk's *first* strictly-best move. The global
-//! reduction then walks the chunks **in canonical order**, replacing the
-//! running winner only on a strictly better score.
+//! list) is partitioned into
+//! [`TabuConfig::threads`](crate::search::TabuConfig::threads)
+//! **contiguous** chunks of the canonical `(vm, server)` order. Each
+//! chunk is scored by a dedicated scan worker — a [`DeltaEvaluator`]
+//! drawn from an [`EvaluatorPool`] at search start and held for the
+//! whole search — and reduced to the chunk's *first* strictly-best move.
+//! The global reduction then walks the chunks **in canonical order**,
+//! replacing the running winner only on a strictly better score.
 //!
 //! ## Reduction rules (why this is bit-identical to the serial scan)
 //!

@@ -5,7 +5,7 @@
 //! ablations and as a post-optimisation polish.
 //!
 //! Candidate relocations are scored through
-//! [`DeltaEvaluator`](cpo_model::delta::DeltaEvaluator) by default —
+//! [`DeltaEvaluator`] by default —
 //! O(occupancy·h + rules(vm)) per candidate instead of a from-scratch
 //! O(n·h + m·h + rules) recompute — with [`Scoring::Full`] kept as the
 //! differential oracle. Delta scores are bit-identical to full scores, so

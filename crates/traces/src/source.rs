@@ -1,8 +1,9 @@
 //! Bridging trace events into the discrete-event kernel.
 //!
 //! [`TraceArrivalSource`] adapts any [`DatasetReader`] to
-//! `cpo_des::sources::ArrivalSource`: each [`TraceEvent`] becomes one
-//! timestamped arrival whose request body is built by
+//! `cpo_des::sources::ArrivalSource`: each
+//! [`TraceEvent`](crate::event::TraceEvent) becomes one timestamped
+//! arrival whose request body is built by
 //! `ArrivalSpec::trace_request_at` — the same constructor family the
 //! Poisson path uses, so trace-fed requests mint flight-recorder
 //! correlation uids and draw cost parameters exactly like synthetic ones.
