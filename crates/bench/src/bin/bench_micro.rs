@@ -7,16 +7,15 @@
 //! ```
 //!
 //! Cells:
+//! * `micro.config` — the host's core count (`host_cores`);
 //! * `cpsolve.{queued,reference}` — the fig8 seed-42 batch CSP under both
 //!   propagation engines (wall time, propagator invocations, nodes);
 //! * `des.synthetic_churn` — raw event-queue throughput in events/s;
 //! * `tabu.move_scoring.{delta,full}` — the fig8 seed-42 tabu polish
 //!   under incremental vs full move scoring (wall time, `eval_work`
 //!   model-cell counter), plus the full/delta work ratio;
-//! * `tabu.parallel_scan.t{1,2,4}` — the same polish under the
-//!   exhaustive n·m scan at 1/2/4 logical partitions; the trajectory is
-//!   asserted bit-identical across thread counts, the t1/t4 speedup is
-//!   reported informationally;
+//! * `tabu.exhaustive_scan` — the same polish under the exhaustive n·m
+//!   scan (placement fingerprint and deterministic counters);
 //! * `tabu.candidate_list` — candidate-list neighborhood vs the
 //!   exhaustive scan (scan reduction, deterministic counters);
 //! * `alloc.<label>.flight_{off,on}` — one allocator sweep with the
@@ -70,6 +69,7 @@ fn main() {
         .nth(1)
         .unwrap_or_else(|| "target/bench/BENCH_micro.json".into());
     let mut report = Report::new("cpo-bench-micro", 1);
+    report.push(Cell::new("micro.config").int("host_cores", cpo_bench::host_cores() as i128));
 
     // --- cpsolve: queued vs reference propagation engine ------------
     for (name, engine) in [
@@ -158,20 +158,17 @@ fn main() {
     println!("tabu.move_scoring: full/delta eval-work ratio {work_ratio:.1}");
     report.push(Cell::new("tabu.move_scoring.ratio").float("work_ratio", work_ratio));
 
-    // --- tabu: parallel exhaustive scan at 1/2/4 partitions ---------
-    // The fig8 seed-42 polish under the exhaustive n·m scan. The
-    // trajectory is asserted bit-identical across thread counts right
-    // here (placement fingerprint + every counter); wall time and the
-    // speedup are *reported* — physical parallelism is whatever the CI
-    // host provides, so the speedup is informational, not gated.
-    let scan_config = |threads| TabuConfig {
+    // --- tabu: exhaustive scan ---------------------------------------
+    // The fig8 seed-42 polish under the exhaustive n·m scan: the
+    // placement fingerprint and every counter are deterministic (Exact
+    // in the diff policy), which pins the serial scan's trajectory.
+    let scan_config = TabuConfig {
         tenure: 24,
         max_iterations: 60,
         candidates: 48,
         seed: 42,
         scoring: Scoring::Delta,
         neighborhood: Neighborhood::Exhaustive,
-        threads,
         ..TabuConfig::default()
     };
     let fingerprint = |a: &Assignment| -> i128 {
@@ -183,49 +180,28 @@ fn main() {
         }
         hash as i128
     };
-    let mut walls = [0u128; 3];
-    let mut reference = None;
-    for (slot, threads) in [1usize, 2, 4].into_iter().enumerate() {
-        let config = scan_config(threads);
+    let exhaustive_scanned = {
         let mut result = None;
         let wall_ns = median_ns(3, || {
-            result = Some(tabu_search(&problem, start.clone(), &config));
+            result = Some(tabu_search(&problem, start.clone(), &scan_config));
         });
         let result = result.expect("tabu ran");
-        walls[slot] = wall_ns;
-        let probe = (
-            fingerprint(&result.best),
-            result.accepted_moves,
-            result.candidates_scanned,
-            result.delta_evals,
-            result.eval_work,
-        );
-        match &reference {
-            None => reference = Some(probe),
-            Some(r) => assert_eq!(
-                *r, probe,
-                "parallel scan at {threads} threads diverged from serial"
-            ),
-        }
-        let name = format!("tabu.parallel_scan.t{threads}");
         println!(
-            "{name}: {:.2} ms, {} scanned, eval_work {}",
+            "tabu.exhaustive_scan: {:.2} ms, {} scanned, eval_work {}",
             wall_ns as f64 / 1e6,
             result.candidates_scanned,
             result.eval_work
         );
         report.push(
-            Cell::new(name)
+            Cell::new("tabu.exhaustive_scan")
                 .int("wall_ns", wall_ns as i128)
-                .int("fingerprint", probe.0)
+                .int("fingerprint", fingerprint(&result.best))
                 .int("eval_work", result.eval_work as i128)
                 .int("delta_evals", result.delta_evals as i128)
                 .int("candidates_scanned", result.candidates_scanned as i128),
         );
-    }
-    let speedup_x4 = walls[0] as f64 / walls[2] as f64;
-    println!("tabu.parallel_scan: t1/t4 speedup {speedup_x4:.2}×");
-    report.push(Cell::new("tabu.parallel_scan.speedup").float("speedup_x4", speedup_x4));
+        result.candidates_scanned
+    };
 
     // --- tabu: candidate lists vs the exhaustive scan ---------------
     // Same polish, candidate-list neighborhood: the point is reaching a
@@ -235,14 +211,13 @@ fn main() {
     {
         let config = TabuConfig {
             neighborhood: Neighborhood::Candidates { refresh: 16 },
-            ..scan_config(1)
+            ..scan_config
         };
         let mut result = None;
         let wall_ns = median_ns(3, || {
             result = Some(tabu_search(&problem, start.clone(), &config));
         });
         let result = result.expect("tabu ran");
-        let exhaustive_scanned = reference.expect("scan cells ran").2;
         let scan_reduction = exhaustive_scanned as f64 / result.candidates_scanned.max(1) as f64;
         println!(
             "tabu.candidate_list: {:.2} ms, {} scanned ({scan_reduction:.1}× fewer), eval_work {}",

@@ -19,7 +19,8 @@
 //! its constant-memory capacity bound, and byte-identical deterministic
 //! series JSON across the two replays. The series render to a
 //! self-contained HTML dashboard (`--dash`) plus an ANSI summary on
-//! stdout. Reported cells: ingest throughput (events/s), end-to-end
+//! stdout. Reported cells: the run configuration with the host's core
+//! count (`trace.config`), ingest throughput (events/s), end-to-end
 //! replay throughput, peak RSS (null where procfs is unavailable),
 //! admitted/rejected totals, and p50/p95/p99 per-window solve latency.
 //!
@@ -46,7 +47,6 @@
 //! flamegraph-compatible `BENCH_trace_flame.folded`, and the
 //! deterministic attribution counters become pinned report cells.
 
-use cpo_bench::bench_problem;
 use cpo_bench::report::{Cell, Report};
 use cpo_core::prelude::{
     AllocationOutcome, Allocator, CpAllocator, FilteringAllocator, PortfolioAllocator,
@@ -59,7 +59,6 @@ use cpo_platform::prelude::{
     FleetExecutor, ShardConfig, ShardedScheduler, StoreMetrics, WindowReport,
 };
 use cpo_scenario::prelude::ArrivalSpec;
-use cpo_tabu::{tabu_search, Neighborhood, Scoring, TabuConfig};
 use cpo_traces::prelude::*;
 use std::io::Cursor;
 use std::time::{Duration, Instant};
@@ -642,64 +641,6 @@ fn main() {
         "  per-window dominance held on all {race_windows} windows (min margin {race_min_margin})"
     );
 
-    // --- parallel-scan scaling table --------------------------------
-    // The exhaustive tabu scan at a thread ladder on the fig8 seed-42
-    // polish. The trajectory is asserted identical at every rung (the
-    // partitioning is logical); wall time and speedup are reported for
-    // whatever cores the host actually has — informational, not gated.
-    let scan_problem = bench_problem(100, false, 42);
-    let mut s = 7u64;
-    let genes: Vec<usize> = (0..scan_problem.n())
-        .map(|_| {
-            s = s
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            (s >> 33) as usize % scan_problem.m()
-        })
-        .collect();
-    let scan_start = Assignment::from_genes(&genes);
-    println!(
-        "parallel exhaustive scan scaling (n·m = {}):",
-        scan_problem.n() * scan_problem.m()
-    );
-    println!("  threads  wall-ms  speedup");
-    let mut scan_cells = Vec::new();
-    let mut t1_ns = 0u128;
-    let mut scan_ref = None;
-    for threads in [1usize, 2, 4, 8] {
-        let config = TabuConfig {
-            tenure: 24,
-            max_iterations: 60,
-            candidates: 48,
-            seed: 42,
-            scoring: Scoring::Delta,
-            neighborhood: Neighborhood::Exhaustive,
-            threads,
-            ..TabuConfig::default()
-        };
-        let t0 = Instant::now();
-        let result = tabu_search(&scan_problem, scan_start.clone(), &config);
-        let wall = t0.elapsed().as_nanos();
-        if threads == 1 {
-            t1_ns = wall;
-        }
-        let probe = (
-            result.accepted_moves,
-            result.candidates_scanned,
-            result.eval_work,
-        );
-        match &scan_ref {
-            None => scan_ref = Some(probe),
-            Some(r) => assert_eq!(*r, probe, "scan at {threads} threads diverged"),
-        }
-        let speedup = t1_ns as f64 / wall as f64;
-        println!(
-            "  {threads:>7}  {:>7.1}  {speedup:>6.2}x",
-            wall as f64 / 1e6
-        );
-        scan_cells.push((threads, wall, speedup));
-    }
-
     let mut out = Report::new("cpo-bench-trace", 1);
     out.push(
         Cell::new("trace.config")
@@ -708,7 +649,8 @@ fn main() {
             .int("amplify_factor", factor as i128)
             .float("window_length", args.window)
             .float("horizon", horizon)
-            .int("seed", args.seed as i128),
+            .int("seed", args.seed as i128)
+            .int("host_cores", cpo_bench::host_cores() as i128),
     );
     out.push(
         Cell::new("trace.ingest")
@@ -773,13 +715,6 @@ fn main() {
             .int(format!("{key}_rejected"), *rejected as i128);
     }
     out.push(race_cell);
-    for (threads, wall, speedup) in &scan_cells {
-        out.push(
-            Cell::new(format!("tabu.scan_scaling.t{threads}"))
-                .int("wall_ns", *wall as i128)
-                .float("speedup_vs_t1", *speedup),
-        );
-    }
     out.push(
         Cell::new("profile.attribution")
             .int("tracked", profile.tracked as i128)

@@ -13,6 +13,12 @@ use cpo_exper::runner::{Algorithm, Effort};
 use cpo_model::prelude::AllocationProblem;
 use cpo_scenario::prelude::{ScenarioSize, ScenarioSpec};
 
+/// Cores available to this process (`available_parallelism`, 1 when
+/// unknown): the `host_cores` key each bench's config cell records.
+pub fn host_cores() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
 /// Deterministic scenario for a bench cell.
 pub fn bench_problem(servers: usize, heavy: bool, seed: u64) -> AllocationProblem {
     let size = ScenarioSize::with_servers(servers);

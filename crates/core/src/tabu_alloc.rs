@@ -6,8 +6,7 @@
 //! 1. **Seed** — [`FilteringAllocator`] places what fits greedily and
 //!    cleanly rejects the rest (fast, never violating);
 //! 2. **Polish** — [`tabu_search`] runs from the seed under the call's
-//!    [`Deadline`] with the candidate-list neighborhood and the
-//!    configured scan partitions. Unassigned VMs of rejected requests
+//!    [`Deadline`] with the candidate-list neighborhood. Unassigned VMs of rejected requests
 //!    are part of the search space (an unassigned VM is a violation the
 //!    search wants to erase), so the polish can *recover acceptances*
 //!    the greedy pass gave up on, besides consolidating cost;
@@ -45,15 +44,6 @@ impl Default for TabuSearchAllocator {
                 ..TabuConfig::default()
             },
         }
-    }
-}
-
-impl TabuSearchAllocator {
-    /// The default pipeline with `threads` scan partitions.
-    pub fn with_threads(threads: usize) -> Self {
-        let mut a = Self::default();
-        a.config.threads = threads;
-        a
     }
 }
 
@@ -158,18 +148,5 @@ mod tests {
             .allocate_with_deadline(&p, Deadline::within(Duration::ZERO));
         assert!(out.is_clean());
         assert_eq!(out.accepted_requests, seed.accepted_requests);
-    }
-
-    #[test]
-    fn parallel_polish_matches_serial_outcome() {
-        let p = problem(5, 10);
-        let serial = TabuSearchAllocator::default().allocate(&p);
-        let par = TabuSearchAllocator::with_threads(4).allocate(&p);
-        assert_eq!(serial.assignment, par.assignment);
-        assert_eq!(serial.rejected, par.rejected);
-        assert_eq!(
-            serial.provider_cost().to_bits(),
-            par.provider_cost().to_bits()
-        );
     }
 }

@@ -29,14 +29,12 @@
 //! `exper timeline <dump.jsonl>` reconstructs timelines offline from a
 //! previously written flight dump (e.g. a panic dump).
 //!
-//! `--search-threads N` sets the tabu engine's scan partitions for the
-//! `tabu-search` and `race` allocators; `--solve-deadline MS` bounds
-//! each window solve with a wall-clock deadline (anytime allocators cut
-//! and return their best incumbent; the `race` portfolio runs its
-//! members concurrently under it). Both also read the environment —
-//! `CPO_SEARCH_THREADS` / `CPO_SOLVE_DEADLINE_MS` — with explicit flags
-//! taking precedence over the environment, which takes precedence over
-//! the defaults (1 thread, no deadline).
+//! `--solve-deadline MS` bounds each window solve with a wall-clock
+//! deadline (anytime allocators cut and return their best incumbent;
+//! the `race` portfolio runs its members concurrently under it). It
+//! also reads `CPO_SOLVE_DEADLINE_MS`; the flag takes precedence over
+//! the environment, which takes precedence over the default (no
+//! deadline).
 //!
 //! `--profile` (on `des` and `trace`) turns on the latency-attribution
 //! profiler: per-request stage decomposition (queue-wait → solve →
@@ -98,9 +96,6 @@ struct Options {
     /// `des`/`trace`: run the latency-attribution profiler and write
     /// `profile.json` + `flame.folded` under `--out-dir`.
     profile: bool,
-    /// Scan partitions for the tabu engine (`tabu-search`/`race`).
-    /// Precedence: `--search-threads` > `CPO_SEARCH_THREADS` > 1.
-    search_threads: usize,
     /// Per-window solve budget in wall-clock milliseconds; wraps the
     /// allocator in a `DeadlineBound` and races the portfolio under it.
     /// Precedence: `--solve-deadline` > `CPO_SOLVE_DEADLINE_MS` > none.
@@ -142,9 +137,8 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
         window: 60.0,
         shards: None,
         profile: false,
-        // Environment supplies the defaults; explicit flags overwrite
-        // them below (flag > env > built-in default).
-        search_threads: env_parse("CPO_SEARCH_THREADS")?.unwrap_or(1),
+        // The environment supplies the default; an explicit flag
+        // overwrites it below (flag > env > built-in default).
         solve_deadline_ms: env_parse("CPO_SOLVE_DEADLINE_MS")?,
     };
     let mut it = args.iter();
@@ -225,14 +219,6 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
                     return Err("--shards must be >= 1".into());
                 }
                 opts.shards = Some(n);
-            }
-            "--search-threads" => {
-                let v = it.next().ok_or("--search-threads needs a count")?;
-                let n: usize = v.parse().map_err(|e| format!("--search-threads: {e}"))?;
-                if n < 1 {
-                    return Err("--search-threads must be >= 1".into());
-                }
-                opts.search_threads = n;
             }
             "--solve-deadline" => {
                 let v = it.next().ok_or("--solve-deadline needs milliseconds")?;
@@ -432,7 +418,6 @@ fn run_des(opts: &Options) -> Result<(), String> {
     let allocator = opts.algo.build_tuned(
         opts.effort,
         opts.seed,
-        opts.search_threads,
         opts.solve_deadline_ms.map(std::time::Duration::from_millis),
     );
     let report = match opts.shards {
@@ -574,7 +559,6 @@ fn run_trace(opts: &Options) -> Result<(), String> {
     let allocator = opts.algo.build_tuned(
         opts.effort,
         opts.seed,
-        opts.search_threads,
         opts.solve_deadline_ms.map(std::time::Duration::from_millis),
     );
     let start = std::time::Instant::now();
@@ -819,7 +803,7 @@ fn main() -> ExitCode {
              [--telemetry] [--trace FILE] [--timeline ID] [--out-dir DIR] [--dash FILE] \
              [--algo NAME] [--rate R] [--horizon T] [--servers N] [--failures MTBF,MTTR] \
              [--strict] [--dataset SPEC] [--amplify N] [--window W] [--shards N] [--profile] \
-             [--search-threads N] [--solve-deadline MS]"
+             [--solve-deadline MS]"
         );
         return ExitCode::FAILURE;
     };

@@ -75,7 +75,7 @@ pub enum Algorithm {
     /// not part of the paper's figures; used by ablations.
     WeightedGa,
     /// Anytime tabu-search admission (greedy seed → deadline-bounded
-    /// candidate-list polish), honoring `--search-threads`.
+    /// candidate-list polish).
     TabuSearch,
     /// Deadline-racing portfolio (filtering ∥ CP ∥ tabu-search) under
     /// `--solve-deadline`.
@@ -129,37 +129,26 @@ impl Algorithm {
         }
     }
 
-    /// Instantiates the allocator at the given effort and seed, with the
-    /// search tuned: `threads` scan partitions for the tabu engine and an
-    /// optional per-call wall-clock `budget` (the racing portfolio's
-    /// deadline; other allocators receive it through the driver's
-    /// [`DeadlineBound`] wrapping instead).
+    /// Instantiates the allocator at the given effort and seed, with an
+    /// optional per-call wall-clock `budget` for the racing portfolio
+    /// (other allocators receive it through a [`DeadlineBound`] wrapper
+    /// instead).
     pub fn build_tuned(
         self,
         effort: Effort,
         seed: u64,
-        threads: usize,
         budget: Option<Duration>,
     ) -> Box<dyn Allocator> {
         match self {
-            Algorithm::TabuSearch => {
-                let mut a = TabuSearchAllocator::with_threads(threads);
-                a.config.seed = seed;
-                Box::new(a)
-            }
-            Algorithm::Race => {
-                let mut tabu = TabuSearchAllocator::with_threads(threads);
-                tabu.config.seed = seed;
-                Box::new(PortfolioAllocator::racing(
-                    vec![
-                        Box::new(FilteringAllocator),
-                        Box::new(effort.cp_allocator()),
-                        Box::new(tabu),
-                    ],
-                    PortfolioCriterion::AcceptanceThenCost,
-                    budget,
-                ))
-            }
+            Algorithm::Race => Box::new(PortfolioAllocator::racing(
+                vec![
+                    Box::new(FilteringAllocator),
+                    Box::new(effort.cp_allocator()),
+                    Algorithm::TabuSearch.build(effort, seed),
+                ],
+                PortfolioCriterion::AcceptanceThenCost,
+                budget,
+            )),
             other => other.build(effort, seed),
         }
     }
@@ -183,7 +172,12 @@ impl Algorithm {
                 alloc.config.seed = seed;
                 Box::new(alloc)
             }
-            Algorithm::TabuSearch | Algorithm::Race => self.build_tuned(effort, seed, 1, None),
+            Algorithm::TabuSearch => {
+                let mut alloc = TabuSearchAllocator::default();
+                alloc.config.seed = seed;
+                Box::new(alloc)
+            }
+            Algorithm::Race => self.build_tuned(effort, seed, None),
         }
     }
 }

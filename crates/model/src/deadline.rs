@@ -1,7 +1,7 @@
 //! Wall-clock deadlines for anytime solvers.
 //!
 //! A [`Deadline`] is a copyable "solve until" point shared by every
-//! deadline-aware component: the parallel tabu engine checks it at
+//! deadline-aware component: the tabu engine checks it at
 //! iteration boundaries, the CP admission loop caps each per-request
 //! budget by the remaining time, and the racing portfolio hands one
 //! deadline to every member it races. The unbounded case is a

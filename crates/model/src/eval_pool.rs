@@ -13,11 +13,6 @@
 //!   back. The actual `reset` + `score` — the expensive part, touching
 //!   the tracker matrix and penalty caches — runs on an **owned**
 //!   evaluator with no lock held.
-//! * [`EvaluatorPool::checkout`] / [`checkin`](EvaluatorPool::checkin)
-//!   expose the same pop/push pair for workers that keep an evaluator
-//!   across a whole scan (the parallel tabu engine draws one per scan
-//!   worker at search start and returns it at the end) — the lock is
-//!   still never held while the evaluator is used.
 //! * The pool therefore grows to at most the number of concurrent
 //!   workers, and a worker can never block another for longer than a
 //!   `Vec::pop`/`Vec::push`.
@@ -37,8 +32,7 @@ use crate::problem::AllocationProblem;
 use std::sync::Mutex;
 
 /// Reusable [`DeltaEvaluator`]s for one [`AllocationProblem`], popped
-/// per evaluation (or checked out per worker). See the module docs for
-/// the locking discipline.
+/// per evaluation. See the module docs for the locking discipline.
 pub struct EvaluatorPool<'a> {
     problem: &'a AllocationProblem,
     pool: Mutex<Vec<DeltaEvaluator<'a>>>,
@@ -63,7 +57,7 @@ impl<'a> EvaluatorPool<'a> {
     /// reset — or a fresh build on a miss — with no lock held during
     /// either. The caller owns the evaluator until
     /// [`checkin`](Self::checkin).
-    pub fn checkout(&self, assignment: Assignment) -> DeltaEvaluator<'a> {
+    fn checkout(&self, assignment: Assignment) -> DeltaEvaluator<'a> {
         let pooled = self.pool.lock().expect("evaluator pool poisoned").pop();
         match pooled {
             Some(mut ev) => {
@@ -76,7 +70,7 @@ impl<'a> EvaluatorPool<'a> {
 
     /// Returns an evaluator to the pool (brief lock). Its state is kept
     /// as-is; the next checkout resets it.
-    pub fn checkin(&self, ev: DeltaEvaluator<'a>) {
+    fn checkin(&self, ev: DeltaEvaluator<'a>) {
         self.pool.lock().expect("evaluator pool poisoned").push(ev);
     }
 

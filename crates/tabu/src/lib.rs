@@ -12,11 +12,8 @@
 //!   scan orders (first-fit, nearest-first, best-cost) for ablations;
 //! * [`search`] — a standalone tabu-search optimiser over assignments
 //!   (relocation neighbourhood, aspiration criterion) used for polishing
-//!   and ablation baselines; anytime (deadline-bounded) and observable;
-//! * [`parallel`] — partitioned neighborhood scanning behind
-//!   [`search`]'s deterministic modes: contiguous chunks of the
-//!   canonical scan order, one pooled `DeltaEvaluator` per worker, and a
-//!   first-wins reduction that is bit-identical to the serial scan.
+//!   and ablation baselines; one serial scan in canonical order,
+//!   anytime (deadline-bounded) and observable.
 //!
 //! ```
 //! use cpo_model::prelude::*;
@@ -40,7 +37,6 @@
 #![warn(missing_docs)]
 
 pub mod list;
-pub mod parallel;
 pub mod repair;
 pub mod search;
 

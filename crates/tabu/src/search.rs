@@ -12,17 +12,14 @@
 //! the two modes walk the exact same trajectory (pinned by
 //! `tests/delta_differential.rs`).
 //!
-//! Deterministic scans ([`Neighborhood::Exhaustive`] and
-//! [`Neighborhood::Candidates`]) can additionally be partitioned across
-//! [`TabuConfig::threads`] scan workers (see [`crate::parallel`]); the
-//! partitioning is *logical* — the trajectory and every `TabuResult`
-//! counter are bit-identical at any thread count (pinned by
-//! `tests/parallel_search_differential.rs`) — and the search is
-//! *anytime*: [`TabuConfig::deadline`] cuts it at the next iteration
-//! boundary and the best incumbent so far is returned.
+//! Every neighborhood is scanned serially in canonical order, and the
+//! first strictly-best admissible candidate wins, so a run is a pure
+//! function of its configuration. The search is *anytime*:
+//! [`TabuConfig::deadline`] cuts it at the next iteration boundary and
+//! the best incumbent so far is returned (pinned by
+//! `tests/parallel_search_differential.rs`).
 
 use crate::list::{TabuList, TabuMove};
-use crate::parallel::{Candidate, ScanSet, ScanWorkers};
 use cpo_model::deadline::Deadline;
 use cpo_model::delta::{DeltaEvaluator, MoveScore};
 use cpo_model::prelude::*;
@@ -80,13 +77,6 @@ pub struct TabuConfig {
     pub scoring: Scoring,
     /// Candidate generation mode.
     pub neighborhood: Neighborhood,
-    /// Scan partitions for the deterministic neighborhoods under
-    /// [`Scoring::Delta`] (`0`/`1` = serial). A *logical* partitioning:
-    /// the trajectory and all counters are bit-identical at any value,
-    /// while physical parallelism is whatever the machine provides.
-    /// [`Neighborhood::Sampled`] stays serial (its RNG is sequential)
-    /// and so does [`Scoring::Full`] (it is the differential oracle).
-    pub threads: usize,
     /// Wall-clock bound checked at iteration boundaries; on expiry the
     /// search stops and returns the best incumbent found so far
     /// ([`TabuResult::deadline_hit`] is set). [`Deadline::never`]
@@ -103,7 +93,6 @@ impl Default for TabuConfig {
             seed: 0,
             scoring: Scoring::Delta,
             neighborhood: Neighborhood::Sampled,
-            threads: 1,
             deadline: Deadline::never(),
         }
     }
@@ -389,6 +378,41 @@ fn full_score_with_work(
     (s, w)
 }
 
+/// A candidate move the scan considers: `(vm, target server, score,
+/// accepted-via-aspiration)`.
+type Candidate = (VmId, ServerId, Score, bool);
+
+/// The candidate pairs one deterministic scan covers, in canonical order.
+enum ScanSet<'s> {
+    /// The full `n·m` relocation scan, VM-major (no-ops skipped inline).
+    Flat {
+        /// VM count.
+        n: usize,
+        /// Server count.
+        m: usize,
+    },
+    /// An explicit candidate list (already canonically ordered by
+    /// `candidate_pairs`).
+    Pairs(&'s [(VmId, ServerId)]),
+}
+
+impl ScanSet<'_> {
+    fn len(&self) -> usize {
+        match self {
+            ScanSet::Flat { n, m } => n * m,
+            ScanSet::Pairs(p) => p.len(),
+        }
+    }
+
+    #[inline]
+    fn pair(&self, idx: usize) -> (VmId, ServerId) {
+        match self {
+            ScanSet::Flat { m, .. } => (VmId(idx / m), ServerId(idx % m)),
+            ScanSet::Pairs(p) => p[idx],
+        }
+    }
+}
+
 /// Scores `(k, j)` and folds it into the running best candidate, honouring
 /// the tabu list and the aspiration criterion.
 fn consider_candidate(
@@ -397,7 +421,7 @@ fn consider_candidate(
     k: VmId,
     j: ServerId,
     best_score: &Score,
-    best_cand: &mut Option<(VmId, ServerId, Score, bool)>,
+    best_cand: &mut Option<Candidate>,
     candidates_scanned: &mut usize,
 ) {
     *candidates_scanned += 1;
@@ -473,9 +497,9 @@ fn candidate_pairs(
     pairs
 }
 
-/// Serially scans a [`ScanSet`] through the engine — the single-thread
-/// counterpart of [`ScanWorkers::scan`], sharing `consider_candidate`
-/// with the sampled path.
+/// Scans a [`ScanSet`] through the engine in canonical order, sharing
+/// `consider_candidate` with the sampled path. Ties keep the earliest
+/// pair ([`Score::better_than`] is strict).
 fn scan_set_serial(
     engine: &mut ScoreEngine<'_>,
     tabu: &TabuList,
@@ -538,11 +562,6 @@ pub fn tabu_search_observed(
     let mut aspiration_hits = 0usize;
     let mut candidates_scanned = 0usize;
     let mut deadline_hit = false;
-    // Scan work done by parallel workers, folded into the engine totals
-    // at the end (their sync commits are deliberately excluded — see
-    // `ScanWorkers::commit`).
-    let mut scan_evals_extra = 0usize;
-    let mut scan_work_extra = 0u64;
 
     let mut sp = cpo_obs::span!("tabu.search", vms = n, servers = m);
 
@@ -564,15 +583,6 @@ pub fn tabu_search_observed(
         };
     }
 
-    // The scan-worker team exists only where partitioning is sound:
-    // deterministic neighborhoods under delta scoring. Sampled draws its
-    // candidates from a sequential RNG and Full is the differential
-    // oracle — both keep the single-engine path.
-    let workers = (config.threads > 1
-        && config.scoring == Scoring::Delta
-        && !matches!(config.neighborhood, Neighborhood::Sampled))
-    .then(|| ScanWorkers::new(problem, engine.current(), config.threads));
-
     // Dedupe buffer for sampled candidates: the same (vm, server) pair can
     // be drawn more than once per iteration; scoring it again cannot change
     // the selection (better_than is strict), so only the first draw is
@@ -588,8 +598,7 @@ pub fn tabu_search_observed(
         }
         iterations += 1;
         let mut best_cand: Option<Candidate> = None;
-        // `None` = sampled path; `Some(set)` = deterministic scan,
-        // dispatched to the worker team when one exists.
+        // `None` = sampled path; `Some(set)` = deterministic scan.
         let scan_set = match config.neighborhood {
             Neighborhood::Sampled => None,
             Neighborhood::Exhaustive => Some(ScanSet::Flat { n, m }),
@@ -629,24 +638,14 @@ pub fn tabu_search_observed(
                     );
                 }
             }
-            Some(set) => {
-                if let Some(team) = workers.as_ref() {
-                    let out = team.scan(&set, &tabu, best_score);
-                    candidates_scanned += out.scanned;
-                    scan_evals_extra += out.evals;
-                    scan_work_extra += out.work;
-                    best_cand = out.best;
-                } else {
-                    scan_set_serial(
-                        &mut engine,
-                        &tabu,
-                        &set,
-                        &best_score,
-                        &mut best_cand,
-                        &mut candidates_scanned,
-                    );
-                }
-            }
+            Some(set) => scan_set_serial(
+                &mut engine,
+                &tabu,
+                &set,
+                &best_score,
+                &mut best_cand,
+                &mut candidates_scanned,
+            ),
         }
         let Some((k, j, s, cand_aspirated)) = best_cand else {
             continue;
@@ -658,9 +657,6 @@ pub fn tabu_search_observed(
             tabu.push(TabuMove { vm: k, from });
         }
         engine.commit(k, j);
-        if let Some(team) = workers.as_ref() {
-            team.commit(k, j);
-        }
         current_score = s;
         accepted += 1;
         if current_score.better_than(&best_score) {
@@ -672,15 +668,7 @@ pub fn tabu_search_observed(
         // a perfect zero-cost solution cannot exist (opex > 0), so run on.
     }
 
-    if let Some(team) = workers {
-        let slots = team.len();
-        let pool = team.into_pool();
-        debug_assert_eq!(pool.idle(), slots, "every scan worker checked back in");
-    }
-
-    let (engine_delta_evals, full_evals, engine_work) = engine.stats();
-    let delta_evals = engine_delta_evals + scan_evals_extra;
-    let eval_work = engine_work + scan_work_extra;
+    let (delta_evals, full_evals, eval_work) = engine.stats();
     sp.field("iterations", iterations)
         .field("accepted", accepted)
         .field("aspiration_hits", aspiration_hits);
@@ -873,35 +861,6 @@ mod tests {
         let p = AllocationProblem::new(infra, RequestBatch::new(), None);
         let r = tabu_search(&p, Assignment::unassigned(0), &TabuConfig::default());
         assert_eq!(r.iterations, 0);
-    }
-
-    #[test]
-    fn parallel_scan_matches_serial_bit_for_bit() {
-        let p = problem(5, 12);
-        let mut start = Assignment::unassigned(12);
-        for k in 0..12 {
-            start.assign(VmId(k), ServerId(0));
-        }
-        let cfg = |threads| TabuConfig {
-            max_iterations: 80,
-            neighborhood: Neighborhood::Exhaustive,
-            threads,
-            ..Default::default()
-        };
-        let serial = tabu_search(&p, start.clone(), &cfg(1));
-        for threads in [2, 4, 7] {
-            let par = tabu_search(&p, start.clone(), &cfg(threads));
-            assert_eq!(serial.best, par.best, "threads={threads}");
-            assert_eq!(
-                serial.best_score.total_cost.to_bits(),
-                par.best_score.total_cost.to_bits()
-            );
-            assert_eq!(serial.accepted_moves, par.accepted_moves);
-            assert_eq!(serial.aspiration_hits, par.aspiration_hits);
-            assert_eq!(serial.candidates_scanned, par.candidates_scanned);
-            assert_eq!(serial.delta_evals, par.delta_evals);
-            assert_eq!(serial.eval_work, par.eval_work, "threads={threads}");
-        }
     }
 
     #[test]

@@ -20,7 +20,7 @@
 
 use crate::event::{TraceError, TraceEvent};
 use crate::reader::{
-    optional_column, parse_field, read_record, require_column, DatasetReader, MalformedPolicy,
+    optional_column, parse_field, require_column, CsvLines, DatasetReader, MalformedPolicy,
 };
 use std::fs::File;
 use std::io::{BufRead, BufReader};
@@ -40,11 +40,7 @@ struct Columns {
 
 /// Streaming reader for Azure-style per-VM CSV traces.
 pub struct AzureReader<R: BufRead> {
-    input: R,
-    buf: String,
-    line_no: usize,
-    policy: MalformedPolicy,
-    skipped: usize,
+    lines: CsvLines<R>,
     columns: Columns,
     next_id: u64,
 }
@@ -61,54 +57,41 @@ impl AzureReader<BufReader<File>> {
 impl<R: BufRead> AzureReader<R> {
     /// Wraps any buffered input (a file, an embedded `&str` via
     /// `Cursor`), parsing the header row eagerly.
-    pub fn new(mut input: R, policy: MalformedPolicy) -> Result<Self, TraceError> {
-        let mut buf = String::new();
-        let mut line_no = 0usize;
-        match read_record(&mut input, &mut buf, &mut line_no) {
-            Some(Ok(())) => {}
-            Some(Err(e)) => return Err(e),
-            None => {
-                return Err(TraceError::MissingColumn {
-                    column: "vm_created".into(),
-                })
-            }
-        }
-        let header: Vec<&str> = buf.trim_end().split(',').collect();
-        let columns = Columns {
-            id: require_column(&header, "vm_id")?,
-            created: require_column(&header, "vm_created")?,
-            deleted: require_column(&header, "vm_deleted")?,
-            cores: require_column(&header, "core_count")?,
-            memory: require_column(&header, "memory_gb")?,
-            disk: optional_column(&header, "disk_gb"),
-        };
+    pub fn new(input: R, policy: MalformedPolicy) -> Result<Self, TraceError> {
+        let (lines, columns) = CsvLines::with_header(input, policy, "vm_created", |header| {
+            Ok(Columns {
+                id: require_column(header, "vm_id")?,
+                created: require_column(header, "vm_created")?,
+                deleted: require_column(header, "vm_deleted")?,
+                cores: require_column(header, "core_count")?,
+                memory: require_column(header, "memory_gb")?,
+                disk: optional_column(header, "disk_gb"),
+            })
+        })?;
         Ok(Self {
-            input,
-            buf,
-            line_no,
-            policy,
-            skipped: 0,
+            lines,
             columns,
             next_id: 0,
         })
     }
+}
 
-    fn parse_row(&self, fields: &[&str]) -> Result<TraceEvent, String> {
-        let c = &self.columns;
-        if fields.get(c.id).is_none_or(|f| f.trim().is_empty()) {
+impl Columns {
+    fn parse_row(&self, id: u64, fields: &[&str]) -> Result<TraceEvent, String> {
+        if fields.get(self.id).is_none_or(|f| f.trim().is_empty()) {
             return Err("empty vm_id".into());
         }
-        let created = parse_field(fields, c.created, "vm_created")?;
-        let deleted = parse_field(fields, c.deleted, "vm_deleted")?;
-        let cores = parse_field(fields, c.cores, "core_count")?;
-        let memory_gb = parse_field(fields, c.memory, "memory_gb")?;
-        let disk = match c.disk {
+        let created = parse_field(fields, self.created, "vm_created")?;
+        let deleted = parse_field(fields, self.deleted, "vm_deleted")?;
+        let cores = parse_field(fields, self.cores, "core_count")?;
+        let memory_gb = parse_field(fields, self.memory, "memory_gb")?;
+        let disk = match self.disk {
             Some(idx) => parse_field(fields, idx, "disk_gb")?,
             None => cores * DEFAULT_DISK_GB_PER_CORE,
         };
         let event = TraceEvent {
             at: created,
-            id: self.next_id,
+            id,
             vm_count: 1,
             cpu: cores,
             ram: memory_gb * 1024.0,
@@ -124,36 +107,16 @@ impl<R: BufRead> AzureReader<R> {
 
 impl<R: BufRead> DatasetReader for AzureReader<R> {
     fn next_event(&mut self) -> Option<Result<TraceEvent, TraceError>> {
-        loop {
-            match read_record(&mut self.input, &mut self.buf, &mut self.line_no) {
-                Some(Ok(())) => {}
-                Some(Err(e)) => return Some(Err(e)),
-                None => return None,
-            }
-            let fields: Vec<&str> = self.buf.trim_end().split(',').collect();
-            match self.parse_row(&fields) {
-                Ok(event) => {
-                    self.next_id += 1;
-                    return Some(Ok(event));
-                }
-                Err(reason) => match self.policy {
-                    MalformedPolicy::Skip => {
-                        self.skipped += 1;
-                        continue;
-                    }
-                    MalformedPolicy::Fail => {
-                        return Some(Err(TraceError::MalformedRow {
-                            line: self.line_no,
-                            reason,
-                        }))
-                    }
-                },
-            }
+        let (columns, id) = (&self.columns, self.next_id);
+        let row = self.lines.next_row(|fields| columns.parse_row(id, fields));
+        if let Some(Ok(_)) = row {
+            self.next_id += 1;
         }
+        row
     }
 
     fn skipped_rows(&self) -> usize {
-        self.skipped
+        self.lines.skipped()
     }
 }
 
@@ -233,6 +196,34 @@ c,60,960,4,8
             }
             other => panic!("expected MalformedRow, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn non_utf8_row_is_a_malformed_row() {
+        let mut input = b"vm_id,vm_created,vm_deleted,core_count,memory_gb\na,0,600,2,4\n".to_vec();
+        input.extend_from_slice(b"\xff\xfe\n");
+        input.extend_from_slice(b"c,60,960,4,8\nd,oops,1,1,1\n");
+
+        let mut r = AzureReader::new(Cursor::new(&input), MalformedPolicy::Skip).unwrap();
+        let events: Vec<TraceEvent> = std::iter::from_fn(|| r.next_event())
+            .map(Result::unwrap)
+            .collect();
+        assert_eq!(events.len(), 2);
+        assert_eq!(
+            r.skipped_rows(),
+            2,
+            "the non-UTF-8 row is skipped and counted"
+        );
+
+        let mut r = AzureReader::new(Cursor::new(&input), MalformedPolicy::Fail).unwrap();
+        let lines: Vec<Option<usize>> = std::iter::from_fn(|| r.next_event())
+            .map(|item| match item {
+                Ok(_) => None,
+                Err(TraceError::MalformedRow { line, .. }) => Some(line),
+                Err(other) => panic!("expected MalformedRow, got {other:?}"),
+            })
+            .collect();
+        assert_eq!(lines, [None, Some(3), None, Some(5)]);
     }
 
     #[test]

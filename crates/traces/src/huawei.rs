@@ -18,7 +18,7 @@
 
 use crate::event::{TraceError, TraceEvent};
 use crate::reader::{
-    optional_column, parse_field, read_record, require_column, DatasetReader, MalformedPolicy,
+    optional_column, parse_field, require_column, CsvLines, DatasetReader, MalformedPolicy,
 };
 use std::fs::File;
 use std::io::{BufRead, BufReader};
@@ -35,11 +35,7 @@ struct Columns {
 
 /// Streaming reader for Huawei-style per-request CSV traces.
 pub struct HuaweiReader<R: BufRead> {
-    input: R,
-    buf: String,
-    line_no: usize,
-    policy: MalformedPolicy,
-    skipped: usize,
+    lines: CsvLines<R>,
     columns: Columns,
     next_id: u64,
 }
@@ -55,42 +51,29 @@ impl HuaweiReader<BufReader<File>> {
 
 impl<R: BufRead> HuaweiReader<R> {
     /// Wraps any buffered input, parsing the header row eagerly.
-    pub fn new(mut input: R, policy: MalformedPolicy) -> Result<Self, TraceError> {
-        let mut buf = String::new();
-        let mut line_no = 0usize;
-        match read_record(&mut input, &mut buf, &mut line_no) {
-            Some(Ok(())) => {}
-            Some(Err(e)) => return Err(e),
-            None => {
-                return Err(TraceError::MissingColumn {
-                    column: "start_time".into(),
-                })
-            }
-        }
-        let header: Vec<&str> = buf.trim_end().split(',').collect();
-        require_column(&header, "id")?;
-        let columns = Columns {
-            cpu: require_column(&header, "cpu")?,
-            memory: require_column(&header, "memory_mb")?,
-            disk: require_column(&header, "disk_gb")?,
-            start: require_column(&header, "start_time")?,
-            duration: require_column(&header, "duration")?,
-            count: optional_column(&header, "count"),
-        };
+    pub fn new(input: R, policy: MalformedPolicy) -> Result<Self, TraceError> {
+        let (lines, columns) = CsvLines::with_header(input, policy, "start_time", |header| {
+            require_column(header, "id")?;
+            Ok(Columns {
+                cpu: require_column(header, "cpu")?,
+                memory: require_column(header, "memory_mb")?,
+                disk: require_column(header, "disk_gb")?,
+                start: require_column(header, "start_time")?,
+                duration: require_column(header, "duration")?,
+                count: optional_column(header, "count"),
+            })
+        })?;
         Ok(Self {
-            input,
-            buf,
-            line_no,
-            policy,
-            skipped: 0,
+            lines,
             columns,
             next_id: 0,
         })
     }
+}
 
-    fn parse_row(&self, fields: &[&str]) -> Result<TraceEvent, String> {
-        let c = &self.columns;
-        let vm_count = match c.count {
+impl Columns {
+    fn parse_row(&self, id: u64, fields: &[&str]) -> Result<TraceEvent, String> {
+        let vm_count = match self.count {
             Some(idx) => {
                 let n = parse_field(fields, idx, "count")?;
                 if n < 1.0 || n.fract() != 0.0 {
@@ -101,13 +84,13 @@ impl<R: BufRead> HuaweiReader<R> {
             None => 1,
         };
         let event = TraceEvent {
-            at: parse_field(fields, c.start, "start_time")?,
-            id: self.next_id,
+            at: parse_field(fields, self.start, "start_time")?,
+            id,
             vm_count,
-            cpu: parse_field(fields, c.cpu, "cpu")?,
-            ram: parse_field(fields, c.memory, "memory_mb")?,
-            disk: parse_field(fields, c.disk, "disk_gb")?,
-            holding: parse_field(fields, c.duration, "duration")?.max(0.0),
+            cpu: parse_field(fields, self.cpu, "cpu")?,
+            ram: parse_field(fields, self.memory, "memory_mb")?,
+            disk: parse_field(fields, self.disk, "disk_gb")?,
+            holding: parse_field(fields, self.duration, "duration")?.max(0.0),
         };
         event.validate()?;
         Ok(event)
@@ -116,36 +99,16 @@ impl<R: BufRead> HuaweiReader<R> {
 
 impl<R: BufRead> DatasetReader for HuaweiReader<R> {
     fn next_event(&mut self) -> Option<Result<TraceEvent, TraceError>> {
-        loop {
-            match read_record(&mut self.input, &mut self.buf, &mut self.line_no) {
-                Some(Ok(())) => {}
-                Some(Err(e)) => return Some(Err(e)),
-                None => return None,
-            }
-            let fields: Vec<&str> = self.buf.trim_end().split(',').collect();
-            match self.parse_row(&fields) {
-                Ok(event) => {
-                    self.next_id += 1;
-                    return Some(Ok(event));
-                }
-                Err(reason) => match self.policy {
-                    MalformedPolicy::Skip => {
-                        self.skipped += 1;
-                        continue;
-                    }
-                    MalformedPolicy::Fail => {
-                        return Some(Err(TraceError::MalformedRow {
-                            line: self.line_no,
-                            reason,
-                        }))
-                    }
-                },
-            }
+        let (columns, id) = (&self.columns, self.next_id);
+        let row = self.lines.next_row(|fields| columns.parse_row(id, fields));
+        if let Some(Ok(_)) = row {
+            self.next_id += 1;
         }
+        row
     }
 
     fn skipped_rows(&self) -> usize {
-        self.skipped
+        self.lines.skipped()
     }
 }
 
@@ -189,6 +152,36 @@ id,cpu,memory_mb,disk_gb,start_time,duration,count
             Some(TraceError::MissingColumn { column }) => assert_eq!(column, "disk_gb"),
             other => panic!("expected MissingColumn, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn non_utf8_row_is_a_malformed_row() {
+        let mut input =
+            b"id,cpu,memory_mb,disk_gb,start_time,duration\n0,1,1024,10,0,60\n".to_vec();
+        input.extend_from_slice(b"\xff\xfe\n");
+        input.extend_from_slice(b"2,1,1024,10,5,60\n3,x,1024,10,9,60\n");
+
+        let mut r = HuaweiReader::new(Cursor::new(&input), MalformedPolicy::Skip).unwrap();
+        let events: Vec<TraceEvent> = std::iter::from_fn(|| r.next_event())
+            .map(Result::unwrap)
+            .collect();
+        assert_eq!(events.len(), 2);
+        assert_eq!(events[1].id, 1, "skipped rows take no id");
+        assert_eq!(
+            r.skipped_rows(),
+            2,
+            "the non-UTF-8 row is skipped and counted"
+        );
+
+        let mut r = HuaweiReader::new(Cursor::new(&input), MalformedPolicy::Fail).unwrap();
+        let lines: Vec<Option<usize>> = std::iter::from_fn(|| r.next_event())
+            .map(|item| match item {
+                Ok(_) => None,
+                Err(TraceError::MalformedRow { line, .. }) => Some(line),
+                Err(other) => panic!("expected MalformedRow, got {other:?}"),
+            })
+            .collect();
+        assert_eq!(lines, [None, Some(3), None, Some(5)]);
     }
 
     #[test]

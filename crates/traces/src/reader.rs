@@ -3,8 +3,9 @@
 //! A [`DatasetReader`] is a fallible iterator over [`TraceEvent`]s. The
 //! concrete readers ([`crate::azure::AzureReader`],
 //! [`crate::huawei::HuaweiReader`]) parse CSV line by line from any
-//! `BufRead` — a reusable line buffer, no per-row allocation beyond the
-//! field split — so multi-gigabyte traces stream in constant memory.
+//! `BufRead` — a reusable byte buffer, no per-row allocation beyond the
+//! field split — so multi-gigabyte traces stream in constant memory. A
+//! data row that is not valid UTF-8 is a malformed row like any other.
 //!
 //! Production traces are rarely perfectly sorted. [`Sorted`] wraps any
 //! reader with a bounded min-heap reorder buffer: inversions within the
@@ -45,25 +46,100 @@ pub enum MalformedPolicy {
     Fail,
 }
 
-/// Reads the next non-empty line into `buf`, bumping `line_no`. Returns
-/// `None` at EOF. Shared by the concrete readers.
-pub(crate) fn read_record<R: BufRead>(
+/// Reads the next non-blank line into `buf` and returns it as text,
+/// bumping `line_no` for every line read. Returns `None` at EOF. A line
+/// holding only ASCII whitespace is blank; a line that is not valid
+/// UTF-8 comes back as [`TraceError::MalformedRow`] at its own line
+/// number, so each reader's [`MalformedPolicy`] decides its fate.
+fn read_record<'b, R: BufRead>(
     input: &mut R,
-    buf: &mut String,
+    buf: &'b mut Vec<u8>,
     line_no: &mut usize,
-) -> Option<Result<(), TraceError>> {
+) -> Option<Result<&'b str, TraceError>> {
     loop {
         buf.clear();
-        match input.read_line(buf) {
+        match input.read_until(b'\n', buf) {
             Ok(0) => return None,
-            Ok(_) => {
-                *line_no += 1;
-                if !buf.trim().is_empty() {
-                    return Some(Ok(()));
-                }
-            }
+            Ok(_) => *line_no += 1,
             Err(e) => return Some(Err(TraceError::Io(e.to_string()))),
         }
+        if !buf.trim_ascii().is_empty() {
+            break;
+        }
+    }
+    Some(
+        std::str::from_utf8(buf).map_err(|e| TraceError::MalformedRow {
+            line: *line_no,
+            reason: format!("row is not valid UTF-8: {e}"),
+        }),
+    )
+}
+
+/// The line-reading state both CSV readers share: the input, one reused
+/// byte buffer, the line counter, the malformed-row policy and the
+/// count of rows it skipped.
+pub(crate) struct CsvLines<R> {
+    input: R,
+    buf: Vec<u8>,
+    line_no: usize,
+    policy: MalformedPolicy,
+    skipped: usize,
+}
+
+impl<R: BufRead> CsvLines<R> {
+    /// Reads the header row and resolves its columns with `columns`. An
+    /// input without a header reports `first` as the missing column.
+    pub(crate) fn with_header<C>(
+        input: R,
+        policy: MalformedPolicy,
+        first: &str,
+        columns: impl FnOnce(&[&str]) -> Result<C, TraceError>,
+    ) -> Result<(Self, C), TraceError> {
+        let mut lines = Self {
+            input,
+            buf: Vec::new(),
+            line_no: 0,
+            policy,
+            skipped: 0,
+        };
+        let header = read_record(&mut lines.input, &mut lines.buf, &mut lines.line_no)
+            .ok_or_else(|| TraceError::MissingColumn {
+                column: first.into(),
+            })??;
+        let header: Vec<&str> = header.trim_end().split(',').collect();
+        let columns = columns(&header)?;
+        Ok((lines, columns))
+    }
+
+    /// The next data row, split on commas and turned into an event by
+    /// `parse`. A row `parse` rejects, or one that is not valid UTF-8, is
+    /// skipped and counted under [`MalformedPolicy::Skip`] and returned
+    /// as [`TraceError::MalformedRow`] under [`MalformedPolicy::Fail`].
+    pub(crate) fn next_row(
+        &mut self,
+        parse: impl Fn(&[&str]) -> Result<TraceEvent, String>,
+    ) -> Option<Result<TraceEvent, TraceError>> {
+        loop {
+            let row =
+                read_record(&mut self.input, &mut self.buf, &mut self.line_no)?.and_then(|line| {
+                    let fields: Vec<&str> = line.trim_end().split(',').collect();
+                    parse(&fields).map_err(|reason| TraceError::MalformedRow {
+                        line: self.line_no,
+                        reason,
+                    })
+                });
+            match row {
+                Err(TraceError::MalformedRow { .. }) if self.policy == MalformedPolicy::Skip => {
+                    self.skipped += 1;
+                }
+                row => return Some(row),
+            }
+        }
+    }
+
+    /// Rows skipped so far under [`MalformedPolicy::Skip`].
+    pub(crate) fn skipped(&self) -> usize {
+        self.skipped
     }
 }
 

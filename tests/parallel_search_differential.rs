@@ -1,12 +1,10 @@
-//! Differential suite for the anytime parallel search engine.
+//! Differential suite for the anytime tabu search engine.
 //!
-//! The parallel exhaustive scan is a *logical* partitioning of the
-//! serial scan: at any `threads` value the trajectory — every committed
-//! move, every counter — must be bit-identical to the serial run, and
-//! the delta-scored runs must match the `Scoring::Full` recompute
-//! oracle. The CI matrix exercises this file at 1/2/4 threads through
-//! `CPO_SEARCH_THREADS` (defaulting to 4 here so a bare `cargo test`
-//! still crosses the serial/parallel boundary).
+//! The delta-scored scans (exhaustive and candidate-list) must walk the
+//! same trajectory as the `Scoring::Full` recompute oracle, a deadline
+//! must cut the search without changing what it has found, and the
+//! racing portfolio and the incumbent stream must honour the anytime
+//! contract.
 
 use cpo_iaas::model::deadline::Deadline;
 use cpo_iaas::prelude::*;
@@ -16,14 +14,6 @@ use cpo_iaas::tabu::search::{
 };
 use proptest::prelude::*;
 use std::time::Duration;
-
-/// Threads under test: `CPO_SEARCH_THREADS` (CI matrix), default 4.
-fn matrix_threads() -> usize {
-    std::env::var("CPO_SEARCH_THREADS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(4)
-}
 
 fn scenario(servers: usize, seed: u64) -> AllocationProblem {
     ScenarioSpec::for_size(&ScenarioSize::with_servers(servers)).generate(seed)
@@ -61,35 +51,11 @@ fn fingerprint(r: &TabuResult) -> (Vec<Option<usize>>, u64, u64, usize, usize, u
 }
 
 #[test]
-fn parallel_exhaustive_trajectory_is_bit_identical_to_serial() {
-    for (servers, seed) in [(10, 7), (14, 21), (18, 42)] {
-        let problem = scenario(servers, seed);
-        let base = TabuConfig {
-            max_iterations: 60,
-            neighborhood: Neighborhood::Exhaustive,
-            scoring: Scoring::Delta,
-            ..TabuConfig::default()
-        };
-        let serial = run(&problem, &base);
-        for threads in [2, 3, matrix_threads()] {
-            let par = run(&problem, &TabuConfig { threads, ..base });
-            assert_eq!(
-                fingerprint(&par),
-                fingerprint(&serial),
-                "threads={threads} diverged on servers={servers} seed={seed}"
-            );
-            assert_eq!(par.delta_evals, serial.delta_evals, "eval counts drift");
-            assert_eq!(par.eval_work, serial.eval_work, "work accounting drifts");
-        }
-    }
-}
-
-#[test]
 fn parallel_delta_scan_matches_the_full_scoring_oracle() {
     // Same trajectory whether candidates are scored incrementally
-    // (delta, possibly partitioned) or recomputed from scratch: the
-    // executable proof that the parallel scan reduction picks the same
-    // canonical winner as the text-book full evaluation.
+    // (delta) or recomputed in full: the executable proof that the
+    // delta scan picks the same canonical winner as the text-book full
+    // evaluation.
     let problem = scenario(12, 11);
     let base = TabuConfig {
         max_iterations: 40,
@@ -103,21 +69,18 @@ fn parallel_delta_scan_matches_the_full_scoring_oracle() {
             ..base
         },
     );
-    for threads in [1, matrix_threads()] {
-        let delta = run(
-            &problem,
-            &TabuConfig {
-                scoring: Scoring::Delta,
-                threads,
-                ..base
-            },
-        );
-        assert_eq!(
-            fingerprint(&delta),
-            fingerprint(&oracle),
-            "delta(threads={threads}) diverged from the full-scoring oracle"
-        );
-    }
+    let delta = run(
+        &problem,
+        &TabuConfig {
+            scoring: Scoring::Delta,
+            ..base
+        },
+    );
+    assert_eq!(
+        fingerprint(&delta),
+        fingerprint(&oracle),
+        "delta diverged from the full-scoring oracle"
+    );
 }
 
 #[test]
@@ -135,21 +98,18 @@ fn candidate_list_search_is_identical_across_scoring_modes_and_threads() {
             ..base
         },
     );
-    for threads in [1, matrix_threads()] {
-        let delta = run(
-            &problem,
-            &TabuConfig {
-                scoring: Scoring::Delta,
-                threads,
-                ..base
-            },
-        );
-        assert_eq!(
-            fingerprint(&delta),
-            fingerprint(&oracle),
-            "candidate-list run (threads={threads}) diverged from Scoring::Full"
-        );
-    }
+    let delta = run(
+        &problem,
+        &TabuConfig {
+            scoring: Scoring::Delta,
+            ..base
+        },
+    );
+    assert_eq!(
+        fingerprint(&delta),
+        fingerprint(&oracle),
+        "candidate-list run diverged from Scoring::Full"
+    );
 }
 
 #[test]
@@ -235,20 +195,18 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Anytime monotonicity: a candidate-list search never reports an
-    /// incumbent worse than an earlier one, at any thread count — so
-    /// cutting the run at *any* deadline yields the best-so-far.
+    /// incumbent worse than an earlier one — so cutting the run at *any*
+    /// deadline yields the best-so-far.
     #[test]
     fn candidate_list_incumbents_never_regress(
         servers in 8usize..16,
         seed in 0u64..500,
         refresh in 1usize..12,
-        threads in 1usize..5,
     ) {
         let problem = scenario(servers, seed);
         let config = TabuConfig {
             max_iterations: 40,
             neighborhood: Neighborhood::Candidates { refresh },
-            threads,
             ..TabuConfig::default()
         };
         let mut rec = Recorder(Vec::new());
