@@ -17,12 +17,6 @@
 //!   workers, and a worker can never block another for longer than a
 //!   `Vec::pop`/`Vec::push`.
 //!
-//! The sharded scheduler (`cpo_platform::shard`) deliberately does
-//! *not* use this type: shards are long-lived within a round and each
-//! owns a private `DeltaEvaluator` outright, so cross-shard scoring
-//! shares nothing. Pools are for the intra-solve hot loop, where
-//! evaluations are short and churn is high.
-//!
 //! A `Mutex` (not a thread-local) because the evaluators borrow the
 //! problem for `'a` and `thread_local!` requires `'static`.
 

@@ -91,9 +91,9 @@ pub enum FlightKind {
     /// a bounced request hit contention, and the profiler can build
     /// per-server hotspot tables.
     CommitAttempt = 15,
-    /// A sharded scheduler's allocator panicked while solving one part
-    /// of a round; the part's requests were treated as unsolved.
-    /// `a` = window, `b` = part index.
+    /// An allocator panicked while solving one part of a round (part 0
+    /// for the native engines); the part's requests were treated as
+    /// unsolved. `a` = window, `b` = part index.
     SolverPanicked = 16,
 }
 

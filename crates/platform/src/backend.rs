@@ -1,14 +1,38 @@
-//! The one window-engine interface.
+//! The one window-engine interface and the one guarded solve.
 //!
 //! [`WindowBackend`] is what a window loop needs from a platform. The
 //! continuous-time `WindowedScheduler` (in `cpo-des`) is generic over
 //! it; [`crate::executor::WindowExecutor`], [`crate::fleet::FleetExecutor`]
 //! and [`crate::shard::ShardedScheduler`] implement it.
+//!
+//! Every engine hands its allocator a problem through the crate-private
+//! `solve_round`, and only what it accepts reaches platform state. The
+//! two native engines solve a one-part round; the sharded scheduler
+//! solves one part per shard. The round builds each part's problem on
+//! the thread that solves it (parts 1..N−1 on scoped threads when the
+//! host has ≥2 cores), times `allocate` alone, and reports the round to
+//! the latency profiler. An allocator that panics does not abort the
+//! run: its part comes back unsolved — every request not accepted — the
+//! `platform.solver_panics` counter moves and a
+//! [`FlightKind::SolverPanicked`] event records the window and part.
+//!
+//! Acceptance is judged on the plan the engine applies. A request the
+//! allocator did not accept keeps its `previous` servers (a running
+//! tenant is never evicted), so acceptance is re-checked against those
+//! restored placements until it is stable: an arrival or a moved
+//! resident is never admitted into capacity a kept resident still
+//! holds. Problems without `previous` get exactly
+//! [`AllocationProblem::accepted_mask`].
+//!
+//! [`FlightKind::SolverPanicked`]: cpo_obs::flight::FlightKind::SolverPanicked
 
 use crate::accounting::WindowReport;
 use crate::tenant::TenantId;
-use cpo_core::prelude::{AllocationOutcome, Allocator};
-use cpo_model::prelude::{AllocationProblem, RequestBatch, ServerId};
+use cpo_core::prelude::Allocator;
+use cpo_model::prelude::{AllocationProblem, Assignment, RequestBatch, ServerId};
+use cpo_obs::flight;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 /// The window-engine surface `WindowedScheduler` drives: everything the
@@ -47,22 +71,115 @@ pub trait WindowBackend {
     fn resident_requests(&self) -> usize;
 }
 
-/// Solves one window's problem on the calling thread and times it; with
-/// the latency profiler on, the solve is also reported as round 0's
-/// single-shard solve phase.
-pub(crate) fn timed_solve(
+/// One part of a solve round, as its engine will apply it.
+pub(crate) struct Solved {
+    /// The part's problem.
+    pub problem: AllocationProblem,
+    /// The allocator's answer; all unplaced when the solve panicked.
+    pub assignment: Assignment,
+    /// Per request of `problem`: does the applied plan admit it?
+    pub accepted: Vec<bool>,
+}
+
+/// Solves one round of `parts` problems, `build_part(p)` building part
+/// `p` on the thread that solves it. Returns every part in order plus
+/// the round's critical path: the slowest part's `allocate` time.
+pub(crate) fn solve_round(
     allocator: &dyn Allocator,
-    problem: &AllocationProblem,
     window: u64,
-) -> (AllocationOutcome, Duration) {
+    round: u64,
+    parts: usize,
+    build_part: impl Fn(usize) -> AllocationProblem + Sync,
+) -> (Vec<Solved>, Duration) {
+    // Asked once per process: on Linux the query reads cgroup files.
+    static PARALLEL: OnceLock<bool> = OnceLock::new();
+    let parallel = parts > 1
+        && *PARALLEL
+            .get_or_init(|| std::thread::available_parallelism().is_ok_and(|p| p.get() >= 2));
     let prof_on = cpo_obs::prof::is_enabled();
     let start_us = if prof_on { cpo_obs::now_us() } else { 0 };
-    let start = Instant::now();
-    let outcome = allocator.allocate(problem);
-    let solve_time = start.elapsed();
+    let solve = |p: usize| solve_part(allocator, build_part(p));
+    let results: Vec<_> = if parallel {
+        std::thread::scope(|s| {
+            let solve = &solve;
+            let handles: Vec<_> = (1..parts).map(|p| s.spawn(move || solve(p))).collect();
+            let first = solve(0);
+            let rest = handles
+                .into_iter()
+                .map(|h| h.join().expect("panics are caught"));
+            std::iter::once(first).chain(rest).collect()
+        })
+    } else {
+        (0..parts).map(solve).collect()
+    };
     if prof_on {
-        let shard_us = [solve_time.as_micros() as u64];
-        cpo_obs::prof::solve_phase(window, 0, start_us, cpo_obs::now_us(), &shard_us);
+        let part_us: Vec<u64> = results.iter().map(|r| r.1.as_micros() as u64).collect();
+        cpo_obs::prof::solve_phase(window, round, start_us, cpo_obs::now_us(), &part_us);
     }
-    (outcome, solve_time)
+    for (p, _) in results.iter().enumerate().filter(|(_, r)| r.2) {
+        cpo_obs::counter_add("platform.solver_panics", 1);
+        let kind = flight::FlightKind::SolverPanicked;
+        flight::record(kind, flight::NONE, flight::NONE, window, p as u64);
+    }
+    let critical = results.iter().map(|r| r.1).max().unwrap_or(Duration::ZERO);
+    (results.into_iter().map(|r| r.0).collect(), critical)
+}
+
+/// Solves one part under the panic guard. Returns it with its `allocate`
+/// time and whether the allocator (or its malformed answer) panicked, in
+/// which case nothing is accepted.
+fn solve_part(allocator: &dyn Allocator, problem: AllocationProblem) -> (Solved, Duration, bool) {
+    let mut solve_time = Duration::ZERO;
+    let answer = catch_unwind(AssertUnwindSafe(|| {
+        let start = Instant::now();
+        let assignment = allocator.allocate(&problem).assignment;
+        solve_time = start.elapsed();
+        let accepted = applied_mask(&problem, &assignment);
+        (assignment, accepted)
+    }));
+    let panicked = answer.is_err();
+    let (assignment, accepted) = answer.unwrap_or_else(|_| {
+        let batch = problem.batch();
+        let unplaced = Assignment::unassigned(batch.vm_count());
+        (unplaced, vec![false; batch.request_count()])
+    });
+    let solved = Solved {
+        problem,
+        assignment,
+        accepted,
+    };
+    (solved, solve_time, panicked)
+}
+
+/// The acceptance mask of the plan an engine applies: requests the
+/// allocator did not accept keep their `previous` servers, and a request
+/// it did accept stays accepted only while it also fits beside those.
+/// Acceptance only ever shrinks, so the loop ends.
+fn applied_mask(problem: &AllocationProblem, assignment: &Assignment) -> Vec<bool> {
+    let mut accepted = problem.accepted_mask(assignment);
+    let Some(previous) = problem.previous() else {
+        return accepted;
+    };
+    loop {
+        let mut plan = assignment.clone();
+        let requests = problem.batch().requests();
+        for (req, _) in requests.iter().zip(&accepted).filter(|(_, &ok)| !ok) {
+            for &k in &req.vms {
+                match previous.server_of(k) {
+                    Some(j) => plan.assign(k, j),
+                    None => plan.unassign(k),
+                }
+            }
+        }
+        let mut changed = false;
+        for (ok, fits) in accepted.iter_mut().zip(problem.accepted_mask(&plan)) {
+            if *ok && !fits {
+                *ok = false;
+                changed = true;
+            }
+        }
+        if !changed {
+            return accepted;
+        }
+    }
 }

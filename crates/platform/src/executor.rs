@@ -20,7 +20,7 @@
 //! pins its per-window outcomes and event log.
 
 use crate::accounting::{SimReport, WindowReport};
-use crate::backend::{timed_solve, WindowBackend};
+use crate::backend::{solve_round, Solved, WindowBackend};
 use crate::lifecycle::{EventLog, Lifecycle};
 use crate::network::NetworkModel;
 use crate::sla::SlaLedger;
@@ -265,16 +265,12 @@ impl WindowExecutor {
 
     /// Builds the combined window problem: one request per running tenant
     /// (placed, in `previous`) followed by the new arrivals (unplaced).
-    /// Returns the problem plus the number of running requests.
-    pub fn build_window_problem(&self, arrivals: &RequestBatch) -> (AllocationProblem, usize) {
+    pub fn build_window_problem(&self, arrivals: &RequestBatch) -> AllocationProblem {
         let (mut batch, mut previous) = self.resident_batch();
         batch.append(arrivals.clone());
         previous.extend(std::iter::repeat_n(None, arrivals.vm_count()));
         let previous = Assignment::from_placements(previous);
-        (
-            AllocationProblem::new(self.effective_infra().into_owned(), batch, Some(previous)),
-            self.tenants.len(),
-        )
+        AllocationProblem::new(self.effective_infra().into_owned(), batch, Some(previous))
     }
 
     /// Phase 4 — solves the window problem, applies the reconfiguration
@@ -291,12 +287,18 @@ impl WindowExecutor {
     ) -> (WindowReport, Vec<TenantId>) {
         let window = self.window;
         let mut sp = cpo_obs::span!("platform.window", window = window);
-        let (problem, running_requests) = self.build_window_problem(arrivals);
-        let (outcome, solve_time) = timed_solve(allocator, &problem, window);
-        let accepted = problem.accepted_mask(&outcome.assignment);
+        let running_requests = self.tenants.len();
+        let (mut solved, solve_time) = solve_round(allocator, window, 0, 1, |_| {
+            self.build_window_problem(arrivals)
+        });
+        let Solved {
+            problem,
+            assignment,
+            accepted,
+        } = solved.pop().expect("one part");
 
         // --- Apply to running tenants (never evicted: a tenant whose
-        //     request the allocator failed keeps its old placement). ---
+        //     request the plan does not accept keeps its old placement). ---
         let mut migrations = 0usize;
         let mut migration_cost = 0.0;
         let mut denied_flows = 0usize;
@@ -308,7 +310,7 @@ impl WindowExecutor {
                 let mut moved = false;
                 for local in 0..n {
                     let k = VmId(vm_base + local);
-                    let new_server = outcome.assignment.server_of(k).expect("accepted ⇒ placed");
+                    let new_server = assignment.server_of(k).expect("accepted ⇒ placed");
                     let old_server = t.placement[local];
                     if new_server != old_server {
                         migrations += 1;
@@ -345,7 +347,7 @@ impl WindowExecutor {
                 let vms = &problem.batch().request(req_id).vms;
                 let placement: Vec<ServerId> = vms
                     .iter()
-                    .map(|&k| outcome.assignment.server_of(k).expect("accepted ⇒ placed"))
+                    .map(|&k| assignment.server_of(k).expect("accepted ⇒ placed"))
                     .collect();
                 denied_flows +=
                     self.apply_admission(tid, arrivals, req, placement, lifetime, window);
@@ -480,9 +482,8 @@ impl WindowExecutor {
             }
             // Online invariant monitors (Eqs. 4/16 capacity, 5/17
             // placement, 9–14 affinity) over the *live* platform state.
-            // Running tenants are never evicted and were feasible at
-            // admission, so any violation here is a platform bug or a
-            // failure-induced capacity loss worth flagging.
+            // Every plan applied was accepted beside the tenants it kept,
+            // so any violation here is a platform bug.
             if flight::is_enabled() {
                 let report =
                     cpo_model::constraints::check(&state_assignment, &state_batch, &self.infra);
@@ -659,7 +660,7 @@ impl WindowBackend for WindowExecutor {
 mod tests {
     use super::*;
     use crate::lifecycle::Event;
-    use cpo_core::prelude::RoundRobinAllocator;
+    use cpo_core::prelude::{AllocationOutcome, RoundRobinAllocator};
     use cpo_model::attr::AttrSet;
 
     fn executor(servers: usize, vms_per_window: usize) -> WindowExecutor {
@@ -949,6 +950,54 @@ mod tests {
         if live_pairs == 0 {
             assert_eq!(exec.network().unwrap().peak_utilization(), 0.0);
         }
+    }
+
+    /// Leaves every resident unplaced and stacks every arrival onto the
+    /// first resident's server (server 0 while nothing is resident).
+    struct DropResidents;
+
+    impl Allocator for DropResidents {
+        fn name(&self) -> &'static str {
+            "drop-residents"
+        }
+
+        fn allocate(&self, problem: &AllocationProblem) -> AllocationOutcome {
+            let previous = problem.previous().expect("a window problem");
+            let target = previous
+                .iter_assigned()
+                .next()
+                .map_or(ServerId(0), |(_, j)| j);
+            let mut assignment = Assignment::unassigned(problem.n());
+            for k in (0..problem.n()).map(VmId) {
+                if previous.server_of(k).is_none() {
+                    assignment.assign(k, target);
+                }
+            }
+            AllocationOutcome::from_assignment(problem, assignment, Vec::new(), Duration::ZERO, 0)
+        }
+    }
+
+    #[test]
+    fn arrival_never_takes_capacity_a_kept_resident_holds() {
+        let mut exec = executor(2, 1);
+        let mut one = RequestBatch::new();
+        one.push_request(vec![vm_spec(20.0, 4096.0, 40.0)], vec![]);
+        // Window 0: the 20-vCPU resident lands on server 0.
+        let ids = exec.register_arrivals(&one);
+        let (r0, _) = exec.execute(&DropResidents, &one, &ids, LifetimePolicy::External);
+        assert_eq!(r0.admitted, 1);
+        // Window 1: the plan drops the resident — it keeps server 0 — and
+        // stacks a second 20-vCPU arrival there: 40 of 28.8 vCPUs.
+        let ids = exec.register_arrivals(&one);
+        let (r1, admitted) = exec.execute(&DropResidents, &one, &ids, LifetimePolicy::External);
+        assert_eq!((r1.admitted, r1.rejected), (0, 1));
+        assert!(admitted.is_empty());
+        assert_eq!(exec.tenants()[0].placement, [ServerId(0)]);
+        assert!(
+            exec.verify_state().is_feasible(),
+            "{:?}",
+            exec.verify_state()
+        );
     }
 
     #[test]

@@ -31,7 +31,7 @@
 //! hosted VM contributes the server's usage cost.
 
 use crate::accounting::WindowReport;
-use crate::backend::{timed_solve, WindowBackend};
+use crate::backend::{solve_round, WindowBackend};
 use crate::lifecycle::Lifecycle;
 use crate::store::PlacementStore;
 use crate::tenant::TenantId;
@@ -293,18 +293,19 @@ impl WindowBackend for FleetExecutor {
     ) -> (WindowReport, Vec<TenantId>) {
         let window = self.window;
         let mut sp = cpo_obs::span!("platform.window", window = window);
-        let problem = AllocationProblem::new(self.store.residual_clone(), arrivals.clone(), None);
-        let (outcome, solve_time) = timed_solve(allocator, &problem, window);
-        let accepted = problem.accepted_mask(&outcome.assignment);
+        let (mut solved, solve_time) = solve_round(allocator, window, 0, 1, |_| {
+            AllocationProblem::new(self.store.residual_clone(), arrivals.clone(), None)
+        });
+        let solved = solved.pop().expect("one part");
 
         let mut admitted = 0usize;
         let mut rejected = 0usize;
         let mut admitted_ids = Vec::new();
         for (i, req) in arrivals.requests().iter().enumerate() {
             let tid = arrival_tenant_ids[i];
-            if accepted[i] {
+            if solved.accepted[i] {
                 let server_of = |_, k| {
-                    let j = outcome.assignment.server_of(k);
+                    let j = solved.assignment.server_of(k);
                     j.expect("accepted ⇒ placed").index() as u32
                 };
                 self.admit_request(tid, window, arrivals, req, server_of, true);

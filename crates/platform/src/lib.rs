@@ -13,7 +13,8 @@
 //!   (migrations, Eq. 26) → admit/reject, run fixed-step by
 //!   [`executor::WindowExecutor::step`];
 //! * [`backend`] — [`backend::WindowBackend`], the one window-engine
-//!   trait every engine implements and the `cpo-des` scheduler drives;
+//!   trait every engine implements and the `cpo-des` scheduler drives,
+//!   and the one panic-guarded solve every engine calls;
 //! * [`lifecycle`] — `Lifecycle`, the one recorder of tenant lifecycles
 //!   both engines share (id minting, flight correlation keys, lifecycle
 //!   flight events, window-close metrics), and the append-only
@@ -28,7 +29,8 @@
 //!
 //! Running tenants are never evicted: if the optimizer's plan drops one,
 //! the platform keeps its previous placement and pays only planned
-//! migrations.
+//! migrations. Admission is judged on that applied plan, so nothing is
+//! admitted into capacity a kept tenant still holds.
 //!
 //! ```
 //! use cpo_model::prelude::*;

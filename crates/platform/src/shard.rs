@@ -3,10 +3,10 @@
 //!
 //! [`ShardedScheduler`] partitions each window's arrivals across N
 //! worker shards. Every round, each shard solves its slice as an
-//! independent admission problem on a shared [`StoreSnapshot`] — with
-//! its **own** [`DeltaEvaluator`] for solution scoring, never a shared
-//! pool — and the coordinator then replays the proposed placements
-//! through [`PlacementStore::try_commit`] in global arrival order:
+//! independent admission problem on a shared
+//! [`StoreSnapshot`](crate::store::StoreSnapshot), and the coordinator
+//! then replays the proposed placements through
+//! [`PlacementStore::try_commit`] in global arrival order:
 //!
 //! * **committed** → the backend applies the admission (the commit
 //!   already reserved the capacity);
@@ -35,19 +35,15 @@
 //! the copy — which then moves into the part's [`AllocationProblem`],
 //! so each part copies the residual exactly once per round.
 //!
-//! Part 0 solves on the coordinator's own thread; when the host has ≥2
-//! CPUs, parts 1..N−1 solve on `std::thread::scope` threads spawned for
-//! the round, and on a single CPU all parts run serially. Each solve is
-//! timed individually either way, and the *modeled* window service time
-//! under the DES clock is the critical path — `max` over shards per
-//! round — which is what [`WindowReport::solve_time`] carries for a
-//! sharded window.
-//!
-//! A part whose solve panics does not abort the run: it yields no
-//! solution, its requests take the unsolved path (bounce while the part
-//! was masked, reject otherwise), the `shard.solver_panics` counter
-//! moves and a [`FlightKind::SolverPanicked`] event records the window
-//! and part.
+//! A round is one call of the crate's guarded solve (see
+//! [`crate::backend`]): part 0 solves on the coordinator's own thread,
+//! parts 1..N−1 on scoped threads when the host has ≥2 CPUs, each solve
+//! timed individually. The *modeled* window service time under the DES
+//! clock is the critical path — the slowest part of each round plus the
+//! commit phase — which is what [`WindowReport::solve_time`] carries for
+//! a sharded window. A part whose solve panics comes back with nothing
+//! accepted, so its requests take the unsolved path: they bounce while
+//! the part was masked and are rejected otherwise.
 //!
 //! At `shards = 1` the scheduler is bit-identical to the unsharded
 //! path: a [`WindowExecutor`] backend delegates to its native solve
@@ -56,20 +52,16 @@
 //! quiescent store commits every accepted request without conflict, and
 //! the per-VM commit arithmetic is the same float sequence as the
 //! native path (proven by `tests/sharded_equivalence.rs`).
-//!
-//! [`FlightKind::SolverPanicked`]: cpo_obs::flight::FlightKind::SolverPanicked
 
 use crate::accounting::WindowReport;
-use crate::backend::WindowBackend;
+use crate::backend::{solve_round, WindowBackend};
 use crate::executor::{LifetimePolicy, WindowExecutor, WindowTotals};
 use crate::fleet::FleetExecutor;
-use crate::store::{CommitCtx, PlacementStore, StoreSnapshot};
+use crate::store::{CommitCtx, PlacementStore};
 use crate::tenant::TenantId;
 use cpo_core::prelude::Allocator;
-use cpo_model::delta::DeltaEvaluator;
 use cpo_model::prelude::*;
-use cpo_obs::flight;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// How a round's remaining requests are divided among the shards.
@@ -233,7 +225,8 @@ type RoundPartition = (Vec<Vec<usize>>, Vec<(usize, usize)>, Vec<Option<Vec<bool
 /// fit is masked to the union of its regions, making the shards'
 /// solves disjoint by construction; a part holding any
 /// [`Region::Unplaced`] request keeps the full fleet view, since the
-/// dry run has no region to confine it to.
+/// dry run has no region to confine it to. One part is `remaining`
+/// itself, unmasked, with no dry run.
 fn partition_round(
     strategy: PartitionStrategy,
     residual: &Infrastructure,
@@ -242,6 +235,10 @@ fn partition_round(
     shard_count: usize,
     mask_regions: bool,
 ) -> RoundPartition {
+    if shard_count == 1 {
+        let slots = (0..remaining.len()).map(|local| (0, local)).collect();
+        return (vec![remaining.to_vec()], slots, vec![None]);
+    }
     let mut parts: Vec<Vec<usize>> = vec![Vec::new(); shard_count];
     let mut slots: Vec<(usize, usize)> = Vec::with_capacity(remaining.len());
     let mut masks: Vec<Option<Vec<bool>>> = vec![None; shard_count];
@@ -272,7 +269,7 @@ fn partition_round(
                     Region::Unplaced(_) => confinable[part] = false,
                 }
             }
-            if mask_regions && shard_count > 1 {
+            if mask_regions {
                 for (p, owned) in owned.into_iter().enumerate() {
                     if confinable[p] && !parts[p].is_empty() {
                         masks[p] = Some(owned);
@@ -339,111 +336,6 @@ pub trait ShardBackend: WindowBackend {
         denied_flows: usize,
         solve_time: Duration,
     ) -> WindowReport;
-}
-
-/// One shard's solved slice of a round.
-struct ShardSolution {
-    problem: AllocationProblem,
-    assignment: Assignment,
-    /// Per local request: did the solver accept it?
-    accepted: Vec<bool>,
-    /// Wall time of this shard's solve, measured individually.
-    solve_time: Duration,
-}
-
-/// Solves one part against `residual`, which the part owns: it moves
-/// straight into the part's [`AllocationProblem`] without another copy.
-fn solve_shard(
-    allocator: &dyn Allocator,
-    arrivals: &RequestBatch,
-    residual: Infrastructure,
-    indices: &[usize],
-    full_batch: bool,
-) -> ShardSolution {
-    let batch = if full_batch {
-        arrivals.clone()
-    } else {
-        arrivals.subset(indices)
-    };
-    let problem = AllocationProblem::new(residual, batch, None);
-    let start = Instant::now();
-    let outcome = allocator.allocate(&problem);
-    let solve_time = start.elapsed();
-    // Same admission predicate as the native paths.
-    let accepted = problem.accepted_mask(&outcome.assignment);
-    // Score the shard's solution with its own owned evaluator — each
-    // shard gets a private DeltaEvaluator over its private problem, so
-    // no lock is ever held across a solve (the Mutex evaluator *pools*
-    // in cpo-core remain, but only for intra-solve rayon scoring). The
-    // score and the solve count go only to the metrics registry, so the
-    // scoring runs only while the registry records.
-    if cpo_obs::is_enabled() {
-        let ev = DeltaEvaluator::new(&problem, outcome.assignment.clone());
-        let score = ev.score();
-        cpo_obs::gauge_set("shard.solution_cost", score.total_cost());
-        cpo_obs::counter_add("shard.solves", 1);
-    }
-    ShardSolution {
-        assignment: outcome.assignment,
-        problem,
-        accepted,
-        solve_time,
-    }
-}
-
-/// Whether the host has ≥2 CPUs. Asked once per process: on Linux the
-/// query reads cgroup files, which is not worth repeating every round.
-fn host_is_parallel() -> bool {
-    static PARALLEL: OnceLock<bool> = OnceLock::new();
-    *PARALLEL.get_or_init(|| std::thread::available_parallelism().is_ok_and(|p| p.get() >= 2))
-}
-
-/// Solves one round's partitions: part 0 on the calling thread and the
-/// other N−1 on scoped threads when the host has the cores for it,
-/// serially otherwise. Either way each shard's solve is timed
-/// individually, so the critical-path (max-over-shards) window service
-/// time is honest on any host.
-///
-/// A part whose solve panics yields `None` instead of aborting the run:
-/// the caller treats its requests as unsolved.
-fn solve_round(
-    allocator: &dyn Allocator,
-    arrivals: &RequestBatch,
-    snapshot: &StoreSnapshot,
-    parts: &[Vec<usize>],
-    masks: &[Option<Vec<bool>>],
-) -> Vec<Option<ShardSolution>> {
-    let full_batch = parts.len() == 1 && parts[0].len() == arrivals.request_count();
-    let solve_one = |p: usize| {
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match &masks[p] {
-            Some(mask) => {
-                let masked = masked_residual(&snapshot.residual, mask);
-                solve_shard(allocator, arrivals, masked, &parts[p], false)
-            }
-            None => solve_shard(
-                allocator,
-                arrivals,
-                snapshot.residual.clone(),
-                &parts[p],
-                full_batch,
-            ),
-        }))
-        .ok()
-    };
-    if parts.len() > 1 && host_is_parallel() {
-        std::thread::scope(|s| {
-            let handles: Vec<_> = (1..parts.len())
-                .map(|p| s.spawn(move || solve_one(p)))
-                .collect();
-            let mut solutions = Vec::with_capacity(parts.len());
-            solutions.push(solve_one(0));
-            // `solve_one` catches every panic, so a join cannot fail.
-            solutions.extend(handles.into_iter().map(|h| h.join().unwrap_or(None)));
-            solutions
-        })
-    } else {
-        (0..parts.len()).map(solve_one).collect()
-    }
 }
 
 /// Partitions incoming requests across N worker shards solving on store
@@ -539,39 +431,21 @@ impl<B: ShardBackend> WindowBackend for ShardedScheduler<B> {
                 shard_count,
                 !last_round,
             );
-            let prof_on = cpo_obs::prof::is_enabled();
-            let solve_start_us = if prof_on { cpo_obs::now_us() } else { 0 };
-            let solutions = solve_round(allocator, arrivals, &snapshot, &parts, &masks);
-            for (p, _) in solutions.iter().enumerate().filter(|(_, s)| s.is_none()) {
-                cpo_obs::counter_add("shard.solver_panics", 1);
-                flight::record(
-                    flight::FlightKind::SolverPanicked,
-                    flight::NONE,
-                    flight::NONE,
-                    window,
-                    p as u64,
-                );
-            }
-            let solve_time =
-                |s: &Option<ShardSolution>| s.as_ref().map_or(Duration::ZERO, |s| s.solve_time);
-            if prof_on {
-                let shard_us: Vec<u64> = solutions
-                    .iter()
-                    .map(|s| solve_time(s).as_micros() as u64)
-                    .collect();
-                cpo_obs::prof::solve_phase(
-                    window,
-                    round,
-                    solve_start_us,
-                    cpo_obs::now_us(),
-                    &shard_us,
-                );
-            }
-            solve_critical += solutions
-                .iter()
-                .map(solve_time)
-                .max()
-                .unwrap_or(Duration::ZERO);
+            let full_batch = shard_count == 1 && remaining.len() == n;
+            let (solved, solve_time) = solve_round(allocator, window, round, shard_count, |p| {
+                let residual = match &masks[p] {
+                    Some(mask) => masked_residual(&snapshot.residual, mask),
+                    None => snapshot.residual.clone(),
+                };
+                let batch = if full_batch {
+                    arrivals.clone()
+                } else {
+                    arrivals.subset(&parts[p])
+                };
+                AllocationProblem::new(residual, batch, None)
+            });
+            cpo_obs::counter_add("shard.solves", shard_count as u64);
+            solve_critical += solve_time;
 
             // Commit phase: decide every remaining request in global
             // arrival order, sequentially against the live store.
@@ -582,12 +456,8 @@ impl<B: ShardBackend> WindowBackend for ShardedScheduler<B> {
                 let (part, local) = slots[p];
                 let local = RequestId(local);
                 let tid = arrival_tenant_ids[i];
-                // A part whose solver panicked solved nothing: its
-                // requests take the unsolved path like a rejection.
-                let Some(sol) = solutions[part]
-                    .as_ref()
-                    .filter(|sol| sol.accepted[local.index()])
-                else {
+                let sol = &solved[part];
+                if !sol.accepted[local.index()] {
                     if masks[part].is_some() {
                         // A masked solve only saw the regions its shard
                         // owns — its rejection is not evidence the fleet
@@ -601,7 +471,7 @@ impl<B: ShardBackend> WindowBackend for ShardedScheduler<B> {
                         rejected += 1;
                     }
                     continue;
-                };
+                }
                 let local_req = sol.problem.batch().request(local);
                 placement.clear();
                 placement.extend(
@@ -641,9 +511,7 @@ impl<B: ShardBackend> WindowBackend for ShardedScheduler<B> {
             }
             let commit_elapsed = commit_start.elapsed();
             commit_wall += commit_elapsed;
-            if prof_on {
-                cpo_obs::prof::commit_phase(window, round, commit_elapsed.as_micros() as u64);
-            }
+            cpo_obs::prof::commit_phase(window, round, commit_elapsed.as_micros() as u64);
             remaining = bounced;
             round += 1;
         }

@@ -11,12 +11,19 @@ use std::io::Write as _;
 
 const SAMPLE: &str = include_str!("../examples/data/azure_sample.csv");
 
-fn sample_path() -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join("cpo_trace_ingestion_tests");
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("azure_sample.csv");
-    std::fs::write(&path, SAMPLE).unwrap();
-    path
+/// The sample trace on disk, written once per process: tests run
+/// concurrently, and rewriting a file another test is reading truncates
+/// it under the reader. The process id keeps concurrent test binaries
+/// apart.
+fn sample_path() -> &'static std::path::Path {
+    static PATH: std::sync::OnceLock<std::path::PathBuf> = std::sync::OnceLock::new();
+    PATH.get_or_init(|| {
+        let dir = std::env::temp_dir().join("cpo_trace_ingestion_tests");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(format!("azure_sample_{}.csv", std::process::id()));
+        std::fs::write(&path, SAMPLE).unwrap();
+        path
+    })
 }
 
 fn replay(seed: u64, factor: usize) -> Vec<(usize, usize, usize)> {
