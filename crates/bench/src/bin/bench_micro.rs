@@ -18,18 +18,24 @@
 //!   scan (placement fingerprint and deterministic counters);
 //! * `tabu.candidate_list` — candidate-list neighborhood vs the
 //!   exhaustive scan (scan reduction, deterministic counters);
+//! * `nsga3_tabu.allocate` — one serial `Effort::Quick` NSGA-III + tabu
+//!   repair `allocate` (seed 42) on [`reconfig_problem`]: wall time,
+//!   evaluations and the outcome fingerprint `tests/nsga3_tabu_pin.rs`
+//!   pins;
 //! * `alloc.<label>.flight_{off,on}` — one allocator sweep with the
 //!   flight recorder disabled vs enabled, plus the overhead ratio. The
 //!   recorder's acceptance bar is ≤5% overhead when enabled; the ratio
 //!   is reported, not asserted, because CI machines are noisy.
 
 use cpo_bench::report::{Cell, Report};
-use cpo_bench::{admissible_fig8_problem, bench_problem};
+use cpo_bench::{admissible_fig8_problem, bench_problem, outcome_fingerprint, reconfig_problem};
 use cpo_core::cp_alloc::build_batch_csp;
+use cpo_core::prelude::{Allocator, EvoAllocator};
 use cpo_cpsolve::prelude::*;
 use cpo_des::queue::synthetic_churn;
 use cpo_exper::runner::{Algorithm, Effort};
 use cpo_model::prelude::*;
+use cpo_moea::prelude::NsgaConfig;
 use cpo_obs::flight;
 use cpo_tabu::{tabu_search, Neighborhood, Scoring, TabuConfig};
 use std::time::Instant;
@@ -233,6 +239,31 @@ fn main() {
                 .int("delta_evals", result.delta_evals as i128)
                 .int("candidates_scanned", result.candidates_scanned as i128)
                 .float("scan_reduction", scan_reduction),
+        );
+    }
+
+    // --- the paper's hybrid: one NSGA-III + tabu repair solve --------
+    {
+        let problem = reconfig_problem();
+        let allocator = EvoAllocator::nsga3_tabu(NsgaConfig {
+            parallel_eval: false,
+            ..Effort::Quick.nsga_config()
+        })
+        .with_seed(42);
+        let mut outcome = None;
+        let wall_ns = median_ns(5, || outcome = Some(allocator.allocate(&problem)));
+        let outcome = outcome.expect("nsga3-tabu ran");
+        let fingerprint = outcome_fingerprint(&outcome);
+        println!(
+            "nsga3_tabu.allocate: {:.2} ms, {} evaluations, fingerprint {fingerprint:#018x}",
+            wall_ns as f64 / 1e6,
+            outcome.evaluations
+        );
+        report.push(
+            Cell::new("nsga3_tabu.allocate")
+                .int("wall_ns", wall_ns as i128)
+                .int("evaluations", outcome.evaluations as i128)
+                .int("fingerprint", fingerprint as i128),
         );
     }
 

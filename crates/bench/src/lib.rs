@@ -30,6 +30,46 @@ pub fn bench_problem(servers: usize, heavy: bool, seed: u64) -> AllocationProble
     spec.generate(seed)
 }
 
+/// The reconfiguration cell that pins the evolutionary allocators: the
+/// 24-server seed-42 scenario (affinity rules included), placed once by
+/// Round Robin, whose busiest server then fails (capacity zeroed), so the
+/// solve must move its residents away from the running allocation.
+pub fn reconfig_problem() -> AllocationProblem {
+    use cpo_core::prelude::{Allocator, RoundRobinAllocator};
+    use cpo_model::prelude::ServerId;
+    let fresh = bench_problem(24, false, 42);
+    let previous = RoundRobinAllocator.allocate(&fresh).assignment;
+    let mut hosted = vec![0usize; fresh.m()];
+    for (_, j) in previous.iter_assigned() {
+        hosted[j.index()] += 1;
+    }
+    let busiest = (0..fresh.m()).fold(0, |best, j| if hosted[j] > hosted[best] { j } else { best });
+    let mut infra = fresh.infra().clone();
+    infra.set_capacity(ServerId(busiest), &vec![0.0; infra.attr_count()]);
+    AllocationProblem::new(infra, fresh.batch().clone(), Some(previous))
+}
+
+/// FNV-1a over an outcome's decision: each VM's server (`u64::MAX` when
+/// unassigned), the rejected request ids, the evaluation count and the
+/// bits of the three objectives.
+pub fn outcome_fingerprint(outcome: &cpo_core::prelude::AllocationOutcome) -> u64 {
+    use cpo_model::prelude::VmId;
+    let a = &outcome.assignment;
+    let words = (0..a.len())
+        .map(|k| a.server_of(VmId(k)).map_or(u64::MAX, |j| j.index() as u64))
+        .chain(outcome.rejected.iter().map(|r| r.index() as u64))
+        .chain([outcome.evaluations as u64])
+        .chain(outcome.objectives.as_array().map(f64::to_bits));
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    for word in words {
+        for b in word.to_le_bytes() {
+            hash ^= u64::from(b);
+            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    hash
+}
+
 /// Prints one figure's data table by calling the exper harness with a
 /// small run count — the rows `cargo bench` leaves in its log are the
 /// regenerated figure.

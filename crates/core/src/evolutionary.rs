@@ -18,7 +18,7 @@ use crate::allocator::{AllocationOutcome, Allocator};
 use crate::cp_repair::CpRepair;
 use crate::moea_problem::AllocMoeaProblem;
 use cpo_model::prelude::*;
-use cpo_moea::prelude::{run, NsgaConfig, Repair, RepairMode, Variant};
+use cpo_moea::prelude::{run, Evaluation, NsgaConfig, Repair, RepairMode, Variant};
 use cpo_tabu::repair::{repair as tabu_repair, RepairConfig};
 use std::time::Instant;
 
@@ -187,29 +187,18 @@ impl Allocator for EvoAllocator {
         let repair: Option<&dyn Repair> = match &self.hybrid {
             Hybrid::None => None,
             Hybrid::Tabu(cfg) => {
-                let cfg = *cfg;
-                tabu_closure = move |genes: &mut [f64]| -> bool {
-                    let mut a = codec.decode(genes);
-                    let outcome = tabu_repair(problem, &mut a, &cfg);
-                    if outcome.moves > 0 {
-                        genes.copy_from_slice(&codec.encode(&a));
-                        true
-                    } else {
-                        false
-                    }
-                };
+                let (adapter, cfg) = (&adapter, *cfg);
+                tabu_closure = move |genes: &mut [f64]| Some(adapter.tabu_repair(genes, &cfg));
                 Some(&tabu_closure)
             }
             Hybrid::Cp(cp) => {
                 let cp = cp.clone();
-                cp_closure = move |genes: &mut [f64]| -> bool {
+                cp_closure = move |genes: &mut [f64]| -> Option<Evaluation> {
                     let mut a = codec.decode(genes);
                     if cp.repair(problem, &mut a) {
                         genes.copy_from_slice(&codec.encode(&a));
-                        true
-                    } else {
-                        false
                     }
+                    None
                 };
                 Some(&cp_closure)
             }

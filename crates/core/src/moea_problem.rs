@@ -1,36 +1,57 @@
 //! Adapter exposing an [`AllocationProblem`] to the MOEA engine: genes are
-//! server ids (real-coded), objectives are the three Eq. 15 terms, and the
+//! server ids (real-coded), objectives are the three Eq. 15 terms (or
+//! their weighted sum, for the weighted-sum GA), and the
 //! constraint-violation degree feeds constraint-domination.
 //!
-//! Genome evaluation reuses pooled [`DeltaEvaluator`]s: each rayon worker
-//! pops one from the pool, `reset`s it onto the decoded assignment (every
-//! buffer — tracker matrix, per-server occupancy lists, penalty caches —
-//! is reused, no per-genome allocation of derived state), scores, and
-//! returns it. Scores are bit-identical to the old per-genome
-//! `check`/`evaluate` pair, pinned by `evaluation_matches_direct_model_calls`.
+//! All scoring runs on one [`EvaluatorPool`] per adapter: each caller
+//! checks an evaluator out, `reset`s it onto the decoded assignment
+//! (every buffer — tracker matrix, per-server occupancy lists, penalty
+//! caches — is reused, no per-genome allocation of derived state), works
+//! on it, and returns it. Two callers share the pool:
+//!
+//! * [`MoeaProblem::evaluate`] scores a genome — bit-identical to the
+//!   per-genome `check`/`evaluate` pair, pinned by
+//!   `evaluation_matches_direct_model_calls`;
+//! * [`AllocMoeaProblem::tabu_repair`], the engine's repair hook, runs the
+//!   paper's tabu repair ([`repair_on`]) on the pooled evaluator and hands
+//!   the evaluator's final score over as the repaired genome's
+//!   evaluation, so the engine does not decode and score it again.
 
 use crate::encoding::GenomeCodec;
+use cpo_model::delta::MoveScore;
 use cpo_model::eval_pool::EvaluatorPool;
 use cpo_model::prelude::*;
 use cpo_moea::prelude::{Evaluation, MoeaProblem};
+use cpo_tabu::repair::{repair_on, RepairConfig};
 
 /// The allocation problem in MOEA clothing.
 pub struct AllocMoeaProblem<'a> {
     problem: &'a AllocationProblem,
     codec: GenomeCodec,
+    /// `Some` scalarises the three objectives to one weighted sum.
+    weights: Option<[f64; 3]>,
     /// Shared evaluator pool — brief pop/push locks only, never held
-    /// across a score (see [`EvaluatorPool`]).
+    /// across a score or a repair (see [`EvaluatorPool`]).
     pool: EvaluatorPool<'a>,
 }
 
 impl<'a> AllocMoeaProblem<'a> {
-    /// Wraps a problem.
+    /// Wraps a problem with the three Eq. 15 objectives.
     pub fn new(problem: &'a AllocationProblem) -> Self {
-        let codec = GenomeCodec::new(problem.m(), problem.n());
         Self {
             problem,
-            codec,
+            codec: GenomeCodec::new(problem.m(), problem.n()),
+            weights: None,
             pool: EvaluatorPool::new(problem),
+        }
+    }
+
+    /// Wraps a problem with one objective: the weighted sum of the three
+    /// Eq. 15 terms, weights for (usage+opex, downtime, migration).
+    pub fn weighted(problem: &'a AllocationProblem, weights: [f64; 3]) -> Self {
+        Self {
+            weights: Some(weights),
+            ..Self::new(problem)
         }
     }
 
@@ -44,9 +65,32 @@ impl<'a> AllocMoeaProblem<'a> {
         self.problem
     }
 
-    /// Scores an assignment on a pooled evaluator.
-    fn pooled_score(&self, assignment: Assignment) -> cpo_model::delta::MoveScore {
-        self.pool.score(assignment)
+    /// The engine's view of a score: the objectives this adapter exposes
+    /// plus the violation degree.
+    fn evaluation(&self, score: MoveScore) -> Evaluation {
+        let objectives = match self.weights {
+            None => score.objectives.as_array().to_vec(),
+            Some(w) => vec![score.objectives.weighted(w)],
+        };
+        Evaluation {
+            objectives,
+            violation: score.violation,
+        }
+    }
+
+    /// The paper's tabu repair (Figs. 5–6) as the engine's repair hook:
+    /// repairs the decoded genome on a pooled evaluator, writes the
+    /// result back into `genes` when a VM moved (an unmoved genome keeps
+    /// its exact genes), and returns the evaluator's final score — equal
+    /// to [`MoeaProblem::evaluate`] of the repaired genes bit for bit.
+    pub fn tabu_repair(&self, genes: &mut [f64], config: &RepairConfig) -> Evaluation {
+        let score = self.pool.with(self.codec.decode(genes), |ev| {
+            if repair_on(ev, config).moves > 0 {
+                genes.copy_from_slice(&self.codec.encode(ev.assignment()));
+            }
+            ev.score()
+        });
+        self.evaluation(score)
     }
 }
 
@@ -56,7 +100,11 @@ impl MoeaProblem for AllocMoeaProblem<'_> {
     }
 
     fn n_objectives(&self) -> usize {
-        3
+        if self.weights.is_some() {
+            1
+        } else {
+            3
+        }
     }
 
     fn bounds(&self, _i: usize) -> (f64, f64) {
@@ -64,16 +112,15 @@ impl MoeaProblem for AllocMoeaProblem<'_> {
     }
 
     fn evaluate(&self, genes: &[f64]) -> Evaluation {
-        let assignment = self.codec.decode(genes);
-        let score = self.pooled_score(assignment);
-        Evaluation {
-            objectives: score.objectives.as_array().to_vec(),
-            violation: score.violation,
-        }
+        self.evaluation(self.pool.score(self.codec.decode(genes)))
     }
 
     fn name(&self) -> &str {
-        "iaas-allocation"
+        if self.weights.is_some() {
+            "iaas-allocation-weighted"
+        } else {
+            "iaas-allocation"
+        }
     }
 }
 

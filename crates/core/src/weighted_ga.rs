@@ -6,45 +6,11 @@
 //! objective instead of the three-dimensional Pareto search.
 
 use crate::allocator::{AllocationOutcome, Allocator};
-use crate::encoding::GenomeCodec;
-use cpo_model::eval_pool::EvaluatorPool;
+use crate::moea_problem::AllocMoeaProblem;
 use cpo_model::prelude::*;
-use cpo_moea::prelude::{run, Evaluation, MoeaProblem, NsgaConfig, Repair, Variant};
+use cpo_moea::prelude::{run, NsgaConfig, Repair, Variant};
 use cpo_tabu::repair::{repair as tabu_repair, RepairConfig, ScanOrder};
 use std::time::Instant;
-
-/// The allocation problem scalarised to one objective. Genome scoring
-/// reuses a pooled [`EvaluatorPool`], as in
-/// [`AllocMoeaProblem`](crate::moea_problem::AllocMoeaProblem).
-struct WeightedProblem<'a> {
-    problem: &'a AllocationProblem,
-    codec: GenomeCodec,
-    weights: [f64; 3],
-    pool: EvaluatorPool<'a>,
-}
-
-impl MoeaProblem for WeightedProblem<'_> {
-    fn n_vars(&self) -> usize {
-        self.problem.n()
-    }
-    fn n_objectives(&self) -> usize {
-        1
-    }
-    fn bounds(&self, _i: usize) -> (f64, f64) {
-        self.codec.bounds()
-    }
-    fn evaluate(&self, genes: &[f64]) -> Evaluation {
-        let a = self.codec.decode(genes);
-        let score = self.pool.score(a);
-        Evaluation {
-            objectives: vec![score.objectives.weighted(self.weights)],
-            violation: score.violation,
-        }
-    }
-    fn name(&self) -> &str {
-        "iaas-allocation-weighted"
-    }
-}
 
 /// Single-objective GA with tabu repair: the weighted-sum baseline.
 #[derive(Clone, Debug)]
@@ -90,25 +56,12 @@ impl Allocator for WeightedGaAllocator {
     fn allocate(&self, problem: &AllocationProblem) -> AllocationOutcome {
         let mut sp = cpo_obs::span!("allocator.allocate", algo = self.name());
         let start = Instant::now();
-        let codec = GenomeCodec::new(problem.m(), problem.n());
-        let adapter = WeightedProblem {
-            problem,
-            codec,
-            weights: self.weights,
-            pool: EvaluatorPool::new(problem),
-        };
-
+        // The allocation problem scalarised to one objective, with the
+        // hybrids' pooled tabu-repair hook.
+        let adapter = AllocMoeaProblem::weighted(problem, self.weights);
+        let codec = adapter.codec();
         let repair_cfg = self.repair;
-        let fixer = move |genes: &mut [f64]| -> bool {
-            let mut a = codec.decode(genes);
-            let outcome = tabu_repair(problem, &mut a, &repair_cfg);
-            if outcome.moves > 0 {
-                genes.copy_from_slice(&codec.encode(&a));
-                true
-            } else {
-                false
-            }
-        };
+        let fixer = |genes: &mut [f64]| Some(adapter.tabu_repair(genes, &repair_cfg));
         let repair: &dyn Repair = &fixer;
         let result = run(&adapter, &self.config, Some(repair));
 

@@ -7,7 +7,7 @@ use cpo_core::prelude::{AllocMoeaProblem, NsgaConfig, Variant};
 use cpo_model::prelude::AllocationProblem;
 use cpo_moea::engine::GenStats;
 use cpo_moea::prelude::{run, RepairMode};
-use cpo_tabu::repair::{repair as tabu_repair, RepairConfig, ScanOrder};
+use cpo_tabu::repair::{RepairConfig, ScanOrder};
 use std::fmt::Write as _;
 
 /// One algorithm's convergence trace.
@@ -39,7 +39,6 @@ impl Trace {
 /// with identical budgets and returns their traces.
 pub fn convergence_study(problem: &AllocationProblem, config: &NsgaConfig) -> Vec<Trace> {
     let adapter = AllocMoeaProblem::new(problem);
-    let codec = adapter.codec();
     let mut traces = Vec::new();
 
     for (name, variant, repaired) in [
@@ -62,16 +61,7 @@ pub fn convergence_study(problem: &AllocationProblem, config: &NsgaConfig) -> Ve
                 scan: ScanOrder::BestCost,
                 ..RepairConfig::default()
             };
-            let fixer = move |genes: &mut [f64]| -> bool {
-                let mut a = codec.decode(genes);
-                let outcome = tabu_repair(problem, &mut a, &repair_cfg);
-                if outcome.moves > 0 {
-                    genes.copy_from_slice(&codec.encode(&a));
-                    true
-                } else {
-                    false
-                }
-            };
+            let fixer = |genes: &mut [f64]| Some(adapter.tabu_repair(genes, &repair_cfg));
             run(&adapter, &cfg, Some(&fixer)).history
         } else {
             run(&adapter, &cfg, None).history

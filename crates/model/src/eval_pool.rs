@@ -8,11 +8,11 @@
 //! ever re-entered the pool. The answer is no, and this type makes the
 //! discipline structural:
 //!
-//! * [`EvaluatorPool::score`] takes the lock **twice, briefly**: once to
-//!   pop an evaluator (or miss and build a fresh one), once to push it
-//!   back. The actual `reset` + `score` — the expensive part, touching
-//!   the tracker matrix and penalty caches — runs on an **owned**
-//!   evaluator with no lock held.
+//! * [`EvaluatorPool::with`] (and [`EvaluatorPool::score`] on top of it)
+//!   takes the lock **twice, briefly**: once to pop an evaluator (or miss
+//!   and build a fresh one), once to push it back. The actual `reset` and
+//!   the caller's work — a score, or a whole tabu repair — run on an
+//!   **owned** evaluator with no lock held.
 //! * The pool therefore grows to at most the number of concurrent
 //!   workers, and a worker can never block another for longer than a
 //!   `Vec::pop`/`Vec::push`.
@@ -47,36 +47,34 @@ impl<'a> EvaluatorPool<'a> {
         self.problem
     }
 
-    /// Draws an evaluator holding `assignment`: pop (brief lock) then
-    /// reset — or a fresh build on a miss — with no lock held during
-    /// either. The caller owns the evaluator until
-    /// [`checkin`](Self::checkin).
-    fn checkout(&self, assignment: Assignment) -> DeltaEvaluator<'a> {
+    /// Runs `f` on a pooled evaluator holding `assignment`: pop (brief
+    /// lock) then reset — or a fresh build on a miss — then `f` and the
+    /// push back (brief lock), with no lock held during the reset or `f`.
+    /// Whatever state `f` leaves behind is kept; the next use resets it.
+    /// A panic in `f` drops the evaluator instead of returning it.
+    pub fn with<R>(
+        &self,
+        assignment: Assignment,
+        f: impl FnOnce(&mut DeltaEvaluator<'a>) -> R,
+    ) -> R {
         let pooled = self.pool.lock().expect("evaluator pool poisoned").pop();
-        match pooled {
+        let mut ev = match pooled {
             Some(mut ev) => {
                 ev.reset(assignment);
                 ev
             }
             None => DeltaEvaluator::new(self.problem, assignment),
-        }
-    }
-
-    /// Returns an evaluator to the pool (brief lock). Its state is kept
-    /// as-is; the next checkout resets it.
-    fn checkin(&self, ev: DeltaEvaluator<'a>) {
+        };
+        let out = f(&mut ev);
         self.pool.lock().expect("evaluator pool poisoned").push(ev);
+        out
     }
 
-    /// Scores `assignment` on a pooled evaluator: pop (brief lock),
-    /// reset + score (no lock), push back (brief lock). Bit-identical
-    /// to a fresh `DeltaEvaluator::new(..).score()` — `reset` rebuilds
-    /// every derived buffer from the new assignment.
+    /// Scores `assignment` on a pooled evaluator (see [`with`](Self::with)).
+    /// Bit-identical to a fresh `DeltaEvaluator::new(..).score()` —
+    /// `reset` rebuilds every derived buffer from the new assignment.
     pub fn score(&self, assignment: Assignment) -> MoveScore {
-        let ev = self.checkout(assignment);
-        let score = ev.score();
-        self.checkin(ev);
-        score
+        self.with(assignment, |ev| ev.score())
     }
 
     /// Evaluators currently parked in the pool (none are checked out
@@ -144,22 +142,19 @@ mod tests {
     fn checkout_holds_an_evaluator_across_uses() {
         let p = problem();
         let pool = EvaluatorPool::new(&p);
-        let mut ev = pool.checkout(spread(&p));
         let direct = DeltaEvaluator::new(&p, spread(&p)).score();
-        assert_eq!(
-            ev.score().total_cost().to_bits(),
-            direct.total_cost().to_bits()
-        );
-        ev.apply(VmId(0), ServerId(2));
-        pool.checkin(ev);
+        pool.with(spread(&p), |ev| {
+            assert_eq!(
+                ev.score().total_cost().to_bits(),
+                direct.total_cost().to_bits()
+            );
+            ev.apply(VmId(0), ServerId(2));
+        });
         assert_eq!(pool.idle(), 1);
-        // The next checkout resets whatever state the worker left behind.
-        let ev2 = pool.checkout(spread(&p));
-        assert_eq!(
-            ev2.score().total_cost().to_bits(),
-            direct.total_cost().to_bits()
-        );
-        pool.checkin(ev2);
+        // The next use resets whatever state the last one left behind.
+        let again = pool.with(spread(&p), |ev| ev.score());
+        assert_eq!(again.total_cost().to_bits(), direct.total_cost().to_bits());
+        assert_eq!(pool.idle(), 1);
     }
 
     #[test]

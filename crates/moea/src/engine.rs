@@ -8,7 +8,7 @@ use crate::nsga3::{associate, niching_select, normalize};
 use crate::operators::{
     polynomial_mutation, reset_mutation, sbx, uniform_crossover, PmParams, SbxParams,
 };
-use crate::problem::{clamp_genes, MoeaProblem};
+use crate::problem::{clamp_genes, Evaluation, MoeaProblem};
 use crate::refpoints::{das_dennis, divisions_for};
 use crate::selection::{tournament_nsga2, tournament_nsga3, tournament_unsga3};
 use crate::sort::fast_non_dominated_sort;
@@ -223,17 +223,50 @@ impl MoeaResult {
 }
 
 /// A constraint-repair operator (the paper's tabu search, or a CP-based
-/// fixer). Returns `true` when the genome was modified.
+/// fixer). The engine relies on two promises:
+///
+/// * a repair is a pure function of the genome — it reads no RNG and no
+///   clock — so the engine repairs each infeasible parent once per
+///   generation and reuses the result for every tournament it wins. A
+///   deadline-bounded repair (the CP fixer's per-request wall-clock
+///   budget) is the one exception: its reused result is the one its first
+///   call produced;
+/// * a returned evaluation equals `problem.evaluate(genes)` of the genes
+///   the repair leaves (within bounds) bit for bit. The engine stores it
+///   on the individual and counts it as that individual's evaluation
+///   instead of scoring the genome again.
 pub trait Repair: Sync {
-    /// Attempts to make `genes` feasible in place.
-    fn repair(&self, genes: &mut [f64]) -> bool;
+    /// Attempts to make `genes` feasible in place; returns the repaired
+    /// genome's evaluation when the repair computed one on the way.
+    fn repair(&self, genes: &mut [f64]) -> Option<Evaluation>;
 }
 
 /// Blanket impl so closures can serve as repair operators.
-impl<F: Fn(&mut [f64]) -> bool + Sync> Repair for F {
-    fn repair(&self, genes: &mut [f64]) -> bool {
+impl<F: Fn(&mut [f64]) -> Option<Evaluation> + Sync> Repair for F {
+    fn repair(&self, genes: &mut [f64]) -> Option<Evaluation> {
         self(genes)
     }
+}
+
+/// Repairs `genes` and clamps them to bounds; returns the repair's
+/// evaluation, if it handed one over.
+fn repair_genes<P: MoeaProblem>(
+    problem: &P,
+    repair: &dyn Repair,
+    genes: &mut [f64],
+) -> Option<Evaluation> {
+    let eval = repair.repair(genes);
+    clamp_genes(problem, genes);
+    eval
+}
+
+/// An individual carrying `eval` when one is already known.
+fn individual(genes: Vec<f64>, eval: Option<Evaluation>) -> Individual {
+    let mut ind = Individual::new(genes);
+    if let Some(eval) = eval {
+        ind.set_evaluation(eval);
+    }
+    ind
 }
 
 fn evaluate_all<P: MoeaProblem>(problem: &P, pop: &mut [Individual], parallel: bool) -> usize {
@@ -311,9 +344,16 @@ pub fn run<P: MoeaProblem>(
         Vec::new()
     };
 
+    let repair_initial = repair.filter(|_| config.repair_mode != RepairMode::Off);
+    let repair_parents =
+        repair.filter(|_| matches!(config.repair_mode, RepairMode::Parents | RepairMode::Both));
+    let repair_offspring =
+        repair.filter(|_| matches!(config.repair_mode, RepairMode::Offspring | RepairMode::Both));
+
     // Initial population: caller-provided warm starts first, random fill
     // after (repaired when a repair operator is active — Fig. 4 treats
     // any invalid individual entering reproduction).
+    let mut evaluations = 0usize;
     let mut pop: Vec<Individual> = Vec::with_capacity(n);
     for seed_genes in config.seeds.iter().take(n) {
         assert_eq!(
@@ -327,14 +367,12 @@ pub fn run<P: MoeaProblem>(
     }
     while pop.len() < n {
         let mut genes = random_genome(problem, &mut rng);
-        if let (Some(r), true) = (repair, config.repair_mode != RepairMode::Off) {
-            r.repair(&mut genes);
-            clamp_genes(problem, &mut genes);
-        }
-        pop.push(Individual::new(genes));
+        let eval = repair_initial.and_then(|r| repair_genes(problem, r, &mut genes));
+        evaluations += usize::from(eval.is_some());
+        pop.push(individual(genes, eval));
     }
 
-    let mut evaluations = evaluate_all(problem, &mut pop, config.parallel_eval);
+    evaluations += evaluate_all(problem, &mut pop, config.parallel_eval);
     let fronts = fast_non_dominated_sort(&mut pop);
     if config.variant == Variant::Nsga2 {
         for f in &fronts {
@@ -356,7 +394,27 @@ pub fn run<P: MoeaProblem>(
         let evals_before = evaluations;
 
         // --- Mating: tournaments, optional parent repair, SBX, PM. ---
+        let mut mate_span = cpo_obs::span!("moea.mate");
         let mut offspring: Vec<Individual> = Vec::with_capacity(n);
+        let mut offspring_repairs = 0usize;
+        // Fig. 4: "if the two selected parents do not respect users
+        // constraints, then they are treated by the tabu search". A parent
+        // is repaired the first time it wins a tournament in a generation
+        // and the result reused after: a repair reads no RNG (see the
+        // `Repair` contract), so this is exact.
+        let mut repaired_parents: Vec<Option<Vec<f64>>> = vec![None; pop.len()];
+        let mut parent_genes = |i: usize| -> Vec<f64> {
+            match repair_parents {
+                Some(r) if !pop[i].is_feasible() => repaired_parents[i]
+                    .get_or_insert_with(|| {
+                        let mut genes = pop[i].genes.clone();
+                        repair_genes(problem, r, &mut genes);
+                        genes
+                    })
+                    .clone(),
+                _ => pop[i].genes.clone(),
+            }
+        };
         // Method-1 exclusion budget: at most 10× the population of extra
         // attempts per generation, after which infeasible offspring are
         // admitted anyway (otherwise hard instances would never fill a
@@ -381,22 +439,8 @@ pub fn run<P: MoeaProblem>(
                     tournament_unsga3(&pop, &mut rng),
                 ),
             };
-            let mut g1 = pop[pa].genes.clone();
-            let mut g2 = pop[pb].genes.clone();
-            // Fig. 4: "if the two selected parents do not respect users
-            // constraints, then they are treated by the tabu search".
-            if matches!(config.repair_mode, RepairMode::Parents | RepairMode::Both) {
-                if let Some(r) = repair {
-                    if !pop[pa].is_feasible() {
-                        r.repair(&mut g1);
-                        clamp_genes(problem, &mut g1);
-                    }
-                    if !pop[pb].is_feasible() {
-                        r.repair(&mut g2);
-                        clamp_genes(problem, &mut g2);
-                    }
-                }
-            }
+            let g1 = parent_genes(pa);
+            let g2 = parent_genes(pb);
             let (mut c1, mut c2) = match config.operators {
                 Operators::RealCoded => sbx(problem, config.sbx, &g1, &g2, &mut rng),
                 Operators::IntegerStyle => uniform_crossover(config.sbx.rate, &g1, &g2, &mut rng),
@@ -413,14 +457,16 @@ pub fn run<P: MoeaProblem>(
             }
             clamp_genes(problem, &mut c1);
             clamp_genes(problem, &mut c2);
-            if matches!(config.repair_mode, RepairMode::Offspring | RepairMode::Both) {
-                if let Some(r) = repair {
-                    r.repair(&mut c1);
-                    r.repair(&mut c2);
-                    clamp_genes(problem, &mut c1);
-                    clamp_genes(problem, &mut c2);
+            let (e1, e2) = match repair_offspring {
+                Some(r) => {
+                    offspring_repairs += 2;
+                    (
+                        repair_genes(problem, r, &mut c1),
+                        repair_genes(problem, r, &mut c2),
+                    )
                 }
-            }
+                None => (None, None),
+            };
             if config.repair_mode == RepairMode::Exclude && exclusion_budget > 0 {
                 // Evaluate the children now and drop the infeasible ones.
                 for child in [c1, c2] {
@@ -439,14 +485,26 @@ pub fn run<P: MoeaProblem>(
                 }
                 continue;
             }
-            offspring.push(Individual::new(c1));
+            // A repair's evaluation counts as the child's; evaluate_all
+            // scores only the children nobody scored yet.
+            evaluations += usize::from(e1.is_some());
+            offspring.push(individual(c1, e1));
             if offspring.len() < n {
-                offspring.push(Individual::new(c2));
+                evaluations += usize::from(e2.is_some());
+                offspring.push(individual(c2, e2));
             }
         }
-        evaluations += evaluate_all(problem, &mut offspring, config.parallel_eval);
+        let parent_repairs = repaired_parents.iter().filter(|g| g.is_some()).count();
+        mate_span.field("repairs", parent_repairs + offspring_repairs);
+        drop(mate_span);
+
+        {
+            let _eval_span = cpo_obs::span!("moea.evaluate");
+            evaluations += evaluate_all(problem, &mut offspring, config.parallel_eval);
+        }
 
         // --- Environmental selection on parents ∪ offspring. ---
+        let select_span = cpo_obs::span!("moea.select");
         let mut combined = pop;
         combined.append(&mut offspring);
         let fronts = fast_non_dominated_sort(&mut combined);
@@ -501,6 +559,7 @@ pub fn run<P: MoeaProblem>(
             }
         }
         pop = next;
+        drop(select_span);
         let gen_stats = stats(&pop, generation, evaluations);
         gen_span
             .field("feasible", gen_stats.feasible)
@@ -526,6 +585,16 @@ mod tests {
     use super::*;
     use crate::problem::test_problems::{ConstrainedSum, Dtlz2, Sch};
     use crate::problem::MoeaProblem;
+
+    /// Repair for [`ConstrainedSum`]: project onto the constraint x + y ≥ 1.
+    fn project(genes: &mut [f64]) {
+        let s = genes[0] + genes[1];
+        if s < 1.0 {
+            let deficit = (1.0 - s) / 2.0;
+            genes[0] = (genes[0] + deficit).min(1.0);
+            genes[1] = (genes[1] + deficit).min(1.0);
+        }
+    }
 
     fn small_config(variant: Variant) -> NsgaConfig {
         NsgaConfig {
@@ -600,26 +669,102 @@ mod tests {
 
     #[test]
     fn repair_offspring_forces_feasibility() {
-        // Repair: project onto the constraint x + y ≥ 1.
-        let fix = |genes: &mut [f64]| -> bool {
-            let s = genes[0] + genes[1];
-            if s < 1.0 {
-                let deficit = (1.0 - s) / 2.0;
-                genes[0] = (genes[0] + deficit).min(1.0);
-                genes[1] = (genes[1] + deficit).min(1.0);
-                true
-            } else {
-                false
-            }
-        };
         let cfg = small_config(Variant::Nsga3).with_repair(RepairMode::Both);
-        let result = run(&ConstrainedSum, &cfg, Some(&fix));
+        let result = run(
+            &ConstrainedSum,
+            &cfg,
+            Some(&|g: &mut [f64]| {
+                project(g);
+                None
+            }),
+        );
         let feasible = result.population.iter().filter(|i| i.is_feasible()).count();
         assert!(
             feasible >= result.population.len() * 9 / 10,
             "repair should keep ≥90% feasible, got {feasible}/{}",
             result.population.len()
         );
+    }
+
+    #[test]
+    fn each_infeasible_parent_is_repaired_once_per_generation() {
+        // An identity repair that logs its inputs, so infeasible parents
+        // stay infeasible and keep winning tournaments. With every gene
+        // mutated, no child repeats a logged genome: an input that does is
+        // a parent's genes, and a generation's mating ends with its n-th
+        // child.
+        let log = std::sync::Mutex::new(Vec::<Vec<u64>>::new());
+        let logging = |genes: &mut [f64]| -> Option<Evaluation> {
+            let bits = genes.iter().map(|g| g.to_bits()).collect();
+            log.lock().unwrap().push(bits);
+            None
+        };
+        let mut cfg = small_config(Variant::Nsga3).with_repair(RepairMode::Both);
+        cfg.pm.rate = 1.0;
+        cfg.max_evaluations = cfg.population_size * 8;
+        let n = cfg.population_size;
+        let result = run(&ConstrainedSum, &cfg, Some(&logging));
+        let log = log.into_inner().unwrap();
+
+        let mut seen: std::collections::HashSet<&Vec<u64>> = log[..n].iter().collect();
+        let mut repaired_this_generation = std::collections::HashSet::new();
+        let (mut children, mut parent_repairs) = (0, 0);
+        for genes in &log[n..] {
+            if seen.contains(genes) {
+                assert!(
+                    repaired_this_generation.insert(genes),
+                    "a parent was repaired twice in generation {}",
+                    children / n + 1
+                );
+                parent_repairs += 1;
+            } else {
+                seen.insert(genes);
+                children += 1;
+                if children % n == 0 {
+                    repaired_this_generation.clear();
+                }
+            }
+        }
+        assert_eq!(children, result.generations * n);
+        assert!(parent_repairs > 0, "infeasible parents must be repaired");
+    }
+
+    #[test]
+    fn a_repairs_evaluation_is_the_evaluation() {
+        let cfg = small_config(Variant::Nsga3).with_repair(RepairMode::Both);
+        let unscored = run(
+            &ConstrainedSum,
+            &cfg,
+            Some(&|g: &mut [f64]| {
+                project(g);
+                None
+            }),
+        );
+        let scored = run(
+            &ConstrainedSum,
+            &cfg,
+            Some(&|g: &mut [f64]| {
+                project(g);
+                Some(ConstrainedSum.evaluate(g))
+            }),
+        );
+        let bits = |r: &MoeaResult| -> Vec<(Vec<u64>, Vec<u64>, u64, usize)> {
+            r.population
+                .iter()
+                .map(|i| {
+                    (
+                        i.genes.iter().map(|g| g.to_bits()).collect(),
+                        i.objectives.iter().map(|o| o.to_bits()).collect(),
+                        i.violation.to_bits(),
+                        i.rank,
+                    )
+                })
+                .collect()
+        };
+        assert_eq!(bits(&unscored), bits(&scored));
+        assert_eq!(unscored.history, scored.history);
+        assert_eq!(unscored.evaluations, scored.evaluations);
+        assert_eq!(unscored.generations, scored.generations);
     }
 
     #[test]

@@ -41,7 +41,9 @@ pub mod repair;
 pub mod search;
 
 pub use list::{TabuList, TabuMove};
-pub use repair::{faulty_vms, find_neighbour, repair, RepairConfig, RepairOutcome, ScanOrder};
+pub use repair::{
+    faulty_vms, find_neighbour, repair, repair_on, RepairConfig, RepairOutcome, ScanOrder,
+};
 pub use search::{
     score, tabu_search, tabu_search_observed, Neighborhood, NoObserver, Score, Scoring,
     SearchObserver, TabuConfig, TabuResult,

@@ -268,18 +268,33 @@ fn try_group_move(
 /// repeating up to `config.max_passes` times (moving one VM can fix or
 /// break others, e.g. in same-server groups). VMs pinned by a same-server
 /// rule move as a whole group when a lone move is impossible.
+///
+/// A wrapper over [`repair_on`] on a fresh evaluator that takes over the
+/// caller's assignment for the duration of the repair.
 pub fn repair(
     problem: &AllocationProblem,
     assignment: &mut Assignment,
     config: &RepairConfig,
 ) -> RepairOutcome {
-    let mut tabu = TabuList::new(config.tenure);
-    // The evaluator takes over the caller's assignment for the duration of
-    // the repair: its maintained state answers "is this VM still faulty"
-    // and "is the result feasible" in O(1)/O(rules(k)) instead of the old
-    // per-pass tracker rebuilds.
     let owned = std::mem::replace(assignment, Assignment::unassigned(0));
     let mut ev = DeltaEvaluator::new(problem, owned);
+    let outcome = repair_on(&mut ev, config);
+    *assignment = ev.into_assignment();
+    outcome
+}
+
+/// [`repair`] on a caller-owned evaluator: repairs `ev`'s assignment in
+/// place and leaves the evaluator holding the result, so `ev.score()` is
+/// the repaired assignment's score with no re-decode or rebuild. The
+/// evaluator's maintained state answers "is this VM still faulty" and
+/// "is the result feasible" in O(1)/O(rules(k)). Any undo history on
+/// entry is dropped. A pure function of the assignment: the same input
+/// yields the same assignment and [`RepairOutcome`] on a fresh evaluator
+/// or on a pooled one last used for anything else.
+pub fn repair_on(ev: &mut DeltaEvaluator<'_>, config: &RepairConfig) -> RepairOutcome {
+    let problem = ev.problem();
+    let mut tabu = TabuList::new(config.tenure);
+    ev.clear_history();
     let mut moves = 0usize;
 
     // Position-independent scan orders are computed once; NearestFirst
@@ -341,7 +356,7 @@ pub fn repair(
                     // A VM pinned by a same-server rule cannot move alone:
                     // relocate the whole co-location group.
                     if let Some(group) = same_server_group(problem, k) {
-                        if try_group_move(problem, &mut ev, &group, config.scan) {
+                        if try_group_move(problem, ev, &group, config.scan) {
                             moves += group.len();
                             progressed = true;
                         }
@@ -355,7 +370,6 @@ pub fn repair(
     }
 
     let feasible = ev.is_feasible();
-    *assignment = ev.into_assignment();
     cpo_obs::counter_add("tabu.repair_calls", 1);
     cpo_obs::counter_add("tabu.repair_moves", moves as u64);
     cpo_obs::counter_add("tabu.repair_passes", passes as u64);

@@ -2,9 +2,12 @@
 //! randomised problems and assignments, with the paper's invariants as
 //! properties.
 
+use cpo_iaas::core::prelude::AllocMoeaProblem;
 use cpo_iaas::model::attr::AttrSet;
+use cpo_iaas::model::delta::DeltaEvaluator;
+use cpo_iaas::moea::prelude::MoeaProblem;
 use cpo_iaas::prelude::*;
-use cpo_iaas::tabu::repair::{repair, RepairConfig};
+use cpo_iaas::tabu::repair::{repair, repair_on, RepairConfig, ScanOrder};
 use proptest::prelude::*;
 
 /// Strategy: a small random problem (infrastructure + batch, no rules).
@@ -35,6 +38,69 @@ fn problem_and_assignment() -> impl Strategy<Value = (AllocationProblem, Assignm
         (Just(p), proptest::collection::vec(0usize..m, n))
             .prop_map(|(p, genes)| (p, Assignment::from_genes(&genes)))
     })
+}
+
+/// Strategy: a problem over two datacenters with one rule-carrying pair
+/// and a few loose VMs of random size, with or without a running
+/// allocation, plus two complete assignments: one to dirty a pooled
+/// evaluator with, one to repair on it.
+fn pooled_repair_case() -> impl Strategy<Value = (AllocationProblem, Assignment, Assignment)> {
+    (1usize..4, 0usize..4, 1usize..6, 1u64..1_000, 0u8..2).prop_flat_map(
+        |(m_per_dc, kind_idx, loose, seed, with_previous)| {
+            let profile = ServerProfile::commodity(3);
+            let infra = Infrastructure::new(
+                AttrSet::standard(),
+                vec![
+                    ("dc0".into(), profile.build_many(m_per_dc)),
+                    ("dc1".into(), profile.build_many(m_per_dc)),
+                ],
+            );
+            let kinds = [
+                AffinityKind::SameServer,
+                AffinityKind::SameDatacenter,
+                AffinityKind::DifferentServer,
+                AffinityKind::DifferentDatacenter,
+            ];
+            let mut s = seed;
+            let mut next = move || {
+                s = s
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                s >> 33
+            };
+            let mut batch = RequestBatch::new();
+            let cpu = 1.0 + (next() % 14) as f64;
+            batch.push_request(
+                vec![vm_spec(cpu, 1024.0, 10.0); 2],
+                vec![AffinityRule::new(kinds[kind_idx], vec![VmId(0), VmId(1)])],
+            );
+            for _ in 0..loose {
+                let cpu = 1.0 + (next() % 20) as f64;
+                batch.push_request(vec![vm_spec(cpu, 1024.0, 10.0)], vec![]);
+            }
+            let m = 2 * m_per_dc;
+            let previous = (with_previous == 1).then(|| {
+                let genes: Vec<usize> = (0..batch.vms().len())
+                    .map(|_| next() as usize % m)
+                    .collect();
+                Assignment::from_genes(&genes)
+            });
+            let n = batch.vms().len();
+            let p = AllocationProblem::new(infra, batch, previous);
+            (
+                Just(p),
+                proptest::collection::vec(0usize..m, n),
+                proptest::collection::vec(0usize..m, n),
+            )
+                .prop_map(|(p, dirt, genes)| {
+                    (
+                        p,
+                        Assignment::from_genes(&dirt),
+                        Assignment::from_genes(&genes),
+                    )
+                })
+        },
+    )
 }
 
 /// Strategy: a problem over two datacenters whose multi-VM requests carry
@@ -187,6 +253,35 @@ proptest! {
         let _ = repair(&p, &mut a, &RepairConfig::default());
         let after = p.check(&a).degree();
         prop_assert!(after <= before + 1e-9, "repair worsened {before} -> {after}");
+    }
+
+    /// The pooled repair is the fresh repair: on an evaluator already
+    /// dirtied by a repair of another assignment, `repair_on` yields the
+    /// same assignment and outcome as `repair` on a fresh one, and the
+    /// evaluator's final score is the engine's evaluation of the
+    /// re-encoded genome, bit for bit.
+    #[test]
+    fn pooled_repair_matches_fresh_repair((p, dirt, a) in pooled_repair_case()) {
+        let adapter = AllocMoeaProblem::new(&p);
+        for scan in [ScanOrder::BestCost, ScanOrder::NearestFirst, ScanOrder::FirstFit] {
+            let config = RepairConfig { scan, ..RepairConfig::default() };
+            let mut fresh = a.clone();
+            let fresh_outcome = repair(&p, &mut fresh, &config);
+
+            let mut ev = DeltaEvaluator::new(&p, dirt.clone());
+            let _ = repair_on(&mut ev, &config);
+            ev.reset(a.clone());
+            let pooled_outcome = repair_on(&mut ev, &config);
+            prop_assert_eq!(pooled_outcome, fresh_outcome);
+            prop_assert_eq!(ev.assignment(), &fresh);
+
+            let want = adapter.evaluate(&adapter.codec().encode(&fresh));
+            let got = ev.score();
+            prop_assert_eq!(got.violation.to_bits(), want.violation.to_bits());
+            let got_bits: Vec<u64> = got.objectives.as_array().iter().map(|o| o.to_bits()).collect();
+            let want_bits: Vec<u64> = want.objectives.iter().map(|o| o.to_bits()).collect();
+            prop_assert_eq!(got_bits, want_bits);
+        }
     }
 
     /// Migration cost is zero against itself and symmetric in count.
