@@ -18,6 +18,10 @@
 //!   scan (placement fingerprint and deterministic counters);
 //! * `tabu.candidate_list` — candidate-list neighborhood vs the
 //!   exhaustive scan (scan reduction, deterministic counters);
+//! * `tabu.repair` — the hybrid's tabu repair (`repair_on`, best-cost
+//!   scan) on one pooled evaluator over 200 seeded random genomes of
+//!   [`reconfig_problem`]: wall time, total moves and an FNV-1a
+//!   fingerprint of the repaired assignments;
 //! * `nsga3_tabu.allocate` — one serial `Effort::Quick` NSGA-III + tabu
 //!   repair `allocate` (seed 42) on [`reconfig_problem`]: wall time,
 //!   evaluations and the outcome fingerprint `tests/nsga3_tabu_pin.rs`
@@ -37,7 +41,10 @@ use cpo_exper::runner::{Algorithm, Effort};
 use cpo_model::prelude::*;
 use cpo_moea::prelude::NsgaConfig;
 use cpo_obs::flight;
+use cpo_tabu::repair::{repair_on, RepairConfig, ScanOrder};
 use cpo_tabu::{tabu_search, Neighborhood, Scoring, TabuConfig};
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 use std::time::Instant;
 
 /// Median wall time of `reps` runs of `f`, in nanoseconds.
@@ -239,6 +246,57 @@ fn main() {
                 .int("delta_evals", result.delta_evals as i128)
                 .int("candidates_scanned", result.candidates_scanned as i128)
                 .float("scan_reduction", scan_reduction),
+        );
+    }
+
+    // --- the hybrid's repair operator on one pooled evaluator --------
+    // Every genome is repaired on the same evaluator, as the GA adapter's
+    // pool does; moves and the fingerprint are deterministic.
+    {
+        let problem = reconfig_problem();
+        let mut rng = SmallRng::seed_from_u64(42);
+        let genomes: Vec<Assignment> = (0..200)
+            .map(|_| {
+                let mut a = Assignment::unassigned(problem.n());
+                for k in 0..problem.n() {
+                    a.assign(VmId(k), ServerId(rng.gen_range(0..problem.m())));
+                }
+                a
+            })
+            .collect();
+        let config = RepairConfig {
+            scan: ScanOrder::BestCost,
+            ..RepairConfig::default()
+        };
+        let mut ev = problem.delta_evaluator(Assignment::unassigned(problem.n()));
+        let mut totals = (0usize, 0u64);
+        let wall_ns = median_ns(5, || {
+            let mut moves = 0usize;
+            let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+            for genome in &genomes {
+                ev.reset(genome.clone());
+                moves += repair_on(&mut ev, &config).moves;
+                let a = ev.assignment();
+                for k in 0..a.len() {
+                    let v = a.server_of(VmId(k)).map_or(u64::MAX, |j| j.index() as u64);
+                    for b in v.to_le_bytes() {
+                        hash ^= u64::from(b);
+                        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+                    }
+                }
+            }
+            totals = (moves, hash);
+        });
+        let (moves, fingerprint) = totals;
+        println!(
+            "tabu.repair: {:.2} ms, {moves} moves, fingerprint {fingerprint:#018x}",
+            wall_ns as f64 / 1e6
+        );
+        report.push(
+            Cell::new("tabu.repair")
+                .int("wall_ns", wall_ns as i128)
+                .int("moves", moves as i128)
+                .int("fingerprint", fingerprint as i128),
         );
     }
 

@@ -86,6 +86,7 @@ pub fn policy_for(key: &str) -> Policy {
         | "eval_work"
         | "delta_evals"
         | "full_evals"
+        | "moves"
         | "fleet_series"
         | "ring_capacity"
         | "windows_sampled"

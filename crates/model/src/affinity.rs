@@ -11,7 +11,7 @@
 //!   same datacenter allowed (Eq. 12).
 
 use crate::assignment::Assignment;
-use crate::infrastructure::Infrastructure;
+use crate::infrastructure::{DatacenterId, Infrastructure, ServerId};
 use crate::request::VmId;
 
 /// The four placement relationships from the paper.
@@ -161,91 +161,181 @@ impl AffinityRule {
     /// Counts how many *pairs/resources* violate the rule — a graded measure
     /// used by the evolutionary algorithms' constraint-domination and by the
     /// violation figures (Fig. 10). Zero means satisfied.
+    ///
+    /// Co-location rules count the resources off the majority server
+    /// (datacenter); separation rules count every resource beyond the first
+    /// on each server (datacenter). Unassigned resources count in both.
+    /// Computed in place, O(members²) with no allocation: rules are small
+    /// and this runs on every rule refresh of the delta evaluator.
     pub fn violation_degree(&self, assignment: &Assignment, infra: &Infrastructure) -> usize {
-        match self.kind {
-            AffinityKind::SameServer => {
-                // Resources not on the majority server count as violations.
-                let mut counts: Vec<(usize, usize)> = Vec::new(); // (server, count)
-                for &k in &self.vms {
-                    if let Some(s) = assignment.server_of(k) {
-                        if let Some(e) = counts.iter_mut().find(|(sv, _)| *sv == s.index()) {
-                            e.1 += 1;
-                        } else {
-                            counts.push((s.index(), 1));
-                        }
-                    }
-                }
-                // Unassigned VMs never join the majority, so they are
-                // automatically counted by len() - majority.
-                let majority = counts.iter().map(|&(_, c)| c).max().unwrap_or(0);
-                self.vms.len() - majority
-            }
-            AffinityKind::SameDatacenter => {
-                let mut counts: Vec<(usize, usize)> = Vec::new();
-                let mut unassigned = 0usize;
-                for &k in &self.vms {
-                    match assignment.server_of(k) {
-                        None => unassigned += 1,
-                        Some(s) => {
-                            let dc = infra.datacenter_of(s).index();
-                            if let Some(e) = counts.iter_mut().find(|(d, _)| *d == dc) {
-                                e.1 += 1;
-                            } else {
-                                counts.push((dc, 1));
-                            }
-                        }
-                    }
-                }
-                let majority = counts.iter().map(|&(_, c)| c).max().unwrap_or(0);
-                if majority == 0 {
-                    unassigned
+        let anti = self.kind.is_anti_affinity();
+        let by_server = matches!(
+            self.kind,
+            AffinityKind::SameServer | AffinityKind::DifferentServer
+        );
+        let key = |k: VmId| {
+            assignment.server_of(k).map(|s| {
+                if by_server {
+                    s.index()
                 } else {
-                    self.vms.len() - majority
+                    infra.datacenter_of(s).index()
                 }
+            })
+        };
+        // Distinct placed keys and the largest group sharing one key.
+        let (mut distinct, mut majority) = (0usize, 0usize);
+        for (i, &k) in self.vms.iter().enumerate() {
+            let Some(x) = key(k) else { continue };
+            if self.vms[..i].iter().any(|&e| key(e) == Some(x)) {
+                continue;
             }
-            AffinityKind::DifferentServer => {
-                let mut servers: Vec<usize> = Vec::new();
-                let mut degree = 0usize;
-                for &k in &self.vms {
-                    match assignment.server_of(k) {
-                        None => degree += 1,
-                        Some(s) => servers.push(s.index()),
-                    }
-                }
-                servers.sort_unstable();
-                let mut i = 0;
-                while i < servers.len() {
-                    let mut j = i + 1;
-                    while j < servers.len() && servers[j] == servers[i] {
-                        j += 1;
-                    }
-                    degree += j - i - 1; // every duplicate beyond the first
-                    i = j;
-                }
-                degree
-            }
-            AffinityKind::DifferentDatacenter => {
-                let mut dcs: Vec<usize> = Vec::new();
-                let mut degree = 0usize;
-                for &k in &self.vms {
-                    match assignment.server_of(k) {
-                        None => degree += 1,
-                        Some(s) => dcs.push(infra.datacenter_of(s).index()),
-                    }
-                }
-                dcs.sort_unstable();
-                let mut i = 0;
-                while i < dcs.len() {
-                    let mut j = i + 1;
-                    while j < dcs.len() && dcs[j] == dcs[i] {
-                        j += 1;
-                    }
-                    degree += j - i - 1;
-                    i = j;
-                }
-                degree
+            distinct += 1;
+            if !anti {
+                let count = self.vms[i..].iter().filter(|&&e| key(e) == Some(x)).count();
+                majority = majority.max(count);
             }
         }
+        self.vms.len() - if anti { distinct } else { majority }
+    }
+}
+
+/// What one VM's placed rule partners demand of its server, collected once
+/// from a partial assignment by [`AllocationProblem::rule_view`]: the
+/// server every same-server partner sits on, the datacenter every
+/// same-datacenter partner sits in, and the servers and datacenters that
+/// separation partners already occupy. Unplaced partners constrain
+/// nothing.
+///
+/// [`allows`](Self::allows) answers "may the VM go to server `j`" with a
+/// few comparisons instead of re-walking the rules, and
+/// [`hopeless`](Self::hopeless) says up front that no server may take it
+/// — e.g. a different-datacenter rule whose partner already holds the
+/// only datacenter. Building a view is O(partners) and allocation-free
+/// while each separation list stays within its inline capacity.
+///
+/// [`AllocationProblem::rule_view`]: crate::problem::AllocationProblem::rule_view
+#[derive(Clone, Debug)]
+pub struct RuleView<'a> {
+    infra: &'a Infrastructure,
+    server: Option<ServerId>,
+    datacenter: Option<DatacenterId>,
+    forbidden_servers: IndexSet,
+    forbidden_dcs: IndexSet,
+    /// Two co-location partners disagree, so no server can satisfy both.
+    conflict: bool,
+}
+
+impl<'a> RuleView<'a> {
+    /// Collects the demands of VM `k`'s placed partners under `rules` (the
+    /// rules of `k`'s request; those not naming `k` are skipped).
+    pub(crate) fn collect(
+        infra: &'a Infrastructure,
+        rules: &[AffinityRule],
+        assignment: &Assignment,
+        k: VmId,
+    ) -> Self {
+        let mut view = Self {
+            infra,
+            server: None,
+            datacenter: None,
+            forbidden_servers: IndexSet::default(),
+            forbidden_dcs: IndexSet::default(),
+            conflict: false,
+        };
+        for rule in rules.iter().filter(|r| r.vms.contains(&k)) {
+            for &other in rule.vms.iter().filter(|&&o| o != k) {
+                let Some(s) = assignment.server_of(other) else {
+                    continue;
+                };
+                match rule.kind {
+                    AffinityKind::SameServer => view.conflict |= *view.server.get_or_insert(s) != s,
+                    AffinityKind::SameDatacenter => {
+                        let dc = infra.datacenter_of(s);
+                        view.conflict |= *view.datacenter.get_or_insert(dc) != dc
+                    }
+                    AffinityKind::DifferentServer => view.forbidden_servers.insert(s.index()),
+                    AffinityKind::DifferentDatacenter => {
+                        view.forbidden_dcs.insert(infra.datacenter_of(s).index())
+                    }
+                }
+            }
+        }
+        view
+    }
+
+    /// `true` when placing the VM on server `j` respects every rule it
+    /// shares with a placed partner.
+    #[inline]
+    pub fn allows(&self, j: ServerId) -> bool {
+        !self.conflict && self.server.is_none_or(|t| t == j) && self.open(j)
+    }
+
+    /// `true` exactly when no server of the fleet is
+    /// [`allowed`](Self::allows). O(datacenters + |forbidden servers| ·
+    /// |forbidden datacenters|).
+    pub fn hopeless(&self) -> bool {
+        if self.conflict {
+            return true;
+        }
+        if let Some(target) = self.server {
+            return !self.open(target);
+        }
+        let dcs = self.infra.datacenters();
+        let dc_open = |x: usize| {
+            self.datacenter.is_none_or(|d| d.index() == x) && !self.forbidden_dcs.contains(x)
+        };
+        let open_servers: usize = (0..dcs.len())
+            .filter(|&x| dc_open(x))
+            .map(|x| dcs[x].server_count)
+            .sum();
+        let closed = self
+            .forbidden_servers
+            .iter()
+            .filter(|&s| dc_open(self.infra.datacenter_of(ServerId(s)).index()))
+            .count();
+        open_servers == closed
+    }
+
+    /// The datacenter and separation demands (everything but the
+    /// same-server target).
+    fn open(&self, j: ServerId) -> bool {
+        let dc = self.infra.datacenter_of(j);
+        self.datacenter.is_none_or(|d| d == dc)
+            && !self.forbidden_dcs.contains(dc.index())
+            && !self.forbidden_servers.contains(j.index())
+    }
+}
+
+/// A set of indices held inline up to eight entries and spilled to the
+/// heap beyond — separation rules name a handful of partners, so building
+/// a [`RuleView`] normally touches no allocator.
+#[derive(Clone, Debug, Default)]
+struct IndexSet {
+    inline: [usize; 8],
+    len: usize,
+    spill: Vec<usize>,
+}
+
+impl IndexSet {
+    fn insert(&mut self, x: usize) {
+        if self.contains(x) {
+            return;
+        }
+        match self.inline.get_mut(self.len) {
+            Some(slot) => {
+                *slot = x;
+                self.len += 1;
+            }
+            None => self.spill.push(x),
+        }
+    }
+
+    fn contains(&self, x: usize) -> bool {
+        self.inline[..self.len].contains(&x) || self.spill.contains(&x)
+    }
+
+    fn iter(&self) -> impl Iterator<Item = usize> + '_ {
+        self.inline[..self.len].iter().chain(&self.spill).copied()
     }
 }
 

@@ -88,6 +88,8 @@ struct RuleRef {
 /// * [`apply`](Self::apply) / [`unassign_vm`](Self::unassign_vm) commit a
 ///   move and push it onto the undo stack; [`undo`](Self::undo) reverts the
 ///   most recent one;
+/// * [`apply_group`](Self::apply_group) commits one move per group member
+///   but refreshes each touched server and rule once;
 /// * [`rebuild`](Self::rebuild) constructs a fresh evaluator from the
 ///   current assignment — the slow-path oracle the differential tests
 ///   compare against;
@@ -128,6 +130,10 @@ pub struct DeltaEvaluator<'p> {
 
     /// Undo stack of `(vm, server it was on before the move)`.
     undo: Vec<(VmId, Option<ServerId>)>,
+    /// Scratch lists of the servers and rules one
+    /// [`apply_group`](Self::apply_group) touches; buffers are reused.
+    touched_servers: Vec<ServerId>,
+    touched_rules: Vec<u32>,
     /// Heavy model-cell operations performed so far (see module docs).
     work: u64,
 }
@@ -173,6 +179,8 @@ impl<'p> DeltaEvaluator<'p> {
             broken_rules: 0,
             unassigned: 0,
             undo: Vec::new(),
+            touched_servers: Vec::new(),
+            touched_rules: Vec::new(),
             work: 0,
         };
         ev.reset(assignment);
@@ -457,6 +465,43 @@ impl<'p> DeltaEvaluator<'p> {
         self.relocate(k, None);
     }
 
+    /// Commits "move every VM of `group` to `to`" (`None` = evict) as one
+    /// batch. Each member is recorded for [`undo`](Self::undo) exactly as
+    /// [`apply`](Self::apply) / [`unassign_vm`](Self::unassign_vm) would,
+    /// but every touched server and rule is refreshed once, after all
+    /// members moved, instead of once per member. The result is
+    /// bit-identical to the one-by-one moves because every maintained cell
+    /// is a pure function of the sorted occupant lists and the assignment.
+    pub fn apply_group(&mut self, group: &[VmId], to: Option<ServerId>) {
+        let mut servers = std::mem::take(&mut self.touched_servers);
+        let mut rules = std::mem::take(&mut self.touched_rules);
+        for &k in group {
+            let from = self.assignment.server_of(k);
+            self.undo.push((k, from));
+            if from == to {
+                continue;
+            }
+            self.shift(k, from, to);
+            servers.extend(from.into_iter().chain(to));
+            self.refresh_migration(k);
+            rules.extend_from_slice(&self.vm_rules[k.index()]);
+        }
+        servers.sort_unstable();
+        servers.dedup();
+        rules.sort_unstable();
+        rules.dedup();
+        for &j in &servers {
+            self.refresh_server(j);
+        }
+        for &i in &rules {
+            self.refresh_rule(i as usize);
+        }
+        servers.clear();
+        rules.clear();
+        self.touched_servers = servers;
+        self.touched_rules = rules;
+    }
+
     /// Reverts the most recent committed move. Returns `false` when the
     /// history is empty.
     pub fn undo(&mut self) -> bool {
@@ -494,6 +539,24 @@ impl<'p> DeltaEvaluator<'p> {
         if from == to {
             return;
         }
+        self.shift(k, from, to);
+        if let Some(a) = from {
+            self.refresh_server(a);
+        }
+        if let Some(b) = to {
+            self.refresh_server(b);
+        }
+        self.refresh_migration(k);
+        for t in 0..self.vm_rules[k.index()].len() {
+            let i = self.vm_rules[k.index()][t] as usize;
+            self.refresh_rule(i);
+        }
+    }
+
+    /// Moves VM `k` from `from` to `to` (distinct) in the assignment, the
+    /// occupant lists and the unassigned count, leaving every derived cell
+    /// for the caller to refresh.
+    fn shift(&mut self, k: VmId, from: Option<ServerId>, to: Option<ServerId>) {
         match to {
             Some(j) => self.assignment.assign(k, j),
             None => self.assignment.unassign(k),
@@ -520,17 +583,6 @@ impl<'p> DeltaEvaluator<'p> {
                 self.unassigned += 1;
                 self.penalty[k.index()] = 0.0;
             }
-        }
-        if let Some(a) = from {
-            self.refresh_server(a);
-        }
-        if let Some(b) = to {
-            self.refresh_server(b);
-        }
-        self.refresh_migration(k);
-        for t in 0..self.vm_rules[k.index()].len() {
-            let i = self.vm_rules[k.index()][t] as usize;
-            self.refresh_rule(i);
         }
     }
 
@@ -739,29 +791,7 @@ mod tests {
         ev.unassign_vm(VmId(3));
         ev.apply(VmId(5), ServerId(0));
         ev.apply(VmId(1), ServerId(0));
-        let fresh = ev.rebuild();
-        for j in 0..p.m() {
-            let j = ServerId(j);
-            assert_eq!(
-                ev.tracker().used_row(j),
-                fresh.tracker().used_row(j),
-                "tracker row {j:?}"
-            );
-            assert_eq!(ev.tracker().hosted(j), fresh.tracker().hosted(j));
-        }
-        assert_eq!(ev.unassigned, fresh.unassigned);
-        assert_eq!(ev.rule_degree, fresh.rule_degree);
-        assert_eq!(ev.moved, fresh.moved);
-        assert_eq!(ev.overloaded_servers, fresh.overloaded_servers);
-        assert_eq!(ev.broken_rules, fresh.broken_rules);
-        for k in 0..p.n() {
-            assert_eq!(
-                ev.penalty[k].to_bits(),
-                fresh.penalty[k].to_bits(),
-                "penalty of vm {k}"
-            );
-        }
-        assert_scores_bit_equal(&ev.score(), &fresh.score());
+        assert_same_cells(&ev, &ev.rebuild());
     }
 
     #[test]
@@ -847,6 +877,63 @@ mod tests {
         assert_eq!(ev.unassigned, fresh.unassigned);
         assert_eq!(ev.overloaded_servers, fresh.overloaded_servers);
         assert_eq!(ev.broken_rules, fresh.broken_rules);
+    }
+
+    /// Every maintained cell of `a` equals `b`'s, floats bit for bit.
+    fn assert_same_cells(a: &DeltaEvaluator<'_>, b: &DeltaEvaluator<'_>) {
+        assert_eq!(a.assignment, b.assignment);
+        assert_eq!(a.per_server, b.per_server);
+        for j in 0..a.problem.m() {
+            let j = ServerId(j);
+            let bits = |ev: &DeltaEvaluator<'_>| -> Vec<u64> {
+                ev.tracker.used_row(j).iter().map(|u| u.to_bits()).collect()
+            };
+            assert_eq!(bits(a), bits(b), "tracker row {j:?}");
+            assert_eq!(a.tracker.hosted(j), b.tracker.hosted(j));
+        }
+        let bits = |v: &[f64]| -> Vec<u64> { v.iter().map(|x| x.to_bits()).collect() };
+        assert_eq!(a.overloads, b.overloads);
+        assert_eq!(a.qos.len(), b.qos.len());
+        for j in 0..a.problem.m() {
+            if !a.per_server[j].is_empty() {
+                assert_eq!(a.qos[j].to_bits(), b.qos[j].to_bits(), "qos of server {j}");
+            }
+        }
+        assert_eq!(bits(&a.penalty), bits(&b.penalty));
+        assert_eq!(a.moved, b.moved);
+        assert_eq!(a.rule_degree, b.rule_degree);
+        assert_eq!(a.overloaded_servers, b.overloaded_servers);
+        assert_eq!(a.broken_rules, b.broken_rules);
+        assert_eq!(a.unassigned, b.unassigned);
+        assert_scores_bit_equal(&a.score(), &b.score());
+    }
+
+    #[test]
+    fn group_move_matches_sequential_moves_cell_for_cell() {
+        let p = problem();
+        let mut a = Assignment::unassigned(6);
+        for k in 0..5 {
+            a.assign(VmId(k), ServerId(k % 4));
+        }
+        // Members on different servers, one unplaced, one already on the
+        // target, listed out of id order.
+        let group = [VmId(5), VmId(2), VmId(3), VmId(0)];
+        for to in [Some(ServerId(3)), Some(ServerId(0)), None] {
+            let mut batched = DeltaEvaluator::new(&p, a.clone());
+            batched.apply_group(&group, to);
+            let mut sequential = DeltaEvaluator::new(&p, a.clone());
+            for &k in &group {
+                match to {
+                    Some(j) => sequential.apply(k, j),
+                    None => sequential.unassign_vm(k),
+                }
+            }
+            assert_same_cells(&batched, &sequential);
+            assert_same_cells(&batched, &batched.rebuild());
+            assert_eq!(batched.history_len(), group.len());
+            while batched.undo() {}
+            assert_same_cells(&batched, &DeltaEvaluator::new(&p, a.clone()));
+        }
     }
 
     #[test]

@@ -80,7 +80,7 @@ pub mod request;
 
 /// Convenient glob import of the most-used model types.
 pub mod prelude {
-    pub use crate::affinity::{AffinityKind, AffinityRule, LinearizedRule};
+    pub use crate::affinity::{AffinityKind, AffinityRule, LinearizedRule, RuleView};
     pub use crate::assignment::Assignment;
     pub use crate::attr::{AttrId, AttrKind, AttrSet};
     pub use crate::constraints::{Violation, ViolationReport};

@@ -2,6 +2,7 @@
 //! provider substrate, the consumer demand, and the previous allocation
 //! `X^t`; the single object every solver in the workspace consumes.
 
+use crate::affinity::RuleView;
 use crate::assignment::Assignment;
 use crate::constraints::{self, ViolationReport};
 use crate::cost::{self, ObjectiveVector};
@@ -147,38 +148,25 @@ impl AllocationProblem {
         crate::delta::DeltaEvaluator::new(self, assignment)
     }
 
+    /// What VM `k`'s rule partners placed in `assignment` demand of its
+    /// server, collected once — the view a neighbour scan checks every
+    /// candidate against. O(rules(k)); allocation-free for separation
+    /// rules of up to nine resources (see [`RuleView`]).
+    pub fn rule_view(&self, assignment: &Assignment, k: VmId) -> RuleView<'_> {
+        let req = self.batch.request(self.batch.request_of(k));
+        RuleView::collect(&self.infra, &req.rules, assignment, k)
+    }
+
     /// Is placing VM `k` on server `j` consistent with the *rules* of its
     /// request given the partial `assignment`? (Capacity is the tracker's
-    /// job; this checks affinity only.) Used by greedy and CP allocators.
+    /// job; this checks affinity only.) Unplaced partners constrain
+    /// nothing. One [`rule_view`](Self::rule_view) query — callers testing
+    /// many servers for one VM build the view once instead. A request
+    /// without rules (every trace arrival) allows any server and skips
+    /// building the view: greedy allocators call this once per candidate.
     pub fn rules_allow(&self, assignment: &Assignment, k: VmId, j: ServerId) -> bool {
-        let req = self.batch.request(self.batch.request_of(k));
-        let dc_j = self.infra.datacenter_of(j);
-        for rule in &req.rules {
-            if !rule.vms().contains(&k) {
-                continue;
-            }
-            for &other in rule.vms() {
-                if other == k {
-                    continue;
-                }
-                let Some(s_other) = assignment.server_of(other) else {
-                    continue;
-                };
-                let same_server = s_other == j;
-                let same_dc = self.infra.datacenter_of(s_other) == dc_j;
-                use crate::affinity::AffinityKind::*;
-                let ok = match rule.kind() {
-                    SameServer => same_server,
-                    SameDatacenter => same_dc,
-                    DifferentServer => !same_server,
-                    DifferentDatacenter => !same_dc,
-                };
-                if !ok {
-                    return false;
-                }
-            }
-        }
-        true
+        let rules = &self.batch.request(self.batch.request_of(k)).rules;
+        rules.is_empty() || RuleView::collect(&self.infra, rules, assignment, k).allows(j)
     }
 
     /// Per-request acceptance under `assignment`, indexed by
@@ -309,6 +297,42 @@ mod tests {
         assert!(p.rules_allow(&a, VmId(3), ServerId(0)));
         // VM 0 has no rules: anything goes.
         assert!(p.rules_allow(&a, VmId(0), ServerId(1)));
+    }
+
+    #[test]
+    fn rule_view_flags_hopeless_placements() {
+        let pr = ServerProfile::commodity(3);
+        let infra = Infrastructure::new(
+            AttrSet::standard(),
+            vec![
+                ("dc0".into(), pr.build_many(2)),
+                ("dc1".into(), pr.build_many(1)),
+            ],
+        );
+        let mut batch = RequestBatch::new();
+        batch.push_request(
+            vec![vm_spec(1.0, 1.0, 1.0); 4],
+            vec![
+                AffinityRule::new(
+                    AffinityKind::DifferentDatacenter,
+                    vec![VmId(0), VmId(1), VmId(2)],
+                ),
+                AffinityRule::new(AffinityKind::DifferentServer, vec![VmId(3), VmId(0)]),
+            ],
+        );
+        let p = AllocationProblem::new(infra, batch, None);
+        let mut a = Assignment::unassigned(4);
+        a.assign(VmId(0), ServerId(0));
+        // VM 1 may only go to dc1, VM 3 anywhere but server 0.
+        assert!(!p.rule_view(&a, VmId(1)).hopeless());
+        assert!(p.rule_view(&a, VmId(1)).allows(ServerId(2)));
+        assert!(!p.rule_view(&a, VmId(1)).allows(ServerId(1)));
+        assert!(!p.rule_view(&a, VmId(3)).allows(ServerId(0)));
+        // With dc0 and dc1 both taken, VM 2 has nowhere to go.
+        a.assign(VmId(1), ServerId(2));
+        let view = p.rule_view(&a, VmId(2));
+        assert!(view.hopeless());
+        assert!(p.infra().server_ids().all(|j| !view.allows(j)));
     }
 
     #[test]

@@ -184,3 +184,89 @@ proptest! {
         prop_assert_eq!(ev.is_feasible(), p.is_feasible(ev.assignment()));
     }
 }
+
+/// Strategy: a problem, a (possibly partial) starting assignment (gene
+/// `m` = unassigned), a group of distinct VMs and a target (`m` = evict).
+#[allow(clippy::type_complexity)]
+fn group_scenario() -> impl Strategy<Value = (AllocationProblem, Vec<usize>, Vec<usize>, usize)> {
+    problem_strategy().prop_flat_map(|p| {
+        let (m, n) = (p.m(), p.n());
+        (
+            Just(p),
+            proptest::collection::vec(0usize..=m, n),
+            proptest::collection::vec(0usize..n, 1..6),
+            0usize..=m,
+        )
+    })
+}
+
+/// Every maintained fact the public API exposes, plus the score bits, as
+/// one word list: each VM's server (`u64::MAX` = unplaced), each server's
+/// hosted count, occupants and tracker cells, the overloaded servers, the
+/// faulty VMs, feasibility and the score.
+fn observed(ev: &DeltaEvaluator<'_>) -> Vec<u64> {
+    let p = ev.problem();
+    let a = ev.assignment();
+    let mut words: Vec<u64> = (0..a.len())
+        .map(|k| a.server_of(VmId(k)).map_or(u64::MAX, |j| j.index() as u64))
+        .collect();
+    for j in p.infra().server_ids() {
+        words.push(ev.tracker().hosted(j) as u64);
+        words.extend(ev.occupants(j).iter().map(|k| k.index() as u64));
+        for l in p.infra().attrs().ids() {
+            words.push(ev.tracker().used(j, l).to_bits());
+        }
+    }
+    words.extend(ev.overloaded_server_ids().iter().map(|j| j.index() as u64));
+    words.extend(ev.faulty_vms().iter().map(|k| k.index() as u64));
+    words.push(u64::from(ev.is_feasible()));
+    words.extend(bits(&ev.score()));
+    words
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// `apply_group` equals moving the members one by one with `apply` /
+    /// `unassign_vm` and a from-scratch rebuild, and undoing its history
+    /// restores the starting state.
+    #[test]
+    fn group_move_is_bit_identical_to_sequential_moves(
+        (p, genes, group, target) in group_scenario()
+    ) {
+        let m = p.m();
+        let mut start = Assignment::unassigned(p.n());
+        for (k, &g) in genes.iter().enumerate() {
+            if g < m {
+                start.assign(VmId(k), ServerId(g));
+            }
+        }
+        // Distinct members, in the drawn (unsorted) order.
+        let mut seen = vec![false; p.n()];
+        let group: Vec<VmId> = group
+            .into_iter()
+            .filter(|&k| !std::mem::replace(&mut seen[k], true))
+            .map(VmId)
+            .collect();
+        let to = (target < m).then_some(ServerId(target));
+
+        let mut batched = DeltaEvaluator::new(&p, start.clone());
+        let before = observed(&batched);
+        batched.apply_group(&group, to);
+        prop_assert_eq!(batched.history_len(), group.len());
+
+        let mut sequential = DeltaEvaluator::new(&p, start);
+        for &k in &group {
+            match to {
+                Some(j) => sequential.apply(k, j),
+                None => sequential.unassign_vm(k),
+            }
+        }
+        let after = observed(&batched);
+        prop_assert_eq!(&after, &observed(&sequential));
+        prop_assert_eq!(&after, &observed(&batched.rebuild()));
+
+        while batched.undo() {}
+        prop_assert_eq!(&observed(&batched), &before);
+    }
+}

@@ -542,10 +542,12 @@ pub fn run<P: MoeaProblem>(
         }
         let mut next: Vec<Individual> =
             survivors.into_iter().map(|i| combined[i].clone()).collect();
-        // Re-rank the survivors (ranks referenced the combined pool).
-        let fronts = fast_non_dominated_sort(&mut next);
+        // Survivors are whole fronts plus part of the next one, so every
+        // dominator of a survivor survives too and its rank in the
+        // combined pool is its rank among the survivors. Only NSGA-II
+        // re-sorts: its crowding distances are per survivor front.
         if config.variant == Variant::Nsga2 {
-            for f in &fronts {
+            for f in &fast_non_dominated_sort(&mut next) {
                 assign_crowding_distance(&mut next, f);
             }
         }
@@ -727,6 +729,36 @@ mod tests {
         }
         assert_eq!(children, result.generations * n);
         assert!(parent_repairs > 0, "infeasible parents must be repaired");
+    }
+
+    #[test]
+    fn nsga3_survivors_keep_their_combined_pool_rank() {
+        // Without repair, ConstrainedSum keeps feasible and infeasible
+        // individuals side by side, and distinct violations make deep
+        // fronts. A run stopped after g generations is the first g
+        // generations of a longer one, so this checks every generation.
+        for variant in [Variant::Nsga3, Variant::UNsga3] {
+            let mut cfg = small_config(variant);
+            let n = cfg.population_size;
+            let (mut deep, mut mixed) = (false, false);
+            for generations in 1..=12 {
+                cfg.max_evaluations = n * (generations + 1);
+                let result = run(&ConstrainedSum, &cfg, None);
+                assert_eq!(result.generations, generations);
+                let kept: Vec<usize> = result.population.iter().map(|i| i.rank).collect();
+                let mut resorted = result.population.clone();
+                fast_non_dominated_sort(&mut resorted);
+                let fresh: Vec<usize> = resorted.iter().map(|i| i.rank).collect();
+                assert_eq!(kept, fresh, "{variant:?}, generation {generations}");
+                deep |= kept.iter().any(|&r| r > 1);
+                let feasible = result.population.iter().filter(|i| i.is_feasible()).count();
+                mixed |= feasible > 0 && feasible < n;
+            }
+            assert!(
+                deep && mixed,
+                "{variant:?}: the check must see deep, mixed fronts"
+            );
+        }
     }
 
     #[test]

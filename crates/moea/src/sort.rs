@@ -13,19 +13,24 @@ pub fn fast_non_dominated_sort(pop: &mut [Individual]) -> Vec<Vec<usize>> {
     if n == 0 {
         return Vec::new();
     }
-    // dominated_by[p] = individuals that p dominates;
-    // domination_count[p] = how many dominate p.
-    let mut dominated: Vec<Vec<usize>> = vec![Vec::new(); n];
+    // Row p of the flat n×n `dominated` buffer lists, in discovery order,
+    // the individuals p dominates; its first `dominated_len[p]` cells are
+    // live. `count[p]` = how many dominate p.
+    let mut dominated = vec![0u32; n * n];
+    let mut dominated_len = vec![0usize; n];
     let mut count = vec![0usize; n];
     for p in 0..n {
         for q in (p + 1)..n {
-            if pop[p].constrained_dominates(&pop[q]) {
-                dominated[p].push(q);
-                count[q] += 1;
+            let (winner, loser) = if pop[p].constrained_dominates(&pop[q]) {
+                (p, q)
             } else if pop[q].constrained_dominates(&pop[p]) {
-                dominated[q].push(p);
-                count[p] += 1;
-            }
+                (q, p)
+            } else {
+                continue;
+            };
+            dominated[winner * n + dominated_len[winner]] = loser as u32;
+            dominated_len[winner] += 1;
+            count[loser] += 1;
         }
     }
     let mut fronts: Vec<Vec<usize>> = Vec::new();
@@ -37,7 +42,8 @@ pub fn fast_non_dominated_sort(pop: &mut [Individual]) -> Vec<Vec<usize>> {
         }
         let mut next = Vec::new();
         for &p in &current {
-            for &q in &dominated[p] {
+            for &q in &dominated[p * n..p * n + dominated_len[p]] {
+                let q = q as usize;
                 count[q] -= 1;
                 if count[q] == 0 {
                     next.push(q);

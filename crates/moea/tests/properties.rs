@@ -171,3 +171,80 @@ proptest! {
         }
     }
 }
+
+/// The fast non-dominated sort as it was before its domination lists moved
+/// into one flat n×n buffer: one growing `Vec` per individual. Kept as the
+/// oracle of the flat-buffer sort.
+fn vec_of_vecs_sort(pop: &mut [Individual]) -> Vec<Vec<usize>> {
+    let n = pop.len();
+    if n == 0 {
+        return Vec::new();
+    }
+    let mut dominated: Vec<Vec<usize>> = vec![Vec::new(); n];
+    let mut count = vec![0usize; n];
+    for p in 0..n {
+        for q in (p + 1)..n {
+            if pop[p].constrained_dominates(&pop[q]) {
+                dominated[p].push(q);
+                count[q] += 1;
+            } else if pop[q].constrained_dominates(&pop[p]) {
+                dominated[q].push(p);
+                count[p] += 1;
+            }
+        }
+    }
+    let mut fronts: Vec<Vec<usize>> = Vec::new();
+    let mut current: Vec<usize> = (0..n).filter(|&p| count[p] == 0).collect();
+    let mut rank = 0usize;
+    while !current.is_empty() {
+        for &p in &current {
+            pop[p].rank = rank;
+        }
+        let mut next = Vec::new();
+        for &p in &current {
+            for &q in &dominated[p] {
+                count[q] -= 1;
+                if count[q] == 0 {
+                    next.push(q);
+                }
+            }
+        }
+        fronts.push(std::mem::take(&mut current));
+        current = next;
+        rank += 1;
+    }
+    fronts
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// The flat-buffer sort returns the oracle's fronts, in the same
+    /// order, and the same ranks, on populations mixing feasible and
+    /// infeasible individuals (coarse grids make ties and duplicates).
+    #[test]
+    fn flat_buffer_sort_matches_the_vec_of_vecs_sort(
+        points in proptest::collection::vec(
+            (proptest::collection::vec(0u8..6, 3), 0u8..4),
+            0..60,
+        )
+    ) {
+        let mut pop: Vec<Individual> = points
+            .iter()
+            .map(|(obj, v)| {
+                let mut i = Individual::new(vec![0.0]);
+                i.set_evaluation(Evaluation {
+                    objectives: obj.iter().map(|&x| f64::from(x)).collect(),
+                    violation: f64::from(*v) * 0.5,
+                });
+                i
+            })
+            .collect();
+        let mut oracle = pop.clone();
+        let fronts = fast_non_dominated_sort(&mut pop);
+        prop_assert_eq!(&fronts, &vec_of_vecs_sort(&mut oracle));
+        let ranks: Vec<usize> = pop.iter().map(|i| i.rank).collect();
+        let oracle_ranks: Vec<usize> = oracle.iter().map(|i| i.rank).collect();
+        prop_assert_eq!(ranks, oracle_ranks);
+    }
+}

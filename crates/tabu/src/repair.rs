@@ -134,6 +134,12 @@ pub fn find_neighbour(
 /// [`find_neighbour`] over a precomputed candidate order — the hot path
 /// used by [`repair`], which computes position-independent scan orders
 /// (first-fit, best-cost) once per invocation instead of once per VM.
+///
+/// `k`'s rules are read once per scan into a [`RuleView`]: a hopeless
+/// view ends the scan before any candidate is tried, and each candidate
+/// is checked against the view before capacity and the tabu list. All
+/// three checks are pure, so the first match is the first server
+/// [`is_valid_allocation`] accepts.
 pub fn find_neighbour_in(
     problem: &AllocationProblem,
     assignment: &Assignment,
@@ -142,19 +148,17 @@ pub fn find_neighbour_in(
     k: VmId,
     candidates: &[ServerId],
 ) -> Option<ServerId> {
-    let current = assignment.server_of(k);
-    for &j in candidates {
-        if Some(j) == current {
-            continue;
-        }
-        if tabu.is_tabu(k, j) {
-            continue;
-        }
-        if is_valid_allocation(problem, assignment, tracker, k, j) {
-            return Some(j);
-        }
+    let rules = problem.rule_view(assignment, k);
+    if rules.hopeless() {
+        return None;
     }
-    None
+    let current = assignment.server_of(k);
+    candidates.iter().copied().find(|&j| {
+        Some(j) != current
+            && rules.allows(j)
+            && tracker.fits(k, j, problem.batch(), problem.infra())
+            && !tabu.is_tabu(k, j)
+    })
 }
 
 /// VMs that currently sit on a faulty gene: on an overloaded server, on no
@@ -208,22 +212,20 @@ pub fn same_server_group(problem: &AllocationProblem, k: VmId) -> Option<Vec<VmI
     (group.len() >= 2).then_some(group)
 }
 
-/// Attempts to move an entire same-server group to one server that can
-/// take it whole. Restores the original placement (via the evaluator's
-/// undo stack) on failure. Expects an empty undo history on entry.
+/// Attempts to move an entire same-server group to the first server of
+/// `order` that can take it whole. Restores the original placement (via
+/// the evaluator's undo stack) on failure. Expects an empty undo history
+/// on entry.
 fn try_group_move(
     problem: &AllocationProblem,
     ev: &mut DeltaEvaluator<'_>,
     group: &[VmId],
-    order: ScanOrder,
+    order: &[ServerId],
 ) -> bool {
     debug_assert_eq!(ev.history_len(), 0, "caller must clear history");
     let batch = problem.batch();
-    let anchor = group.first().and_then(|&k| ev.assignment().server_of(k));
     // Detach the group (recorded on the undo stack).
-    for &k in group {
-        ev.unassign_vm(k);
-    }
+    ev.apply_group(group, None);
     // Total group demand per attribute.
     let h = problem.h();
     let mut total = vec![0.0_f64; h];
@@ -232,35 +234,39 @@ fn try_group_move(
             *t += batch.vm(k).demand[l];
         }
     }
-    for j in scan_candidates(problem, anchor, order) {
-        // Whole-group capacity check.
-        let used = ev.tracker().used_row(j);
-        let cap = problem.infra().effective_row(j);
-        let fits = used
-            .iter()
-            .zip(&total)
-            .zip(cap)
-            .all(|((u, t), c)| u + t <= c + 1e-9);
-        if !fits {
-            continue;
+    // Rules vs VMs outside the group (intra-group same-server holds by
+    // construction once all land on one server), read once per member.
+    let views: Vec<RuleView<'_>> = group
+        .iter()
+        .map(|&k| problem.rule_view(ev.assignment(), k))
+        .collect();
+    let target = if views.iter().any(RuleView::hopeless) {
+        None
+    } else {
+        order.iter().copied().find(|&j| {
+            // Whole-group capacity check.
+            let used = ev.tracker().used_row(j);
+            let cap = problem.infra().effective_row(j);
+            let fits = used
+                .iter()
+                .zip(&total)
+                .zip(cap)
+                .all(|((u, t), c)| u + t <= c + 1e-9);
+            fits && views.iter().all(|v| v.allows(j))
+        })
+    };
+    match target {
+        Some(j) => {
+            ev.apply_group(group, Some(j));
+            ev.clear_history();
+            true
         }
-        // Rules vs VMs outside the group (intra-group same-server holds by
-        // construction once all land on j).
-        if !group
-            .iter()
-            .all(|&k| problem.rules_allow(ev.assignment(), k, j))
-        {
-            continue;
+        None => {
+            // Restore the original placement.
+            while ev.undo() {}
+            false
         }
-        for &k in group {
-            ev.apply(k, j);
-        }
-        ev.clear_history();
-        return true;
     }
-    // Restore the original placement.
-    while ev.undo() {}
-    false
 }
 
 /// The paper's REPAIR procedure (Fig. 5), generalised and iterated: scans
@@ -356,7 +362,16 @@ pub fn repair_on(ev: &mut DeltaEvaluator<'_>, config: &RepairConfig) -> RepairOu
                     // A VM pinned by a same-server rule cannot move alone:
                     // relocate the whole co-location group.
                     if let Some(group) = same_server_group(problem, k) {
-                        if try_group_move(problem, ev, &group, config.scan) {
+                        let ring;
+                        let order = match &cached_order {
+                            Some(order) => order.as_slice(),
+                            None => {
+                                let anchor = ev.assignment().server_of(group[0]);
+                                ring = scan_candidates(problem, anchor, config.scan);
+                                &ring
+                            }
+                        };
+                        if try_group_move(problem, ev, &group, order) {
                             moves += group.len();
                             progressed = true;
                         }

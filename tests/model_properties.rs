@@ -391,3 +391,238 @@ proptest! {
         prop_assert_eq!(decoded, a);
     }
 }
+
+/// The per-pair rule check `AllocationProblem::rules_allow` ran before
+/// rule views: walk every rule of `k`'s request that names `k` and test
+/// `j` against each placed partner. Kept as the oracle of `rule_view`.
+fn rules_allow_oracle(p: &AllocationProblem, a: &Assignment, k: VmId, j: ServerId) -> bool {
+    let req = p.batch().request(p.batch().request_of(k));
+    let dc_j = p.infra().datacenter_of(j);
+    for rule in &req.rules {
+        if !rule.vms().contains(&k) {
+            continue;
+        }
+        for &other in rule.vms() {
+            if other == k {
+                continue;
+            }
+            let Some(s_other) = a.server_of(other) else {
+                continue;
+            };
+            let same_server = s_other == j;
+            let same_dc = p.infra().datacenter_of(s_other) == dc_j;
+            let ok = match rule.kind() {
+                AffinityKind::SameServer => same_server,
+                AffinityKind::SameDatacenter => same_dc,
+                AffinityKind::DifferentServer => !same_server,
+                AffinityKind::DifferentDatacenter => !same_dc,
+            };
+            if !ok {
+                return false;
+            }
+        }
+    }
+    true
+}
+
+/// The sort-based `AffinityRule::violation_degree` body the in-place count
+/// replaced, kept as its oracle.
+fn violation_degree_oracle(rule: &AffinityRule, a: &Assignment, infra: &Infrastructure) -> usize {
+    let vms = rule.vms();
+    match rule.kind() {
+        AffinityKind::SameServer => {
+            let mut counts: Vec<(usize, usize)> = Vec::new();
+            for &k in vms {
+                if let Some(s) = a.server_of(k) {
+                    if let Some(e) = counts.iter_mut().find(|(sv, _)| *sv == s.index()) {
+                        e.1 += 1;
+                    } else {
+                        counts.push((s.index(), 1));
+                    }
+                }
+            }
+            let majority = counts.iter().map(|&(_, c)| c).max().unwrap_or(0);
+            vms.len() - majority
+        }
+        AffinityKind::SameDatacenter => {
+            let mut counts: Vec<(usize, usize)> = Vec::new();
+            let mut unassigned = 0usize;
+            for &k in vms {
+                match a.server_of(k) {
+                    None => unassigned += 1,
+                    Some(s) => {
+                        let dc = infra.datacenter_of(s).index();
+                        if let Some(e) = counts.iter_mut().find(|(d, _)| *d == dc) {
+                            e.1 += 1;
+                        } else {
+                            counts.push((dc, 1));
+                        }
+                    }
+                }
+            }
+            let majority = counts.iter().map(|&(_, c)| c).max().unwrap_or(0);
+            if majority == 0 {
+                unassigned
+            } else {
+                vms.len() - majority
+            }
+        }
+        AffinityKind::DifferentServer | AffinityKind::DifferentDatacenter => {
+            let mut keys: Vec<usize> = Vec::new();
+            let mut degree = 0usize;
+            for &k in vms {
+                match a.server_of(k) {
+                    None => degree += 1,
+                    Some(s) if rule.kind() == AffinityKind::DifferentServer => keys.push(s.index()),
+                    Some(s) => keys.push(infra.datacenter_of(s).index()),
+                }
+            }
+            keys.sort_unstable();
+            let mut i = 0;
+            while i < keys.len() {
+                let mut j = i + 1;
+                while j < keys.len() && keys[j] == keys[i] {
+                    j += 1;
+                }
+                degree += j - i - 1;
+                i = j;
+            }
+            degree
+        }
+    }
+}
+
+/// Strategy: a fleet of one to ten datacenters of uneven size, requests
+/// of 2–20 VMs each carrying random rules of all four kinds over random
+/// member subsets (overlapping rules of one kind included), and a partial
+/// assignment. Large separation rules overflow `RuleView`'s inline lists.
+fn rule_view_case() -> impl Strategy<Value = (AllocationProblem, Assignment)> {
+    (
+        proptest::collection::vec(1usize..4, 1..11),
+        1usize..4,
+        0u64..1_000_000,
+    )
+        .prop_map(|(dc_sizes, reqs, seed)| {
+            let mut s = seed;
+            let mut next = move |bound: usize| {
+                s = s
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                (s >> 33) as usize % bound
+            };
+            let profile = ServerProfile::commodity(3);
+            let infra = Infrastructure::new(
+                AttrSet::standard(),
+                dc_sizes
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &size)| (format!("dc{i}"), profile.build_many(size)))
+                    .collect(),
+            );
+            let kinds = [
+                AffinityKind::SameServer,
+                AffinityKind::SameDatacenter,
+                AffinityKind::DifferentServer,
+                AffinityKind::DifferentDatacenter,
+            ];
+            let mut batch = RequestBatch::new();
+            for _ in 0..reqs {
+                let first = batch.vm_count();
+                let size = 2 + next(19);
+                let mut rules = Vec::new();
+                for _ in 0..next(4) {
+                    // Half the rules span the whole request.
+                    let whole = next(2) == 0;
+                    let members: Vec<VmId> = (first..first + size)
+                        .filter(|_| whole || next(3) != 0)
+                        .map(VmId)
+                        .collect();
+                    if members.len() >= 2 {
+                        rules.push(AffinityRule::new(kinds[next(4)], members));
+                    }
+                }
+                batch.push_request(vec![vm_spec(1.0, 512.0, 5.0); size], rules);
+            }
+            let m = infra.server_count();
+            let n = batch.vm_count();
+            let mut a = Assignment::unassigned(n);
+            for k in 0..n {
+                // One VM in four stays unplaced.
+                let g = next(m + m / 3 + 1);
+                if g < m {
+                    a.assign(VmId(k), ServerId(g));
+                }
+            }
+            (AllocationProblem::new(infra, batch, None), a)
+        })
+}
+
+/// Strategy: one rule of 2–6 members over a multi-datacenter fleet and a
+/// partial assignment of its members.
+fn degree_case() -> impl Strategy<Value = (Infrastructure, AffinityRule, Assignment)> {
+    (
+        proptest::collection::vec(1usize..4, 1..4),
+        0usize..4,
+        2usize..7,
+        proptest::collection::vec(0usize..16, 6),
+    )
+        .prop_map(|(dc_sizes, kind, len, genes)| {
+            let profile = ServerProfile::commodity(3);
+            let infra = Infrastructure::new(
+                AttrSet::standard(),
+                dc_sizes
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &size)| (format!("dc{i}"), profile.build_many(size)))
+                    .collect(),
+            );
+            let kinds = [
+                AffinityKind::SameServer,
+                AffinityKind::SameDatacenter,
+                AffinityKind::DifferentServer,
+                AffinityKind::DifferentDatacenter,
+            ];
+            // Members listed out of id order, as rules may be.
+            let rule = AffinityRule::new(kinds[kind], (0..len).rev().map(VmId).collect());
+            let m = infra.server_count();
+            let mut a = Assignment::unassigned(len);
+            for (k, &g) in genes.iter().take(len).enumerate() {
+                if g < m {
+                    a.assign(VmId(k), ServerId(g));
+                }
+            }
+            (infra, rule, a)
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// `rule_view(a, k).allows(j)` and `rules_allow` agree with the
+    /// per-pair oracle for every VM and server, and `hopeless()` holds
+    /// exactly when no server is allowed.
+    #[test]
+    fn rule_view_matches_the_per_pair_check((p, a) in rule_view_case()) {
+        for k in p.batch().vm_ids() {
+            let view = p.rule_view(&a, k);
+            let mut any_allowed = false;
+            for j in p.infra().server_ids() {
+                let want = rules_allow_oracle(&p, &a, k, j);
+                prop_assert_eq!(view.allows(j), want, "vm {:?} server {:?}", k, j);
+                prop_assert_eq!(p.rules_allow(&a, k, j), want);
+                any_allowed |= want;
+            }
+            prop_assert_eq!(view.hopeless(), !any_allowed, "vm {:?}", k);
+        }
+    }
+
+    /// The in-place `violation_degree` equals the sort-based count it
+    /// replaced, for every rule kind, with unplaced members.
+    #[test]
+    fn violation_degree_matches_the_sort_based_count((infra, rule, a) in degree_case()) {
+        prop_assert_eq!(
+            rule.violation_degree(&a, &infra),
+            violation_degree_oracle(&rule, &a, &infra)
+        );
+    }
+}
