@@ -1,6 +1,6 @@
-//! Dependency-free micro-benchmark runner: times the hot kernels the
-//! criterion suite profiles, but as a plain binary CI can run on every
-//! push, and writes the results as machine-readable JSON.
+//! Dependency-free micro-benchmark runner: times the hot kernels as a
+//! plain binary CI runs on every push, and writes the results as
+//! machine-readable JSON.
 //!
 //! ```text
 //! cargo run --release -p cpo-bench --bin bench_micro [out.json]
@@ -32,15 +32,16 @@
 //!   is reported, not asserted, because CI machines are noisy.
 
 use cpo_bench::report::{Cell, Report};
-use cpo_bench::{admissible_fig8_problem, bench_problem, outcome_fingerprint, reconfig_problem};
+use cpo_bench::{admissible_fig8_problem, outcome_fingerprint, reconfig_problem};
 use cpo_core::cp_alloc::build_batch_csp;
 use cpo_core::prelude::{Allocator, EvoAllocator};
 use cpo_cpsolve::prelude::*;
 use cpo_des::queue::synthetic_churn;
-use cpo_exper::runner::{Algorithm, Effort};
+use cpo_exper::runner::{scenario_problem, Algorithm, Effort};
 use cpo_model::prelude::*;
 use cpo_moea::prelude::NsgaConfig;
 use cpo_obs::flight;
+use cpo_scenario::prelude::ScenarioSize;
 use cpo_tabu::repair::{repair_on, RepairConfig, ScanOrder};
 use cpo_tabu::{tabu_search, Neighborhood, Scoring, TabuConfig};
 use rand::rngs::SmallRng;
@@ -120,7 +121,7 @@ fn main() {
     );
 
     // --- tabu: delta vs full move scoring ---------------------------
-    let problem = bench_problem(100, false, 42);
+    let problem = scenario_problem(&ScenarioSize::with_servers(100), false, 42);
     let mut s = 7u64;
     let genes: Vec<usize> = (0..problem.n())
         .map(|_| {
@@ -326,7 +327,7 @@ fn main() {
     }
 
     // --- allocator sweep: flight recorder off vs on -----------------
-    let problem = bench_problem(15, false, 42);
+    let problem = scenario_problem(&ScenarioSize::with_servers(15), false, 42);
     for algorithm in [Algorithm::RoundRobin, Algorithm::ConstraintProgramming] {
         let label = algorithm.label();
         flight::disable();

@@ -1,33 +1,19 @@
-//! Shared helpers for the benchmark suite.
-//!
-//! Each `benches/figN_*.rs` target regenerates one figure of the paper:
-//! it prints the figure's data table (the same rows `exper figN` emits)
-//! and then lets criterion time the representative cells. The
-//! `ablation_*` targets benchmark the design choices DESIGN.md calls out;
-//! the `micro_*` targets profile the hot kernels.
+//! Shared helpers for the benchmark binaries: `bench_micro` (hot-kernel
+//! cells), `bench_trace` (the trace macro-benchmark) and `bench_diff`
+//! (the regression gate over their reports). The paper's figures and
+//! the ablations are regenerated by `exper`, not here.
 
 pub mod diff;
 pub mod report;
 
-use cpo_exper::runner::{Algorithm, Effort};
+use cpo_exper::runner::scenario_problem;
 use cpo_model::prelude::AllocationProblem;
-use cpo_scenario::prelude::{ScenarioSize, ScenarioSpec};
+use cpo_scenario::prelude::ScenarioSize;
 
 /// Cores available to this process (`available_parallelism`, 1 when
 /// unknown): the `host_cores` key each bench's config cell records.
 pub fn host_cores() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
-}
-
-/// Deterministic scenario for a bench cell.
-pub fn bench_problem(servers: usize, heavy: bool, seed: u64) -> AllocationProblem {
-    let size = ScenarioSize::with_servers(servers);
-    let spec = if heavy {
-        ScenarioSpec::for_size(&size).with_heavy_affinity()
-    } else {
-        ScenarioSpec::for_size(&size)
-    };
-    spec.generate(seed)
 }
 
 /// The reconfiguration cell that pins the evolutionary allocators: the
@@ -37,7 +23,7 @@ pub fn bench_problem(servers: usize, heavy: bool, seed: u64) -> AllocationProble
 pub fn reconfig_problem() -> AllocationProblem {
     use cpo_core::prelude::{Allocator, RoundRobinAllocator};
     use cpo_model::prelude::ServerId;
-    let fresh = bench_problem(24, false, 42);
+    let fresh = scenario_problem(&ScenarioSize::with_servers(24), false, 42);
     let previous = RoundRobinAllocator.allocate(&fresh).assignment;
     let mut hosted = vec![0usize; fresh.m()];
     for (_, j) in previous.iter_assigned() {
@@ -70,33 +56,6 @@ pub fn outcome_fingerprint(outcome: &cpo_core::prelude::AllocationOutcome) -> u6
     hash
 }
 
-/// Prints one figure's data table by calling the exper harness with a
-/// small run count — the rows `cargo bench` leaves in its log are the
-/// regenerated figure.
-pub fn print_figure(id: &str) {
-    use cpo_exper::figures;
-    use cpo_exper::report::{render_figure, shape_summary};
-    let runs = 2;
-    let seed = 42;
-    let fig = match id {
-        "fig7" => figures::fig7(Effort::Quick, runs, seed),
-        "fig8" => figures::fig8(Effort::Quick, runs, seed),
-        "fig9" => figures::fig9(Effort::Quick, runs, seed),
-        "fig10" => figures::fig10(Effort::Quick, runs, seed),
-        "fig11" => figures::fig11(Effort::Quick, runs, seed),
-        other => panic!("unknown figure {other}"),
-    };
-    println!("\n=== regenerated {id} ===");
-    print!("{}", render_figure(&fig));
-    print!("{}", shape_summary(&fig));
-    println!("========================\n");
-}
-
-/// The algorithm set for timing cells.
-pub fn timed_algorithms() -> [Algorithm; 6] {
-    Algorithm::all()
-}
-
 /// The fig8 seed-42 cell restricted to admissible requests — the same
 /// batch-level CSP the propagation regression test pins. Requests whose
 /// rules are structurally unsatisfiable on this infrastructure (a
@@ -104,7 +63,7 @@ pub fn timed_algorithms() -> [Algorithm; 6] {
 /// datacenters) are dropped upfront, exactly as batch admission would.
 pub fn admissible_fig8_problem() -> AllocationProblem {
     use cpo_model::prelude::*;
-    let raw = ScenarioSpec::for_size(&ScenarioSize::with_servers(100)).generate(42);
+    let raw = scenario_problem(&ScenarioSize::with_servers(100), false, 42);
     let g = raw.g();
     let mut batch = RequestBatch::new();
     for req in raw.batch().requests() {
@@ -135,17 +94,4 @@ pub fn admissible_fig8_problem() -> AllocationProblem {
         batch.push_request(vms, rules);
     }
     AllocationProblem::new(raw.infra().clone(), batch, None)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn bench_problem_is_deterministic() {
-        let a = bench_problem(8, true, 1);
-        let b = bench_problem(8, true, 1);
-        assert_eq!(a.n(), b.n());
-        assert_eq!(a.m(), 8);
-    }
 }

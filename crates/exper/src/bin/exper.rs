@@ -4,8 +4,14 @@
 //! ```text
 //! exper table3
 //! exper fig7 [--runs N] [--paper] [--seed S] [--csv FILE]
+//! exper ablations [--csv-dir DIR]
 //! exper all  [--runs N] [--paper] [--seed S] [--csv-dir DIR]
 //! ```
+//!
+//! The five quality figures (`fig9`, `fig10`, `fig11`, `ext-cpr`,
+//! `ext-rev`) are five metrics of one sweep; `all` runs it once. `all`
+//! and `ablations` emit several tables, so they take `--csv-dir` (one
+//! `<id>.csv` per table) and refuse `--csv FILE`.
 //!
 //! Default effort is `--quick` (reduced budgets, same qualitative shape);
 //! `--paper` switches to the Table III settings with 100 runs.
@@ -49,8 +55,7 @@ use cpo_exper::chart::{render_chart, ChartOptions};
 use cpo_exper::figures::{self, Figure, Metric};
 use cpo_exper::markdown::figure_markdown;
 use cpo_exper::report::{figure_csv, render_figure, render_table3, shape_summary};
-use cpo_exper::runner::Algorithm;
-use cpo_exper::runner::Effort;
+use cpo_exper::runner::{scenario_problem, Algorithm, Effort};
 use cpo_scenario::prelude::{ScenarioFile, ScenarioSize};
 use std::env;
 use std::fs;
@@ -736,13 +741,42 @@ fn emit(fig: &Figure, opts: &Options) -> Result<(), String> {
         print!("{}", render_chart(fig, &options));
     }
     println!();
+    write_csv(opts, fig.id, &figure_csv(fig))
+}
+
+/// Writes one table's CSV to `--csv FILE` and to `<--csv-dir>/<name>.csv`.
+fn write_csv(opts: &Options, name: &str, csv: &str) -> Result<(), String> {
     if let Some(path) = &opts.csv {
-        fs::write(path, figure_csv(fig)).map_err(|e| format!("writing {path}: {e}"))?;
+        fs::write(path, csv).map_err(|e| format!("writing {path}: {e}"))?;
     }
     if let Some(dir) = &opts.csv_dir {
         fs::create_dir_all(dir).map_err(|e| format!("creating {dir}: {e}"))?;
-        let path = format!("{dir}/{}.csv", fig.id);
-        fs::write(&path, figure_csv(fig)).map_err(|e| format!("writing {path}: {e}"))?;
+        let path = format!("{dir}/{name}.csv");
+        fs::write(&path, csv).map_err(|e| format!("writing {path}: {e}"))?;
+    }
+    Ok(())
+}
+
+/// Convergence study on one representative scenario, the light m=25
+/// workload, and `ext-conv.csv` under `--csv-dir`.
+fn run_convergence(opts: &Options) -> Result<(), String> {
+    use cpo_exper::convergence::{convergence_csv, convergence_study, render_convergence};
+    let size = ScenarioSize::with_servers(25);
+    let problem = scenario_problem(&size, false, opts.seed);
+    let config = opts.effort.nsga_config();
+    println!("scenario: {} (seed {})", size.label(), opts.seed);
+    let traces = convergence_study(&problem, &config);
+    print!("{}", render_convergence(&traces, config.population_size));
+    println!();
+    write_csv(opts, "ext-conv", &convergence_csv(&traces))
+}
+
+/// Prints the eight ablation tables and writes `ablation-<name>.csv` for
+/// each under `--csv-dir`.
+fn run_ablations(opts: &Options) -> Result<(), String> {
+    for table in cpo_exper::ablation::all() {
+        println!("{}", table.render());
+        write_csv(opts, &format!("ablation-{}", table.name), &table.csv())?;
     }
     Ok(())
 }
@@ -798,7 +832,7 @@ fn main() -> ExitCode {
     let args: Vec<String> = env::args().skip(1).collect();
     let Some(command) = args.first() else {
         eprintln!(
-            "usage: exper <table3|fig7|fig8|fig9|fig10|fig11|ext-cpr|ext-rev|ext-conv|scenario <file>|des|trace|profile|timeline <dump>|all> \
+            "usage: exper <table3|fig7|fig8|fig9|fig10|fig11|ext-cpr|ext-rev|ext-conv|ablations|scenario <file>|des|trace|profile|timeline <dump>|all> \
              [--runs N] [--paper|--quick] [--seed S] [--csv FILE] [--csv-dir DIR] [--md] [--chart] \
              [--telemetry] [--trace FILE] [--timeline ID] [--out-dir DIR] [--dash FILE] \
              [--algo NAME] [--rate R] [--horizon T] [--servers N] [--failures MTBF,MTTR] \
@@ -828,6 +862,12 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
+    if opts.csv.is_some() && (command == "all" || command == "ablations") {
+        eprintln!(
+            "error: `exper {command}` writes several tables; use --csv-dir DIR, not --csv FILE"
+        );
+        return ExitCode::FAILURE;
+    }
     let runs = opts.runs.unwrap_or_else(|| opts.effort.runs());
     if opts.telemetry {
         cpo_obs::enable();
@@ -875,31 +915,16 @@ fn main() -> ExitCode {
         }
         "fig7" => emit(&figures::fig7(opts.effort, runs, opts.seed), &opts),
         "fig8" => emit(&figures::fig8(opts.effort, runs, opts.seed), &opts),
-        "fig9" => emit(&figures::fig9(opts.effort, runs, opts.seed), &opts),
-        "fig10" => emit(&figures::fig10(opts.effort, runs, opts.seed), &opts),
-        "fig11" => emit(&figures::fig11(opts.effort, runs, opts.seed), &opts),
-        "ext-cpr" => emit(
-            &figures::fig_ext_cost_per_request(opts.effort, runs, opts.seed),
-            &opts,
-        ),
-        "ext-rev" => emit(
-            &figures::fig_ext_net_revenue(opts.effort, runs, opts.seed),
-            &opts,
-        ),
-        "ext-conv" => {
-            // Convergence study on one representative scenario.
-            use cpo_exper::convergence::{convergence_study, render_convergence};
-            use cpo_scenario::prelude::ScenarioSpec;
-            // Light workload: full feasibility is reachable, so the
-            // best-feasible column is informative for every variant.
-            let size = ScenarioSize::with_servers(25);
-            let problem = ScenarioSpec::for_size(&size).generate(opts.seed);
-            let config = opts.effort.nsga_config();
-            println!("scenario: {} (seed {})", size.label(), opts.seed);
-            let traces = convergence_study(&problem, &config);
-            print!("{}", render_convergence(&traces, config.population_size));
-            Ok(())
+        id @ ("fig9" | "fig10" | "fig11" | "ext-cpr" | "ext-rev") => {
+            // The five quality figures are five metrics of one sweep.
+            let figs = figures::quality_figures(opts.effort, runs, opts.seed);
+            emit(
+                figs.iter().find(|f| f.id == id).expect("a quality figure"),
+                &opts,
+            )
         }
+        "ext-conv" => run_convergence(&opts),
+        "ablations" => run_ablations(&opts),
         "scenario" => {
             // exper scenario <file.json>: run all algorithms (paper six +
             // the two extras) on the scenario described by the JSON file.
@@ -916,15 +941,15 @@ fn main() -> ExitCode {
         "all" => {
             print!("{}", render_table3(&figures::table3()));
             println!();
-            let mut result = emit(&figures::fig7(opts.effort, runs, opts.seed), &opts);
-            result =
-                result.and_then(|()| emit(&figures::fig8(opts.effort, runs, opts.seed), &opts));
-            result.and_then(|()| {
-                // Figs. 9–11 share one sweep; run it once.
-                figures::quality_figures(opts.effort, runs, opts.seed)
-                    .iter()
-                    .try_for_each(|f| emit(f, &opts))
-            })
+            emit(&figures::fig7(opts.effort, runs, opts.seed), &opts)
+                .and_then(|()| emit(&figures::fig8(opts.effort, runs, opts.seed), &opts))
+                .and_then(|()| {
+                    figures::quality_figures(opts.effort, runs, opts.seed)
+                        .iter()
+                        .try_for_each(|f| emit(f, &opts))
+                })
+                .and_then(|()| run_convergence(&opts))
+                .and_then(|()| run_ablations(&opts))
         }
         other => Err(format!("unknown command {other}")),
     };

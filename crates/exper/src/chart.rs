@@ -1,6 +1,6 @@
 //! Terminal line charts: render a figure's series as an ASCII plot, the
 //! visual analogue of the paper's Figs. 7–11 for people reading
-//! `exper`/`cargo bench` logs.
+//! `exper` logs (`--chart`).
 
 use crate::figures::Figure;
 use crate::runner::Algorithm;

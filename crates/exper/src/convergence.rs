@@ -130,6 +130,27 @@ pub fn render_convergence(traces: &[Trace], population: usize) -> String {
     out
 }
 
+/// The traces as CSV, one line per (algorithm, generation); the
+/// best-feasible cell is empty while no individual is feasible.
+pub fn convergence_csv(traces: &[Trace]) -> String {
+    let mut out = String::from(
+        "algorithm,generation,evaluations,feasible,min_violation,best_feasible_total\n",
+    );
+    for t in traces {
+        for g in &t.history {
+            let best = g
+                .best_feasible_total
+                .map_or(String::new(), |v| format!("{v:.6}"));
+            let _ = writeln!(
+                out,
+                "{},{},{},{},{:.6},{best}",
+                t.name, g.generation, g.evaluations, g.feasible, g.min_violation
+            );
+        }
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -208,5 +229,9 @@ mod tests {
             assert!(table.contains(name), "missing column {name}");
         }
         assert!(table.contains("time-to-half-feasible"));
+        let csv = convergence_csv(&traces);
+        let rows = traces.iter().map(|t| t.history.len()).sum::<usize>();
+        assert_eq!(csv.lines().count(), rows + 1);
+        assert!(csv.lines().all(|l| l.split(',').count() == 6));
     }
 }

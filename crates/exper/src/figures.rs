@@ -59,7 +59,7 @@ impl Metric {
 /// The data behind one figure: series per algorithm over the size axis.
 #[derive(Clone, Debug)]
 pub struct Figure {
-    /// Figure id ("fig7" … "fig11").
+    /// Figure id ("fig7" … "fig11", "ext-cpr", "ext-rev").
     pub id: &'static str,
     /// Human title (mirrors the paper's caption).
     pub title: &'static str,
@@ -132,109 +132,60 @@ pub fn fig8(effort: Effort, runs: usize, seed: u64) -> Figure {
     }
 }
 
-/// Fig. 9 — rejection rate vs problem size under affinity-heavy demand.
-/// Expected shape: the tabu hybrid lowest; Round Robin and unmodified
-/// NSGA highest.
-pub fn fig9(effort: Effort, runs: usize, seed: u64) -> Figure {
-    let sizes = scaled(quality_sweep(), effort);
-    let cells = run_sweep(&Algorithm::all(), &sizes, effort, runs, true, seed);
-    Figure {
-        id: "fig9",
-        title: "Rejection rate vs problem size",
-        metric: Metric::RejectionRate,
-        sizes,
-        cells,
-    }
-}
-
-/// Fig. 10 — violated constraints vs problem size. Expected shape: only
-/// unmodified NSGA-II / NSGA-III violate; every other algorithm is zero.
-pub fn fig10(effort: Effort, runs: usize, seed: u64) -> Figure {
-    let sizes = scaled(quality_sweep(), effort);
-    let cells = run_sweep(&Algorithm::all(), &sizes, effort, runs, true, seed);
-    Figure {
-        id: "fig10",
-        title: "Violated constraints vs problem size",
-        metric: Metric::Violations,
-        sizes,
-        cells,
-    }
-}
-
-/// Fig. 11 — provider cost per algorithm. Expected shape: CP, NSGA-III+CP
-/// and the tabu hybrid lowest (with the hybrid slightly above CP while
-/// accepting more requests); unmodified NSGA highest.
-pub fn fig11(effort: Effort, runs: usize, seed: u64) -> Figure {
-    let sizes = scaled(quality_sweep(), effort);
-    let cells = run_sweep(&Algorithm::all(), &sizes, effort, runs, true, seed);
-    Figure {
-        id: "fig11",
-        title: "Average provider cost per algorithm",
-        metric: Metric::ProviderCost,
-        sizes,
-        cells,
-    }
-}
-
-/// Figs. 9, 10 and 11 share one sweep (same workload, three metrics);
-/// this runs it once and returns all three figures — the fast path the
-/// `exper all` command uses.
-pub fn quality_figures(effort: Effort, runs: usize, seed: u64) -> [Figure; 3] {
+/// Figs. 9–11 and the two extension figures plot five metrics of one
+/// sweep (the affinity-heavy quality workload); this runs it once and
+/// returns the five figures, with ids `fig9`, `fig10`, `fig11`,
+/// `ext-cpr` and `ext-rev`, in that order.
+///
+/// * Fig. 9 — rejection rate. Expected shape: the tabu hybrid lowest;
+///   Round Robin and unmodified NSGA highest.
+/// * Fig. 10 — violated constraints. Expected shape: only unmodified
+///   NSGA-II / NSGA-III violate; every other algorithm is zero.
+/// * Fig. 11 — provider cost. Expected shape: CP, NSGA-III+CP and the
+///   tabu hybrid lowest (the hybrid slightly above CP while accepting
+///   more requests); unmodified NSGA highest.
+/// * `ext-cpr` — provider cost per accepted request, the normalisation
+///   the paper's conclusion proposes as future work; it removes the cost
+///   advantage of rejecting.
+/// * `ext-rev` — net provider revenue, the conclusion's argument made
+///   quantitative: acceptance earns, rejection doesn't, violations cost.
+pub fn quality_figures(effort: Effort, runs: usize, seed: u64) -> [Figure; 5] {
     let sizes = scaled(quality_sweep(), effort);
     let cells = run_sweep(&Algorithm::all(), &sizes, effort, runs, true, seed);
     [
-        Figure {
-            id: "fig9",
-            title: "Rejection rate vs problem size",
-            metric: Metric::RejectionRate,
-            sizes: sizes.clone(),
-            cells: cells.clone(),
-        },
-        Figure {
-            id: "fig10",
-            title: "Violated constraints vs problem size",
-            metric: Metric::Violations,
-            sizes: sizes.clone(),
-            cells: cells.clone(),
-        },
-        Figure {
-            id: "fig11",
-            title: "Average provider cost per algorithm",
-            metric: Metric::ProviderCost,
-            sizes,
-            cells,
-        },
+        (
+            "fig9",
+            "Rejection rate vs problem size",
+            Metric::RejectionRate,
+        ),
+        (
+            "fig10",
+            "Violated constraints vs problem size",
+            Metric::Violations,
+        ),
+        (
+            "fig11",
+            "Average provider cost per algorithm",
+            Metric::ProviderCost,
+        ),
+        (
+            "ext-cpr",
+            "Provider cost per accepted request (future-work metric)",
+            Metric::CostPerRequest,
+        ),
+        (
+            "ext-rev",
+            "Net provider revenue (extension metric)",
+            Metric::NetRevenue,
+        ),
     ]
-}
-
-/// Extension figure — the normalised cost-per-accepted-request metric
-/// the paper's conclusion proposes as future work. Same sweep as
-/// Figs. 9–11; removes the cost advantage of rejecting.
-pub fn fig_ext_cost_per_request(effort: Effort, runs: usize, seed: u64) -> Figure {
-    let sizes = scaled(quality_sweep(), effort);
-    let cells = run_sweep(&Algorithm::all(), &sizes, effort, runs, true, seed);
-    Figure {
-        id: "ext-cpr",
-        title: "Provider cost per accepted request (future-work metric)",
-        metric: Metric::CostPerRequest,
-        sizes,
-        cells,
-    }
-}
-
-/// Extension figure — net provider revenue, the conclusion's argument
-/// made quantitative: acceptance earns, rejection doesn't, violations
-/// cost.
-pub fn fig_ext_net_revenue(effort: Effort, runs: usize, seed: u64) -> Figure {
-    let sizes = scaled(quality_sweep(), effort);
-    let cells = run_sweep(&Algorithm::all(), &sizes, effort, runs, true, seed);
-    Figure {
-        id: "ext-rev",
-        title: "Net provider revenue (extension metric)",
-        metric: Metric::NetRevenue,
-        sizes,
-        cells,
-    }
+    .map(|(id, title, metric)| Figure {
+        id,
+        title,
+        metric,
+        sizes: sizes.clone(),
+        cells: cells.clone(),
+    })
 }
 
 /// Table III — the NSGA settings. Returns `(parameter, value)` rows.

@@ -7,9 +7,9 @@
 //! | Table III | [`figures::table3`] | NSGA settings |
 //! | Fig. 7 | [`figures::fig7`] | execution time, few resources |
 //! | Fig. 8 | [`figures::fig8`] | execution time, many resources |
-//! | Fig. 9 | [`figures::fig9`] | rejection rate |
-//! | Fig. 10 | [`figures::fig10`] | violated constraints |
-//! | Fig. 11 | [`figures::fig11`] | provider cost |
+//! | Figs. 9–11, `ext-cpr`, `ext-rev` | [`figures::quality_figures`] | rejection rate, violated constraints, provider cost, cost per accepted request, net revenue |
+//! | `ext-conv` | [`convergence::convergence_study`] | per-generation progress |
+//! | ablations | [`ablation::all`] | the design choices DESIGN.md §5 calls out |
 //!
 //! All six algorithms run on *identical* seeded problem instances per run
 //! (paired comparison), aggregated with mean/std/min/max. The `exper`
@@ -19,6 +19,7 @@
 
 #![warn(missing_docs)]
 
+pub mod ablation;
 pub mod chart;
 pub mod convergence;
 pub mod figures;

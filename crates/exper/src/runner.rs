@@ -2,6 +2,7 @@
 
 use crate::metrics::AggregateMetrics;
 use cpo_core::prelude::*;
+use cpo_model::prelude::AllocationProblem;
 use cpo_moea::prelude::NsgaConfig;
 use cpo_scenario::prelude::{ScenarioSize, ScenarioSpec};
 use std::time::Duration;
@@ -182,6 +183,18 @@ impl Algorithm {
     }
 }
 
+/// The seeded scenario every sweep, ablation and bench cell solves:
+/// `size`'s generator spec, with the quality figures' affinity-heavy
+/// request mix when `affinity_heavy` is set.
+pub fn scenario_problem(size: &ScenarioSize, affinity_heavy: bool, seed: u64) -> AllocationProblem {
+    let spec = ScenarioSpec::for_size(size);
+    if affinity_heavy {
+        spec.with_heavy_affinity().generate(seed)
+    } else {
+        spec.generate(seed)
+    }
+}
+
 /// One cell of a sweep: an algorithm at a size, aggregated over runs.
 #[derive(Clone, Debug)]
 pub struct Cell {
@@ -209,14 +222,7 @@ pub fn run_sweep(
         // Generate each run's problem once and share it across algorithms
         // so they compete on identical instances (paired comparison).
         let problems: Vec<_> = (0..runs)
-            .map(|r| {
-                let spec = if affinity_heavy {
-                    ScenarioSpec::for_size(size).with_heavy_affinity()
-                } else {
-                    ScenarioSpec::for_size(size)
-                };
-                spec.generate(base_seed.wrapping_add(r as u64))
-            })
+            .map(|r| scenario_problem(size, affinity_heavy, base_seed.wrapping_add(r as u64)))
             .collect();
         for &algorithm in algorithms {
             let outcomes: Vec<AllocationOutcome> = problems
@@ -264,6 +270,15 @@ mod tests {
         assert_eq!(p.population_size, 100);
         assert_eq!(p.max_evaluations, 10_000);
         assert_eq!(Effort::Paper.runs(), 100);
+    }
+
+    #[test]
+    fn scenario_problem_is_deterministic() {
+        let size = ScenarioSize::with_servers(8);
+        let a = scenario_problem(&size, true, 1);
+        let b = scenario_problem(&size, true, 1);
+        assert_eq!(a.n(), b.n());
+        assert_eq!(a.m(), 8);
     }
 
     #[test]

@@ -9,8 +9,8 @@
 //! repairs) must leave every constant unchanged; serial and parallel
 //! population evaluation must agree.
 
-use cpo_bench::{bench_problem, outcome_fingerprint, reconfig_problem};
-use cpo_iaas::exper::runner::Effort;
+use cpo_bench::{outcome_fingerprint, reconfig_problem};
+use cpo_iaas::exper::runner::{scenario_problem, Effort};
 use cpo_iaas::moea::prelude::NsgaConfig;
 use cpo_iaas::prelude::*;
 
@@ -55,7 +55,7 @@ fn nsga3_tabu_reconfig_is_pinned() {
 
 #[test]
 fn nsga3_tabu_fresh_is_pinned() {
-    let problem = bench_problem(24, false, 42);
+    let problem = scenario_problem(&ScenarioSize::with_servers(24), false, 42);
     assert!(problem.previous().is_none());
     for parallel in [false, true] {
         assert_pinned(
