@@ -303,12 +303,25 @@ fn first_front(
     }
 }
 
+/// One hypervolume reference for every front measured on `problem`: the
+/// componentwise max over 64 random assignments, padded 20 %.
+fn fixed_reference(problem: &AllocationProblem) -> [f64; 3] {
+    let mut reference = [0.0_f64; 3];
+    for a in random_assignments(problem, 64, 99) {
+        for (r, v) in reference.iter_mut().zip(problem.evaluate(&a).as_array()) {
+            *r = r.max(v);
+        }
+    }
+    reference.map(|r| r * 1.2 + 1.0)
+}
+
 /// NSGA-II crowding vs NSGA-III and U-NSGA-III reference-point niching
 /// (pop 40, 2 000 evaluations, m=20): hypervolume of the feasible first
-/// front, or of the raw first front when none is feasible, against the
-/// front's own padded nadir.
+/// front, or of the raw first front when none is feasible, against one
+/// fixed reference for all three variants.
 pub fn nsga2_vs_nsga3() -> Ablation {
     let problem = problem(20, false);
+    let reference = fixed_reference(&problem);
     let rows = [
         ("nsga2", Variant::Nsga2),
         ("nsga3", Variant::Nsga3),
@@ -322,17 +335,13 @@ pub fn nsga2_vs_nsga3() -> Ablation {
             ..NsgaConfig::paper_defaults(variant)
         };
         let start = Instant::now();
-        let front = first_front(&problem, &config, true);
-        let reference: Vec<f64> = (0..front[0].len())
-            .map(|j| front.iter().map(|f| f[j]).fold(0.0_f64, f64::max) * 1.1 + 1.0)
-            .collect();
-        let hv = hypervolume(&front, &reference);
+        let hv = hypervolume(&first_front(&problem, &config, true), &reference);
         vec![name.to_string(), float(hv), millis(start)]
     })
     .collect();
     Ablation {
         name: "nsga2-vs-nsga3",
-        title: "selection variant, first-front hypervolume (m=20, seed 42)".into(),
+        title: "selection variant, fixed-reference first-front hypervolume (m=20, seed 42)".into(),
         columns: &["variant", "hypervolume", "time_ms"],
         rows,
     }
@@ -376,17 +385,10 @@ pub fn mono_vs_multi() -> Ablation {
 
 /// Das–Dennis lattice density: NSGA-III at population 20–200 under a fixed
 /// 2 000-evaluation budget (m=20), first-front hypervolume against one
-/// reference point for all populations — the componentwise max over 64
-/// random assignments, padded 20 %.
+/// reference point for all populations (the one `nsga2-vs-nsga3` uses).
 pub fn refpoints() -> Ablation {
     let problem = problem(20, false);
-    let mut reference = [0.0_f64; 3];
-    for a in random_assignments(&problem, 64, 99) {
-        for (r, v) in reference.iter_mut().zip(problem.evaluate(&a).as_array()) {
-            *r = r.max(v);
-        }
-    }
-    let reference = reference.map(|r| r * 1.2 + 1.0);
+    let reference = fixed_reference(&problem);
     let rows = [20usize, 52, 100, 200]
         .into_iter()
         .map(|pop| {

@@ -55,7 +55,7 @@ use cpo_exper::chart::{render_chart, ChartOptions};
 use cpo_exper::figures::{self, Figure, Metric};
 use cpo_exper::markdown::figure_markdown;
 use cpo_exper::report::{figure_csv, render_figure, render_table3, shape_summary};
-use cpo_exper::runner::{scenario_problem, Algorithm, Effort};
+use cpo_exper::runner::{admissible, scenario_problem, Algorithm, Effort};
 use cpo_scenario::prelude::{ScenarioFile, ScenarioSize};
 use std::env;
 use std::fs;
@@ -758,13 +758,21 @@ fn write_csv(opts: &Options, name: &str, csv: &str) -> Result<(), String> {
 }
 
 /// Convergence study on one representative scenario, the light m=25
-/// workload, and `ext-conv.csv` under `--csv-dir`.
+/// workload restricted to its admissible requests, and `ext-conv.csv`
+/// under `--csv-dir`.
 fn run_convergence(opts: &Options) -> Result<(), String> {
     use cpo_exper::convergence::{convergence_csv, convergence_study, render_convergence};
     let size = ScenarioSize::with_servers(25);
-    let problem = scenario_problem(&size, false, opts.seed);
+    let raw = scenario_problem(&size, false, opts.seed);
+    let problem = admissible(&raw);
     let config = opts.effort.nsga_config();
-    println!("scenario: {} (seed {})", size.label(), opts.seed);
+    println!(
+        "scenario: {} (seed {}), {} of {} requests admissible",
+        size.label(),
+        opts.seed,
+        problem.batch().request_count(),
+        raw.batch().request_count()
+    );
     let traces = convergence_study(&problem, &config);
     print!("{}", render_convergence(&traces, config.population_size));
     println!();

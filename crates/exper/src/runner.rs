@@ -2,7 +2,7 @@
 
 use crate::metrics::AggregateMetrics;
 use cpo_core::prelude::*;
-use cpo_model::prelude::AllocationProblem;
+use cpo_model::prelude::{AffinityKind, AffinityRule, AllocationProblem};
 use cpo_moea::prelude::NsgaConfig;
 use cpo_scenario::prelude::{ScenarioSize, ScenarioSpec};
 use std::time::Duration;
@@ -195,6 +195,37 @@ pub fn scenario_problem(size: &ScenarioSize, affinity_heavy: bool, seed: u64) ->
     }
 }
 
+/// `problem` without the requests no placement can admit: a
+/// different-datacenter rule over more VMs than the fleet has
+/// datacenters can never hold. The kept requests stay in order, as
+/// batch admission would leave them ([`RequestBatch::subset`]).
+///
+/// # Panics
+/// Panics if `problem` carries a running allocation, whose VM ids the
+/// renumbering would invalidate.
+///
+/// [`RequestBatch::subset`]: cpo_model::prelude::RequestBatch::subset
+pub fn admissible(problem: &AllocationProblem) -> AllocationProblem {
+    assert!(
+        problem.previous().is_none(),
+        "admissible filters fresh problems only"
+    );
+    let g = problem.g();
+    let fits = |rule: &AffinityRule| {
+        rule.kind() != AffinityKind::DifferentDatacenter || rule.vms().len() <= g
+    };
+    let keep: Vec<usize> = problem
+        .batch()
+        .requests()
+        .iter()
+        .enumerate()
+        .filter(|(_, req)| req.rules.iter().all(fits))
+        .map(|(r, _)| r)
+        .collect();
+    let batch = problem.batch().subset(&keep);
+    AllocationProblem::new(problem.infra().clone(), batch, None)
+}
+
 /// One cell of a sweep: an algorithm at a size, aggregated over runs.
 #[derive(Clone, Debug)]
 pub struct Cell {
@@ -251,6 +282,36 @@ pub fn run_sweep(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn admissible_drops_only_unsatisfiable_separations() {
+        // The convergence study's scenario: request 14 separates 3 VMs
+        // across 2 datacenters.
+        let raw = scenario_problem(&ScenarioSize::with_servers(25), false, 42);
+        let kept = admissible(&raw);
+        assert_eq!(raw.g(), 2);
+        assert_eq!(
+            kept.batch().request_count() + 1,
+            raw.batch().request_count()
+        );
+        let unsatisfiable = |req: &cpo_model::prelude::Request| {
+            req.rules
+                .iter()
+                .any(|r| r.kind() == AffinityKind::DifferentDatacenter && r.vms().len() > raw.g())
+        };
+        assert!(unsatisfiable(
+            raw.batch().request(cpo_model::prelude::RequestId(14))
+        ));
+        assert!(!kept.batch().requests().iter().any(unsatisfiable));
+        // The kept requests are the others, in order.
+        let others: Vec<usize> = (0..raw.batch().request_count())
+            .filter(|&r| r != 14)
+            .collect();
+        assert_eq!(
+            kept.batch().requests(),
+            raw.batch().subset(&others).requests()
+        );
+    }
 
     #[test]
     fn all_algorithms_have_distinct_labels() {

@@ -87,12 +87,13 @@ impl AffinityRule {
         &self.vms
     }
 
-    /// Shifts every bound resource id up by `by` (a batch append moving
-    /// the rule's request behind `by` existing VMs). Order and
-    /// distinctness are preserved, so the rule stays valid.
-    pub(crate) fn shift_vms(&mut self, by: usize) {
+    /// Moves every bound resource id from a request whose VMs start at
+    /// `from` to the same position in one starting at `to` (a batch
+    /// append or subset renumbering the request). Order and distinctness
+    /// are preserved, so the rule stays valid. Every id must be ≥ `from`.
+    pub(crate) fn rebase_vms(&mut self, from: usize, to: usize) {
         for k in &mut self.vms {
-            k.0 += by;
+            k.0 = k.0 - from + to;
         }
     }
 

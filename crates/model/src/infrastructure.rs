@@ -269,6 +269,73 @@ impl Infrastructure {
         }
     }
 
+    /// The sub-fleet of `servers`, given as ascending global ids: local
+    /// server `i` is `servers[i]`, with its live capacity and effective
+    /// rows and its static parameters. Every datacenter is kept, empty
+    /// ones too, so [`DatacenterId`]s and datacenter rule checks mean the
+    /// same as on `self`. The static table is rebuilt for the kept
+    /// servers only.
+    ///
+    /// # Panics
+    /// Panics if `servers` is empty, not strictly ascending, or names a
+    /// server out of range.
+    pub fn restrict(&self, servers: &[ServerId]) -> Self {
+        assert!(
+            !servers.is_empty(),
+            "infrastructure needs at least one server"
+        );
+        assert!(
+            servers.windows(2).all(|w| w[0] < w[1]),
+            "restricted servers must be strictly ascending"
+        );
+        let last = servers[servers.len() - 1].index();
+        assert!(
+            last < self.server_count(),
+            "server {last} out of range for {} servers",
+            self.server_count()
+        );
+        let h = self.attr_count();
+        let statics = &self.statics;
+        let mut datacenters: Vec<Datacenter> = statics
+            .datacenters
+            .iter()
+            .map(|dc| Datacenter {
+                name: dc.name.clone(),
+                first_server: 0,
+                server_count: 0,
+            })
+            .collect();
+        let mut params = Vec::with_capacity(servers.len());
+        let mut server_dc = Vec::with_capacity(servers.len());
+        let mut capacity = Vec::with_capacity(servers.len() * h);
+        let mut effective = Vec::with_capacity(servers.len() * h);
+        for &j in servers {
+            let dc = statics.server_dc[j.index()];
+            datacenters[dc.index()].server_count += 1;
+            params.push(statics.servers[j.index()].clone());
+            server_dc.push(dc);
+            capacity.extend_from_slice(self.capacity.row(j.index()));
+            effective.extend_from_slice(self.effective.row(j.index()));
+        }
+        // Global datacenters own consecutive ids, so the ascending kept
+        // servers are grouped by datacenter in datacenter order.
+        let mut first_server = 0;
+        for dc in &mut datacenters {
+            dc.first_server = first_server;
+            first_server += dc.server_count;
+        }
+        Self {
+            statics: Arc::new(StaticTable {
+                attrs: statics.attrs.clone(),
+                datacenters,
+                servers: params,
+                server_dc,
+            }),
+            capacity: Matrix::from_vec(servers.len(), h, capacity),
+            effective: Matrix::from_vec(servers.len(), h, effective),
+        }
+    }
+
     /// The shared attribute set.
     #[inline]
     pub fn attrs(&self) -> &AttrSet {
@@ -578,6 +645,107 @@ mod tests {
         infra.set_capacity(j, &[10.0, 1024.0, -5.0]);
         assert_eq!(infra.capacity_row(j), [10.0, 1024.0, 0.0]);
         assert!((infra.effective_capacity(j, AttrId(0)) - 9.0).abs() < 1e-12);
+    }
+
+    /// A fleet whose servers all differ: capacity row `j` starts at `j`.
+    fn distinct_infra() -> Infrastructure {
+        let mut infra = tiny_infra();
+        for j in 0..infra.server_count() {
+            let cpu = 10.0 + j as f64;
+            infra.set_capacity(ServerId(j), &[cpu, 1024.0 * cpu, 100.0]);
+        }
+        infra
+    }
+
+    #[test]
+    fn restrict_keeps_rows_and_parameters_of_the_listed_servers() {
+        let infra = distinct_infra();
+        let kept = [ServerId(1), ServerId(3), ServerId(4)];
+        let sub = infra.restrict(&kept);
+        assert_eq!(sub.server_count(), 3);
+        assert_eq!(sub.attr_count(), 3);
+        for (local, &j) in kept.iter().enumerate() {
+            let l = ServerId(local);
+            assert_eq!(sub.capacity_row(l), infra.capacity_row(j));
+            assert_eq!(sub.effective_row(l), infra.effective_row(j));
+            assert_eq!(sub.server(l), infra.server(j));
+        }
+        // Static parameters come from the source, not from a shared table.
+        let mut factored = ServerProfile::commodity(3).build();
+        factored.factor = vec![0.5; 3];
+        let mixed = Infrastructure::new(
+            AttrSet::standard(),
+            vec![(
+                "dc".into(),
+                vec![ServerProfile::commodity(3).build(), factored],
+            )],
+        );
+        let only = mixed.restrict(&[ServerId(1)]);
+        assert_eq!(only.server(ServerId(0)).factor, vec![0.5; 3]);
+        assert_eq!(only.effective_capacity(ServerId(0), AttrId(0)), 16.0);
+    }
+
+    #[test]
+    fn restrict_keeps_every_datacenter_with_local_ranges() {
+        let infra = tiny_infra();
+        // dc0 = {0, 1}, dc1 = {2, 3, 4}; keep 1, 2 and 4.
+        let sub = infra.restrict(&[ServerId(1), ServerId(2), ServerId(4)]);
+        assert_eq!(sub.datacenter_count(), 2);
+        let dcs = sub.datacenters();
+        assert_eq!((dcs[0].first_server, dcs[0].server_count), (0, 1));
+        assert_eq!((dcs[1].first_server, dcs[1].server_count), (1, 2));
+        assert_eq!(dcs[1].name, "dc1");
+        assert_eq!(sub.datacenter_of(ServerId(0)), DatacenterId(0));
+        assert_eq!(sub.datacenter_of(ServerId(1)), DatacenterId(1));
+        assert_eq!(sub.datacenter_of(ServerId(2)), DatacenterId(1));
+        // A datacenter with no kept server stays, empty.
+        let east = infra.restrict(&[ServerId(3)]);
+        assert_eq!(east.datacenter_count(), 2);
+        assert_eq!(east.datacenters()[0].server_count, 0);
+        assert_eq!(east.datacenters()[0].servers().count(), 0);
+        assert_eq!(east.datacenter_of(ServerId(0)), DatacenterId(1));
+        assert!(east.datacenters()[1].contains(ServerId(0)));
+    }
+
+    #[test]
+    fn restrict_to_every_server_is_observably_the_original() {
+        let infra = distinct_infra();
+        let all: Vec<ServerId> = infra.server_ids().collect();
+        let sub = infra.restrict(&all);
+        assert_eq!(sub.attrs(), infra.attrs());
+        assert_eq!(sub.datacenters(), infra.datacenters());
+        assert_eq!(sub.servers(), infra.servers());
+        assert_eq!(sub.capacity_matrix(), infra.capacity_matrix());
+        assert_eq!(sub.effective_matrix(), infra.effective_matrix());
+        assert_eq!(sub.factor_matrix(), infra.factor_matrix());
+        assert_eq!(
+            sub.total_effective_capacity(),
+            infra.total_effective_capacity()
+        );
+        for j in infra.server_ids() {
+            assert_eq!(sub.datacenter_of(j), infra.datacenter_of(j));
+            assert_eq!(sub.server_spec(j), infra.server_spec(j));
+        }
+    }
+
+    #[test]
+    fn restricted_fleet_owns_its_capacity() {
+        let infra = tiny_infra();
+        let mut sub = infra.restrict(&[ServerId(0), ServerId(2)]);
+        sub.set_capacity(ServerId(1), &[0.0; 3]);
+        assert_eq!(infra.capacity_row(ServerId(2))[0], 32.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "strictly ascending")]
+    fn restrict_rejects_unordered_servers() {
+        tiny_infra().restrict(&[ServerId(2), ServerId(1)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn restrict_rejects_unknown_servers() {
+        tiny_infra().restrict(&[ServerId(5)]);
     }
 
     #[test]

@@ -186,7 +186,7 @@ impl RequestBatch {
                     k.0 += vm_base;
                 }
                 for rule in &mut req.rules {
-                    rule.shift_vms(vm_base);
+                    rule.rebase_vms(0, vm_base);
                 }
                 req
             }));
@@ -266,44 +266,52 @@ impl RequestBatch {
     /// sharded scheduler to hand each shard its slice of a window's
     /// arrivals as a self-contained batch.
     ///
+    /// Every request owns a contiguous VM range (see
+    /// [`Self::push_request`] and [`Self::append`]), so each request's
+    /// specs are cloned as one run and its rules move by one offset.
+    ///
     /// # Panics
     /// Panics if an index is out of range or repeated.
     pub fn subset(&self, indices: &[usize]) -> RequestBatch {
+        let vm_total = indices
+            .iter()
+            .filter_map(|&r| self.requests.get(r))
+            .map(|req| req.vms.len())
+            .sum();
+        let mut out = RequestBatch {
+            vms: Vec::with_capacity(vm_total),
+            requests: Vec::with_capacity(indices.len()),
+            vm_request: Vec::with_capacity(vm_total),
+        };
         let mut seen = vec![false; self.requests.len()];
-        let mut out = RequestBatch::new();
         for &r in indices {
             assert!(r < self.requests.len(), "request index {r} out of range");
             assert!(!seen[r], "request index {r} repeated in subset");
             seen[r] = true;
             let req = &self.requests[r];
-            // Old VmId → position within the request == new VmId offset
-            // from the subset batch's current vm count.
-            let base = out.vms.len();
-            let vms: Vec<VmSpec> = req
-                .vms
-                .iter()
-                .map(|&k| self.vms[k.index()].clone())
-                .collect();
-            let rules: Vec<AffinityRule> = req
+            let id = RequestId(out.requests.len());
+            let (first, base) = (req.vms[0].index(), out.vms.len());
+            let range = first..first + req.vms.len();
+            let rules = req
                 .rules
                 .iter()
                 .map(|rule| {
-                    let rebased = rule
-                        .vms()
-                        .iter()
-                        .map(|v| {
-                            let pos = req
-                                .vms
-                                .iter()
-                                .position(|&k| k == *v)
-                                .expect("rule references VM outside its request");
-                            VmId(base + pos)
-                        })
-                        .collect();
-                    AffinityRule::new(rule.kind(), rebased)
+                    assert!(
+                        rule.vms().iter().all(|v| range.contains(&v.index())),
+                        "rule references VM outside its request"
+                    );
+                    let mut rebased = rule.clone();
+                    rebased.rebase_vms(first, base);
+                    rebased
                 })
                 .collect();
-            out.push_request(vms, rules);
+            out.vms.extend_from_slice(&self.vms[range.clone()]);
+            out.vm_request.resize(out.vms.len(), id);
+            out.requests.push(Request {
+                id,
+                vms: (base..out.vms.len()).map(VmId).collect(),
+                rules,
+            });
         }
         out
     }
@@ -339,6 +347,7 @@ pub fn vm_spec(cpu: f64, ram: f64, disk: f64) -> VmSpec {
 mod tests {
     use super::*;
     use crate::affinity::{AffinityKind, AffinityRule};
+    use proptest::prelude::*;
 
     #[test]
     fn push_request_assigns_global_vm_ids() {
@@ -514,5 +523,100 @@ mod tests {
         let mut b = RequestBatch::new();
         b.push_request(vec![vm_spec(1.0, 1.0, 1.0)], vec![]);
         b.subset(&[0, 0]);
+    }
+
+    /// `subset` as it was built before the copy-light loop: re-push each
+    /// request, finding every rule VM's position by a linear search.
+    fn subset_by_repush(batch: &RequestBatch, indices: &[usize]) -> RequestBatch {
+        let mut out = RequestBatch::new();
+        for &r in indices {
+            let req = &batch.requests[r];
+            let base = out.vms.len();
+            let vms = req
+                .vms
+                .iter()
+                .map(|&k| batch.vms[k.index()].clone())
+                .collect();
+            let rules = req
+                .rules
+                .iter()
+                .map(|rule| {
+                    let pos = |v: &VmId| req.vms.iter().position(|k| k == v).unwrap();
+                    let rebased = rule.vms().iter().map(|v| VmId(base + pos(v)));
+                    AffinityRule::new(rule.kind(), rebased.collect())
+                })
+                .collect();
+            out.push_request(vms, rules);
+        }
+        out
+    }
+
+    /// One generated request: its VM count and `(kind, member bits,
+    /// rotation)` per candidate rule.
+    type RequestShape = (usize, Vec<(usize, u32, usize)>);
+
+    fn request_shape() -> impl Strategy<Value = RequestShape> {
+        (
+            1usize..6,
+            collection::vec((0usize..4, 0u32..64, 0usize..6), 0..4),
+        )
+    }
+
+    /// Builds a batch from shapes: VM `k` demands `k + 1` CPUs so every
+    /// spec is distinct, and each rule binds the VMs its bits select (two
+    /// or more), rotated so rule order differs from VM order.
+    fn shaped_batch(shapes: &[RequestShape]) -> RequestBatch {
+        const KINDS: [AffinityKind; 4] = [
+            AffinityKind::SameDatacenter,
+            AffinityKind::SameServer,
+            AffinityKind::DifferentDatacenter,
+            AffinityKind::DifferentServer,
+        ];
+        let mut b = RequestBatch::new();
+        for (vm_count, rules) in shapes {
+            let first = b.vm_count();
+            let vms = (first..first + vm_count)
+                .map(|k| vm_spec(k as f64 + 1.0, 512.0, 8.0))
+                .collect();
+            let rules = rules
+                .iter()
+                .filter_map(|&(kind, bits, rotation)| {
+                    let mut members: Vec<VmId> = (0..*vm_count)
+                        .filter(|i| bits & (1 << i) != 0)
+                        .map(|i| VmId(first + i))
+                        .collect();
+                    if members.len() < 2 {
+                        return None;
+                    }
+                    let turn = rotation % members.len();
+                    members.rotate_left(turn);
+                    Some(AffinityRule::new(KINDS[kind], members))
+                })
+                .collect();
+            b.push_request(vms, rules);
+        }
+        b
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn subset_equals_the_repush_oracle(
+            shapes in collection::vec(request_shape(), 1..12),
+            keys in collection::vec((0u64..1_000, 0u8..3), 12),
+        ) {
+            let batch = shaped_batch(&shapes);
+            // A random order over a random selection (about two thirds).
+            let mut indices: Vec<usize> = (0..batch.request_count())
+                .filter(|&r| keys[r].1 != 0)
+                .collect();
+            indices.sort_by_key(|&r| keys[r].0);
+            let fast = batch.subset(&indices);
+            let oracle = subset_by_repush(&batch, &indices);
+            prop_assert_eq!(fast.vms(), oracle.vms());
+            prop_assert_eq!(fast.requests(), oracle.requests());
+            prop_assert_eq!(&fast.vm_request, &oracle.vm_request);
+        }
     }
 }

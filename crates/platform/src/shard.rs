@@ -30,10 +30,14 @@
 //!
 //! Each round's snapshot is a flat copy: two `m × h` capacity matrices
 //! plus a reference to the residual's shared static table (see
-//! [`Infrastructure`]). Every part solves on its own copy of that
-//! residual — a masked part zeroes the servers outside its regions in
-//! the copy — which then moves into the part's [`AllocationProblem`],
-//! so each part copies the residual exactly once per round.
+//! [`Infrastructure`]). An unmasked part solves on its own copy of that
+//! residual. A masked part solves on the sub-fleet of the servers its
+//! regions own ([`Infrastructure::restrict`]): they keep their global
+//! order and every datacenter is kept, so its solver never scans a
+//! server it may not use, and the commit loop maps the part's local
+//! server ids back to global ones. Either copy moves into the part's
+//! [`AllocationProblem`], so each part copies the residual once per
+//! round.
 //!
 //! A round is one call of the crate's guarded solve (see
 //! [`crate::backend`]): part 0 solves on the coordinator's own thread,
@@ -75,8 +79,8 @@ pub enum PartitionStrategy {
     /// region is predicted by a greedy first-fit dry run on the
     /// snapshot's residual, and requests predicted into the same region
     /// hash to the same shard. Colocated contenders are then solved
-    /// *jointly* by one shard, against a view of the residual masked to
-    /// the regions that shard owns this round — so its internally
+    /// *jointly* by one shard, on the sub-fleet of the servers in the
+    /// regions that shard owns this round — so its internally
     /// consistent solution fits the live residual and cannot stray onto
     /// servers another shard's region owns. Shards therefore stop racing
     /// each other at commit time, which is what cuts the conflict rate
@@ -195,29 +199,19 @@ fn region_plan(
         .collect()
 }
 
-/// The snapshot residual as one masked shard sees it: an owned copy with
-/// the servers outside the regions the shard owns this round zeroed, so
-/// its solve cannot stray onto servers another shard's region owns.
-fn masked_residual(residual: &Infrastructure, mask: &[bool]) -> Infrastructure {
-    let zeros = vec![0.0; residual.attr_count()];
-    let mut masked = residual.clone();
-    for (j, &keep) in mask.iter().enumerate() {
-        if !keep {
-            masked.set_capacity(ServerId(j), &zeros);
-        }
-    }
-    masked
-}
-
 /// One round's partitioning: the per-part request lists, each remaining
-/// request's `(part, local index)` slot, and one optional server mask
-/// per part.
-type RoundPartition = (Vec<Vec<usize>>, Vec<(usize, usize)>, Vec<Option<Vec<bool>>>);
+/// request's `(part, local index)` slot, and per part the ascending
+/// global servers it owns when it is masked.
+type RoundPartition = (
+    Vec<Vec<usize>>,
+    Vec<(usize, usize)>,
+    Vec<Option<Vec<ServerId>>>,
+);
 
 /// Splits `remaining` into `shard_count` parts and returns, aligned with
 /// `remaining`, each request's `(part, local index)` slot — the commit
 /// loop uses the slots to find a request's solution regardless of the
-/// partitioning shape — plus one optional server mask per part.
+/// partitioning shape — plus, per masked part, the servers it owns.
 ///
 /// Masks exist only under [`PartitionStrategy::RegionHash`] with more
 /// than one shard and `mask_regions` set (the driver clears it on the
@@ -241,7 +235,7 @@ fn partition_round(
     }
     let mut parts: Vec<Vec<usize>> = vec![Vec::new(); shard_count];
     let mut slots: Vec<(usize, usize)> = Vec::with_capacity(remaining.len());
-    let mut masks: Vec<Option<Vec<bool>>> = vec![None; shard_count];
+    let mut masks: Vec<Option<Vec<ServerId>>> = vec![None; shard_count];
     match strategy {
         PartitionStrategy::RoundRobin => {
             for (p, &i) in remaining.iter().enumerate() {
@@ -272,7 +266,8 @@ fn partition_round(
             if mask_regions {
                 for (p, owned) in owned.into_iter().enumerate() {
                     if confinable[p] && !parts[p].is_empty() {
-                        masks[p] = Some(owned);
+                        let servers = owned.iter().enumerate().filter(|(_, &own)| own);
+                        masks[p] = Some(servers.map(|(j, _)| ServerId(j)).collect());
                     }
                 }
             }
@@ -434,7 +429,7 @@ impl<B: ShardBackend> WindowBackend for ShardedScheduler<B> {
             let full_batch = shard_count == 1 && remaining.len() == n;
             let (solved, solve_time) = solve_round(allocator, window, round, shard_count, |p| {
                 let residual = match &masks[p] {
-                    Some(mask) => masked_residual(&snapshot.residual, mask),
+                    Some(servers) => snapshot.residual.restrict(servers),
                     None => snapshot.residual.clone(),
                 };
                 let batch = if full_batch {
@@ -473,12 +468,17 @@ impl<B: ShardBackend> WindowBackend for ShardedScheduler<B> {
                     continue;
                 }
                 let local_req = sol.problem.batch().request(local);
+                // A masked part solved on its own servers only: local
+                // server `j` is its `j`-th owned server. The guarded
+                // solve checked an accepted request's servers against
+                // that problem, so the index is in range.
+                let global = |j: ServerId| masks[part].as_ref().map_or(j, |own| own[j.index()]);
                 placement.clear();
                 placement.extend(
                     local_req
                         .vms
                         .iter()
-                        .map(|&k| sol.assignment.server_of(k).expect("accepted ⇒ placed")),
+                        .map(|&k| global(sol.assignment.server_of(k).expect("accepted ⇒ placed"))),
                 );
                 placements.clear();
                 placements.extend(
@@ -839,6 +839,44 @@ mod tests {
         assert_eq!(a1, a2);
         assert_eq!(ids1, ids2);
         assert_eq!(m1, m2);
+    }
+
+    /// Round Robin that records the server count of every problem.
+    #[derive(Default)]
+    struct FleetSizes(std::sync::Mutex<Vec<usize>>);
+
+    impl Allocator for FleetSizes {
+        fn name(&self) -> &'static str {
+            "fleet-sizes"
+        }
+
+        fn allocate(&self, problem: &AllocationProblem) -> cpo_core::prelude::AllocationOutcome {
+            self.0.lock().unwrap().push(problem.m());
+            RoundRobinAllocator.allocate(problem)
+        }
+    }
+
+    #[test]
+    fn masked_parts_solve_on_their_own_servers_only() {
+        let mut sched = ShardedScheduler::new(
+            fleet(8),
+            ShardConfig {
+                shards: 2,
+                retry_budget: 3,
+                partition: PartitionStrategy::RegionHash,
+            },
+        );
+        let arrivals = batch(12, 1);
+        let ids = sched.backend_mut().register_arrivals(&arrivals);
+        let sizes = FleetSizes::default();
+        let (report, _) = sched.execute_window(&sizes, &arrivals, &ids);
+        assert_eq!(report.admitted, 12);
+        assert!(sched.backend().verify().is_ok());
+        let sizes = sizes.0.into_inner().unwrap();
+        assert!(
+            sizes.iter().any(|&m| m < 8),
+            "no part got a compact problem: {sizes:?}"
+        );
     }
 
     #[test]
