@@ -26,6 +26,10 @@
 //!   repair `allocate` (seed 42) on [`reconfig_problem`]: wall time,
 //!   evaluations and the outcome fingerprint `tests/nsga3_tabu_pin.rs`
 //!   pins;
+//! * `alloc.round-robin.saturated` — Round Robin on a pre-filled fleet
+//!   of 1,000 servers whose residual leaves a tail of VMs that fit
+//!   nowhere (seed 42): wall time and the exact admitted and rejected
+//!   request counts;
 //! * `alloc.<label>.flight_{off,on}` — one allocator sweep with the
 //!   flight recorder disabled vs enabled, plus the overhead ratio. The
 //!   recorder's acceptance bar is ≤5% overhead when enabled; the ratio
@@ -34,10 +38,11 @@
 use cpo_bench::report::{Cell, Report};
 use cpo_bench::{admissible_fig8_problem, outcome_fingerprint, reconfig_problem};
 use cpo_core::cp_alloc::build_batch_csp;
-use cpo_core::prelude::{Allocator, EvoAllocator};
+use cpo_core::prelude::{Allocator, EvoAllocator, RoundRobinAllocator};
 use cpo_cpsolve::prelude::*;
 use cpo_des::queue::synthetic_churn;
 use cpo_exper::runner::{scenario_problem, Algorithm, Effort};
+use cpo_model::attr::AttrSet;
 use cpo_model::prelude::*;
 use cpo_moea::prelude::NsgaConfig;
 use cpo_obs::flight;
@@ -323,6 +328,45 @@ fn main() {
                 .int("wall_ns", wall_ns as i128)
                 .int("evaluations", outcome.evaluations as i128)
                 .int("fingerprint", fingerprint as i128),
+        );
+    }
+
+    // --- Round Robin on a saturated fleet ------------------------------
+    // Each server keeps 0–40 % of its capacity as residual, and 4,000
+    // single-VM requests of 1–8 vCPUs arrive: once the fleet fills, the
+    // larger VMs fit nowhere, which is where a full-fleet scan per VM
+    // used to go.
+    {
+        let mut rng = SmallRng::seed_from_u64(42);
+        let mut infra = Infrastructure::new(
+            AttrSet::standard(),
+            vec![("dc".into(), ServerProfile::commodity(3).build_many(1_000))],
+        );
+        for j in infra.server_ids().collect::<Vec<_>>() {
+            let fill = rng.gen_range(0.6..1.0);
+            let load: Vec<f64> = infra.capacity_row(j).iter().map(|c| -c * fill).collect();
+            infra.adjust_capacity(j, &load);
+        }
+        let mut batch = RequestBatch::new();
+        for _ in 0..4_000 {
+            let cpu = f64::from(rng.gen_range(1..=8u32));
+            let spec = vm_spec(cpu, 2_048.0 * cpu, rng.gen_range(10.0..100.0));
+            batch.push_request(vec![spec], vec![]);
+        }
+        let problem = AllocationProblem::new(infra, batch, None);
+        let mut outcome = None;
+        let wall_ns = median_ns(5, || outcome = Some(RoundRobinAllocator.allocate(&problem)));
+        let rejected = outcome.expect("round robin ran").rejected.len();
+        let admitted = problem.batch().request_count() - rejected;
+        println!(
+            "alloc.round-robin.saturated: {:.2} ms, {admitted} admitted, {rejected} rejected",
+            wall_ns as f64 / 1e6
+        );
+        report.push(
+            Cell::new("alloc.round-robin.saturated")
+                .int("wall_ns", wall_ns as i128)
+                .int("admitted", admitted as i128)
+                .int("rejected", rejected as i128),
         );
     }
 

@@ -10,9 +10,12 @@
 //!     [--dash target/bench/DASH_trace.html]
 //! ```
 //!
-//! The run is executed **twice** with the same seed and the per-window
-//! outcome stream is fingerprinted: the benchmark aborts if the two
-//! replays diverge, so determinism is re-proven on every invocation.
+//! The run is executed **three times** with the same seed and the
+//! per-window outcome stream is fingerprinted: the benchmark aborts if
+//! the replays diverge, so determinism is re-proven on every invocation.
+//! The solve-latency percentiles are taken over each window's fastest
+//! solve of the three: over ~73 windows p99 is in effect one window's
+//! time, so one replay's tail would move with host noise alone.
 //! Per-window fleet-health series (`cpo_obs::series`) are collected
 //! through both replays with three standing assertions: at least six
 //! distinct `fleet.*` series sampled once per window, every ring inside
@@ -388,10 +391,18 @@ fn main() {
         .map(|w| w.running_vms)
         .max()
         .unwrap_or(0);
+    let (third, _, _) = replay(&args, factor);
+    assert_eq!(
+        fingerprint(&third.windows),
+        fp,
+        "replay is not deterministic: the third replay diverged"
+    );
     let mut solve_ns: Vec<u128> = report
         .windows
         .iter()
-        .map(|w| w.solve_time.as_nanos())
+        .zip(&second.windows)
+        .zip(&third.windows)
+        .map(|((a, b), c)| a.solve_time.min(b.solve_time).min(c.solve_time).as_nanos())
         .collect();
     solve_ns.sort_unstable();
     let (p50, p95, p99) = (

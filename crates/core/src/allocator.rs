@@ -208,7 +208,7 @@ mod tests {
     use super::*;
     use cpo_model::attr::AttrSet;
 
-    fn problem() -> AllocationProblem {
+    fn problem() -> AllocationProblem<'static> {
         let infra = Infrastructure::new(
             AttrSet::standard(),
             vec![("dc".into(), ServerProfile::commodity(3).build_many(2))],

@@ -88,7 +88,7 @@ mod tests {
     use super::*;
     use cpo_model::attr::AttrSet;
 
-    fn problem(reqs: Vec<(Vec<VmSpec>, Vec<AffinityRule>)>) -> AllocationProblem {
+    fn problem(reqs: Vec<(Vec<VmSpec>, Vec<AffinityRule>)>) -> AllocationProblem<'static> {
         let infra = Infrastructure::new(
             AttrSet::standard(),
             vec![

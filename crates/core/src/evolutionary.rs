@@ -280,7 +280,7 @@ mod tests {
         }
     }
 
-    fn problem(servers: usize, vms: usize, rules: bool) -> AllocationProblem {
+    fn problem(servers: usize, vms: usize, rules: bool) -> AllocationProblem<'static> {
         let infra = Infrastructure::new(
             AttrSet::standard(),
             vec![

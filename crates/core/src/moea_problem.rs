@@ -26,7 +26,7 @@ use cpo_tabu::repair::{repair_on, RepairConfig};
 
 /// The allocation problem in MOEA clothing.
 pub struct AllocMoeaProblem<'a> {
-    problem: &'a AllocationProblem,
+    problem: &'a AllocationProblem<'a>,
     codec: GenomeCodec,
     /// `Some` scalarises the three objectives to one weighted sum.
     weights: Option<[f64; 3]>,
@@ -37,7 +37,7 @@ pub struct AllocMoeaProblem<'a> {
 
 impl<'a> AllocMoeaProblem<'a> {
     /// Wraps a problem with the three Eq. 15 objectives.
-    pub fn new(problem: &'a AllocationProblem) -> Self {
+    pub fn new(problem: &'a AllocationProblem<'a>) -> Self {
         Self {
             problem,
             codec: GenomeCodec::new(problem.m(), problem.n()),
@@ -48,7 +48,7 @@ impl<'a> AllocMoeaProblem<'a> {
 
     /// Wraps a problem with one objective: the weighted sum of the three
     /// Eq. 15 terms, weights for (usage+opex, downtime, migration).
-    pub fn weighted(problem: &'a AllocationProblem, weights: [f64; 3]) -> Self {
+    pub fn weighted(problem: &'a AllocationProblem<'a>, weights: [f64; 3]) -> Self {
         Self {
             weights: Some(weights),
             ..Self::new(problem)
@@ -61,7 +61,7 @@ impl<'a> AllocMoeaProblem<'a> {
     }
 
     /// The wrapped problem.
-    pub fn problem(&self) -> &AllocationProblem {
+    pub fn problem(&self) -> &AllocationProblem<'_> {
         self.problem
     }
 
@@ -129,7 +129,7 @@ mod tests {
     use super::*;
     use cpo_model::attr::AttrSet;
 
-    fn problem() -> AllocationProblem {
+    fn problem() -> AllocationProblem<'static> {
         let infra = Infrastructure::new(
             AttrSet::standard(),
             vec![("dc".into(), ServerProfile::commodity(3).build_many(3))],

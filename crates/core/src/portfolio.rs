@@ -187,7 +187,7 @@ mod tests {
     use cpo_model::attr::AttrSet;
     use cpo_model::prelude::*;
 
-    fn problem() -> AllocationProblem {
+    fn problem() -> AllocationProblem<'static> {
         let infra = Infrastructure::new(
             AttrSet::standard(),
             vec![("dc".into(), ServerProfile::commodity(3).build_many(4))],

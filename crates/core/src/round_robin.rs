@@ -8,6 +8,14 @@
 //! the rules forbid. A request whose VMs cannot all be placed is rejected
 //! as a whole (its partial placements rolled back) — Round Robin never
 //! produces an invalid placement, it just rejects a lot (Fig. 9).
+//!
+//! A saturated fleet makes most rejections full scans that find no
+//! server. A [`HeadroomCeiling`] keeps, per attribute, an upper bound on
+//! every server's headroom: unbounded at first, set exact after a scan
+//! finds no server, and raised whenever a rollback frees room. A VM
+//! whose demand exceeds it in some attribute fits nowhere and is
+//! decided in O(h), with the cursor and the rollback exactly as after a
+//! failed scan, so every placement and rejection is the linear scan's.
 
 use crate::allocator::{AllocationOutcome, Allocator};
 use cpo_model::prelude::*;
@@ -21,15 +29,18 @@ pub struct RoundRobinAllocator;
 impl RoundRobinAllocator {
     /// Places all VMs of `req` starting the server scan at `cursor`.
     /// Returns `false` (leaving `assignment`/`tracker` rolled back) when
-    /// the request cannot be fully placed.
+    /// the request cannot be fully placed. `ceiling` bounds every
+    /// server's headroom under `tracker`; this call keeps it a bound.
     fn place_request(
         problem: &AllocationProblem,
         req: &Request,
         assignment: &mut Assignment,
         tracker: &mut LoadTracker,
+        ceiling: &mut HeadroomCeiling,
         cursor: &mut usize,
     ) -> bool {
         let m = problem.m();
+        let batch = problem.batch();
         let mut placed: Vec<(VmId, ServerId)> = Vec::with_capacity(req.vms.len());
 
         // Same-server groups must go as a unit: pre-compute the union of
@@ -45,17 +56,24 @@ impl RoundRobinAllocator {
             }
         }
 
+        // Removing a VM frees room on its server, so the ceiling rises.
         let rollback = |assignment: &mut Assignment,
                         tracker: &mut LoadTracker,
+                        ceiling: &mut HeadroomCeiling,
                         placed: &[(VmId, ServerId)]| {
             for &(k, j) in placed {
-                tracker.remove(k, j, problem.batch());
+                tracker.remove(k, j, batch);
+                tracker.raise_ceiling(ceiling, j, problem.infra());
                 assignment.unassign(k);
             }
         };
 
-        // Place the same-server unit first (hardest to fit).
+        // Place the same-server unit first (hardest to fit). A member
+        // that fits on no server alone fits on none beside its partners.
         if !unit.is_empty() {
+            if unit.iter().any(|&k| ceiling.excludes(&batch.vm(k).demand)) {
+                return false;
+            }
             let mut found = false;
             for step in 0..m {
                 let j = ServerId((*cursor + step) % m);
@@ -64,7 +82,7 @@ impl RoundRobinAllocator {
                 let mut trial: Vec<(VmId, ServerId)> = Vec::with_capacity(unit.len());
                 for &k in &unit {
                     if is_valid_allocation(problem, assignment, tracker, k, j) {
-                        tracker.add(k, j, problem.batch());
+                        tracker.add(k, j, batch);
                         assignment.assign(k, j);
                         trial.push((k, j));
                     } else {
@@ -78,32 +96,39 @@ impl RoundRobinAllocator {
                     found = true;
                     break;
                 }
-                rollback(assignment, tracker, &trial);
+                rollback(assignment, tracker, ceiling, &trial);
             }
             if !found {
                 return false;
             }
         }
 
-        // Place the remaining VMs one by one round-robin.
+        // Place the remaining VMs one by one round-robin. A VM the
+        // ceiling excludes fits nowhere, so it is decided without the
+        // scan; a scan that finds nothing sets the ceiling exact.
         for &k in &req.vms {
             if unit.contains(&k) {
                 continue;
             }
             let mut found = false;
-            for step in 0..m {
-                let j = ServerId((*cursor + step) % m);
-                if is_valid_allocation(problem, assignment, tracker, k, j) {
-                    tracker.add(k, j, problem.batch());
-                    assignment.assign(k, j);
-                    placed.push((k, j));
-                    *cursor = (j.index() + 1) % m;
-                    found = true;
-                    break;
+            if !ceiling.excludes(&batch.vm(k).demand) {
+                for step in 0..m {
+                    let j = ServerId((*cursor + step) % m);
+                    if is_valid_allocation(problem, assignment, tracker, k, j) {
+                        tracker.add(k, j, batch);
+                        assignment.assign(k, j);
+                        placed.push((k, j));
+                        *cursor = (j.index() + 1) % m;
+                        found = true;
+                        break;
+                    }
+                }
+                if !found {
+                    *ceiling = tracker.headroom_ceiling(problem.infra());
                 }
             }
             if !found {
-                rollback(assignment, tracker, &placed);
+                rollback(assignment, tracker, ceiling, &placed);
                 return false;
             }
         }
@@ -121,10 +146,18 @@ impl Allocator for RoundRobinAllocator {
         let start = Instant::now();
         let mut assignment = Assignment::unassigned(problem.n());
         let mut tracker = LoadTracker::new(problem.m(), problem.h());
+        let mut ceiling = HeadroomCeiling::unbounded(problem.h());
         let mut cursor = 0usize;
         let mut rejected = Vec::new();
         for req in problem.batch().requests() {
-            if !Self::place_request(problem, req, &mut assignment, &mut tracker, &mut cursor) {
+            if !Self::place_request(
+                problem,
+                req,
+                &mut assignment,
+                &mut tracker,
+                &mut ceiling,
+                &mut cursor,
+            ) {
                 rejected.push(req.id);
             }
         }

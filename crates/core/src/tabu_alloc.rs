@@ -115,7 +115,7 @@ mod tests {
     use cpo_model::attr::AttrSet;
     use std::time::Duration;
 
-    fn problem(servers: usize, vms: usize) -> AllocationProblem {
+    fn problem(servers: usize, vms: usize) -> AllocationProblem<'static> {
         let infra = Infrastructure::new(
             AttrSet::standard(),
             vec![("dc".into(), ServerProfile::commodity(3).build_many(servers))],

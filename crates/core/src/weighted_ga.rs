@@ -114,7 +114,7 @@ mod tests {
         }
     }
 
-    fn problem() -> AllocationProblem {
+    fn problem() -> AllocationProblem<'static> {
         let infra = Infrastructure::new(
             AttrSet::standard(),
             vec![("dc".into(), ServerProfile::commodity(3).build_many(4))],

@@ -119,7 +119,7 @@ fn outcome_ms(outcome: &AllocationOutcome) -> String {
     float(outcome.elapsed.as_secs_f64() * 1_000.0)
 }
 
-fn problem(servers: usize, affinity_heavy: bool) -> AllocationProblem {
+fn problem(servers: usize, affinity_heavy: bool) -> AllocationProblem<'static> {
     scenario_problem(&ScenarioSize::with_servers(servers), affinity_heavy, 42)
 }
 

@@ -105,7 +105,7 @@ pub fn render_convergence(traces: &[Trace], population: usize) -> String {
                         let _ = write!(out, " {v:>14.1}");
                     }
                     None => {
-                        let cell = format!("v{:.1}", g.min_violation);
+                        let cell = format!("v{:.1}", unsigned_zero(g.min_violation));
                         let _ = write!(out, " {cell:>14}");
                     }
                 },
@@ -144,11 +144,21 @@ pub fn convergence_csv(traces: &[Trace]) -> String {
             let _ = writeln!(
                 out,
                 "{},{},{},{},{:.6},{best}",
-                t.name, g.generation, g.evaluations, g.feasible, g.min_violation
+                t.name,
+                g.generation,
+                g.evaluations,
+                g.feasible,
+                unsigned_zero(g.min_violation)
             );
         }
     }
     out
+}
+
+/// Adding `0.0` turns a negative zero into `0`, so a feasible
+/// generation's violation prints as `0.000000`, not `-0.000000`.
+fn unsigned_zero(x: f64) -> f64 {
+    x + 0.0
 }
 
 #[cfg(test)]
@@ -163,6 +173,25 @@ mod tests {
             parallel_eval: false,
             ..NsgaConfig::paper_defaults(Variant::Nsga3)
         }
+    }
+
+    #[test]
+    fn negative_zero_violation_prints_unsigned() {
+        let gen = |min_violation| GenStats {
+            generation: 0,
+            evaluations: 40,
+            feasible: 1,
+            min_violation,
+            best_feasible_total: None,
+        };
+        let trace = Trace {
+            name: "t",
+            history: vec![gen(-0.0)],
+        };
+        let csv = convergence_csv(std::slice::from_ref(&trace));
+        assert_eq!(csv.lines().nth(1), Some("t,0,40,1,0.000000,"));
+        let table = render_convergence(std::slice::from_ref(&trace), 40);
+        assert!(table.contains("v0.0") && !table.contains("-0"), "{table}");
     }
 
     #[test]

@@ -186,7 +186,11 @@ impl Algorithm {
 /// The seeded scenario every sweep, ablation and bench cell solves:
 /// `size`'s generator spec, with the quality figures' affinity-heavy
 /// request mix when `affinity_heavy` is set.
-pub fn scenario_problem(size: &ScenarioSize, affinity_heavy: bool, seed: u64) -> AllocationProblem {
+pub fn scenario_problem(
+    size: &ScenarioSize,
+    affinity_heavy: bool,
+    seed: u64,
+) -> AllocationProblem<'static> {
     let spec = ScenarioSpec::for_size(size);
     if affinity_heavy {
         spec.with_heavy_affinity().generate(seed)
@@ -205,7 +209,7 @@ pub fn scenario_problem(size: &ScenarioSize, affinity_heavy: bool, seed: u64) ->
 /// renumbering would invalidate.
 ///
 /// [`RequestBatch::subset`]: cpo_model::prelude::RequestBatch::subset
-pub fn admissible(problem: &AllocationProblem) -> AllocationProblem {
+pub fn admissible(problem: &AllocationProblem) -> AllocationProblem<'static> {
     assert!(
         problem.previous().is_none(),
         "admissible filters fresh problems only"

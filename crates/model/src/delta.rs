@@ -96,7 +96,7 @@ struct RuleRef {
 /// * [`score`](Self::score) is bit-identical to
 ///   `problem.check(a).degree()` + `problem.evaluate(a)`.
 pub struct DeltaEvaluator<'p> {
-    problem: &'p AllocationProblem,
+    problem: &'p AllocationProblem<'p>,
     /// All affinity rules of the batch, flattened in request order —
     /// the order [`check`](crate::constraints::check) visits them.
     rules: Vec<RuleRef>,
@@ -143,7 +143,7 @@ impl<'p> DeltaEvaluator<'p> {
     ///
     /// # Panics
     /// Panics when `assignment` does not cover exactly `problem.n()` VMs.
-    pub fn new(problem: &'p AllocationProblem, assignment: Assignment) -> Self {
+    pub fn new(problem: &'p AllocationProblem<'p>, assignment: Assignment) -> Self {
         let (_, m, n, _) = problem.dims();
         let mut rules = Vec::new();
         let mut vm_rules = vec![Vec::new(); n];
@@ -233,7 +233,7 @@ impl<'p> DeltaEvaluator<'p> {
 
     /// The problem this evaluator scores against.
     #[inline]
-    pub fn problem(&self) -> &'p AllocationProblem {
+    pub fn problem(&self) -> &'p AllocationProblem<'p> {
         self.problem
     }
 
@@ -668,7 +668,7 @@ mod tests {
     /// Two datacenters × two commodity servers, six VMs in three requests
     /// with one affinity and one anti-affinity rule, plus a previous
     /// allocation so all three objective terms are live.
-    fn problem() -> AllocationProblem {
+    fn problem() -> AllocationProblem<'static> {
         let p = ServerProfile::commodity(3);
         let infra = Infrastructure::new(
             AttrSet::standard(),

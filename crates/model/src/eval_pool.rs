@@ -28,14 +28,14 @@ use std::sync::Mutex;
 /// Reusable [`DeltaEvaluator`]s for one [`AllocationProblem`], popped
 /// per evaluation. See the module docs for the locking discipline.
 pub struct EvaluatorPool<'a> {
-    problem: &'a AllocationProblem,
+    problem: &'a AllocationProblem<'a>,
     pool: Mutex<Vec<DeltaEvaluator<'a>>>,
 }
 
 impl<'a> EvaluatorPool<'a> {
     /// An empty pool over `problem`. Evaluators are built lazily on
     /// first miss, so an unused pool allocates nothing.
-    pub fn new(problem: &'a AllocationProblem) -> Self {
+    pub fn new(problem: &'a AllocationProblem<'a>) -> Self {
         Self {
             problem,
             pool: Mutex::new(Vec::new()),
@@ -43,7 +43,7 @@ impl<'a> EvaluatorPool<'a> {
     }
 
     /// The problem every pooled evaluator scores against.
-    pub fn problem(&self) -> &'a AllocationProblem {
+    pub fn problem(&self) -> &'a AllocationProblem<'a> {
         self.problem
     }
 
@@ -91,7 +91,7 @@ mod tests {
     use crate::attr::AttrSet;
     use crate::prelude::*;
 
-    fn problem() -> AllocationProblem {
+    fn problem() -> AllocationProblem<'static> {
         let infra = Infrastructure::new(
             AttrSet::standard(),
             vec![("dc".into(), ServerProfile::commodity(3).build_many(3))],

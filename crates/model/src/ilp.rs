@@ -327,7 +327,7 @@ mod tests {
     use crate::infrastructure::{Infrastructure, ServerProfile};
     use crate::request::{vm_spec, RequestBatch};
 
-    fn problem_with_rules() -> AllocationProblem {
+    fn problem_with_rules() -> AllocationProblem<'static> {
         let profile = ServerProfile::commodity(3);
         let infra = Infrastructure::new(
             AttrSet::standard(),

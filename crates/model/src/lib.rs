@@ -92,7 +92,7 @@ pub mod prelude {
     pub use crate::infrastructure::{
         Datacenter, DatacenterId, Infrastructure, Server, ServerId, ServerParams, ServerProfile,
     };
-    pub use crate::load::LoadTracker;
+    pub use crate::load::{HeadroomCeiling, LoadTracker};
     pub use crate::matrix::Matrix;
     pub use crate::problem::AllocationProblem;
     pub use crate::request::{vm_spec, Request, RequestBatch, RequestId, VmId, VmSpec};

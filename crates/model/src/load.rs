@@ -187,6 +187,112 @@ impl LoadTracker {
     pub fn active_servers(&self) -> usize {
         self.hosted.iter().filter(|&&c| c > 0).count()
     }
+
+    /// The exact ceiling for [`fits`](Self::fits) now: per attribute the
+    /// largest headroom `c − u` over every server, with a slack that
+    /// makes [`HeadroomCeiling::excludes`] imply that `fits` fails on
+    /// every server. O(m·h).
+    ///
+    /// The slack is `fits`'s own tolerance `1e-9` plus a rounding guard
+    /// of `1e-12·(1 + A)`, with `A` the attribute's largest `|c|`. Usage
+    /// and demand are never negative (validated demands; `remove`
+    /// clamps at zero). If a demand `d` fits on a server, `u + d` is at
+    /// most about `A + 1e-9`, so every operand the two sides round —
+    /// `c − u` here, `u + d` and `c + 1e-9` in `fits`, and the bound
+    /// plus the slack in `excludes` — is at most `2(A + 1)` in
+    /// magnitude. Each rounding then moves a side by at most
+    /// `2⁻⁵³·2(A + 1)`, and all of them together by under `1e-15·(A + 1)`.
+    /// A demand above the bound by more than the slack is therefore
+    /// above every server's `c + 1e-9 − u` even after rounding, a
+    /// thousandfold margin.
+    pub fn headroom_ceiling(&self, infra: &Infrastructure) -> HeadroomCeiling {
+        let h = self.used.cols();
+        let mut largest = vec![0.0f64; h];
+        let mut ceiling = HeadroomCeiling::over(h, []);
+        for j in infra.server_ids() {
+            for (a, c) in largest.iter_mut().zip(infra.effective_row(j)) {
+                *a = a.max(c.abs());
+            }
+            self.raise_ceiling(&mut ceiling, j, infra);
+        }
+        ceiling.slack = largest.iter().map(|a| 1e-9 + 1e-12 * (1.0 + a)).collect();
+        ceiling
+    }
+
+    /// Raises `ceiling` to cover server `j`'s headroom now — what a
+    /// [`remove`](Self::remove) that frees room on `j` calls for. O(h).
+    pub fn raise_ceiling(
+        &self,
+        ceiling: &mut HeadroomCeiling,
+        j: ServerId,
+        infra: &Infrastructure,
+    ) {
+        let used = self.used.row(j.index());
+        let cap = infra.effective_row(j);
+        ceiling.raise(cap.iter().zip(used).map(|(c, u)| c - u));
+    }
+}
+
+/// A per-attribute upper bound on every server's headroom, so that a
+/// demand no server can take is decided in O(h) instead of by an O(m)
+/// scan that finds nothing.
+///
+/// The ceiling starts unbounded and excludes nothing. A caller sets it
+/// exact after a scan that found no server, lets it stand while
+/// headroom only shrinks, and raises it when a server's headroom grows.
+/// A demand above the bound by more than the slack in some attribute
+/// then fits on no server: a scan would find nothing, so skipping it
+/// changes no decision.
+#[derive(Clone, Debug)]
+pub struct HeadroomCeiling {
+    /// Per attribute, at least the headroom of every server.
+    bound: Vec<f64>,
+    /// Per attribute, how far a demand must exceed `bound` before no
+    /// server can take it.
+    slack: Vec<f64>,
+}
+
+impl HeadroomCeiling {
+    /// No bound yet: excludes nothing.
+    pub fn unbounded(h: usize) -> Self {
+        Self {
+            bound: vec![f64::INFINITY; h],
+            slack: vec![0.0; h],
+        }
+    }
+
+    /// The exact ceiling of `rows`, each one server's headroom per
+    /// attribute, for a test that admits demand `d` on headroom `r` iff
+    /// `d <= r` in every attribute: no slack, no rounding.
+    pub fn over<'r>(h: usize, rows: impl IntoIterator<Item = &'r [f64]>) -> Self {
+        let mut ceiling = Self {
+            bound: vec![f64::NEG_INFINITY; h],
+            slack: vec![0.0; h],
+        };
+        for row in rows {
+            ceiling.raise(row.iter().copied());
+        }
+        ceiling
+    }
+
+    /// Raises the bound to cover one server's headroom.
+    #[inline]
+    pub fn raise(&mut self, headroom: impl IntoIterator<Item = f64>) {
+        for (b, r) in self.bound.iter_mut().zip(headroom) {
+            *b = b.max(r);
+        }
+    }
+
+    /// Does `demand` exceed the bound by more than the slack in some
+    /// attribute, so that it fits on no server? O(h).
+    #[inline]
+    pub fn excludes(&self, demand: &[f64]) -> bool {
+        demand
+            .iter()
+            .zip(&self.bound)
+            .zip(&self.slack)
+            .any(|((d, b), s)| *d > b + s)
+    }
 }
 
 #[cfg(test)]

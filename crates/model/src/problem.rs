@@ -9,24 +9,44 @@ use crate::cost::{self, ObjectiveVector};
 use crate::infrastructure::{Infrastructure, ServerId};
 use crate::load::LoadTracker;
 use crate::request::{RequestBatch, RequestId, VmId};
+use std::borrow::Cow;
 
 /// A complete instance of the paper's cloud resource allocation problem.
+///
+/// The substrate and the batch are each either owned or borrowed from
+/// the caller (`'a`): a platform that already holds a window's batch or
+/// residual hands its solver a view of it instead of a copy.
 #[derive(Clone, Debug)]
-pub struct AllocationProblem {
-    infra: Infrastructure,
-    batch: RequestBatch,
+pub struct AllocationProblem<'a> {
+    infra: Cow<'a, Infrastructure>,
+    batch: Cow<'a, RequestBatch>,
     /// The running allocation `X^t`; `None` for an initial placement.
     previous: Option<Assignment>,
 }
 
-impl AllocationProblem {
-    /// Builds a problem instance, validating the batch against the
-    /// infrastructure's attribute set.
+impl AllocationProblem<'static> {
+    /// Builds a problem instance that owns its substrate and batch,
+    /// validating the batch against the infrastructure's attribute set.
     ///
     /// # Panics
     /// Panics when the batch and infrastructure disagree on attribute
     /// count or when `previous` covers a different VM count.
     pub fn new(infra: Infrastructure, batch: RequestBatch, previous: Option<Assignment>) -> Self {
+        Self::borrowing(Cow::Owned(infra), Cow::Owned(batch), previous)
+    }
+}
+
+impl<'a> AllocationProblem<'a> {
+    /// Builds a problem instance over a substrate and a batch that may
+    /// each be borrowed, with the same validation as [`Self::new`].
+    ///
+    /// # Panics
+    /// As [`Self::new`].
+    pub fn borrowing(
+        infra: Cow<'a, Infrastructure>,
+        batch: Cow<'a, RequestBatch>,
+        previous: Option<Assignment>,
+    ) -> Self {
         if batch.vm_count() > 0 {
             batch
                 .validate(infra.attr_count())
@@ -259,7 +279,7 @@ mod tests {
     use crate::infrastructure::{Infrastructure, ServerProfile};
     use crate::request::vm_spec;
 
-    fn problem() -> AllocationProblem {
+    fn problem() -> AllocationProblem<'static> {
         let p = ServerProfile::commodity(3);
         let infra = Infrastructure::new(
             AttrSet::standard(),
@@ -278,6 +298,32 @@ mod tests {
             )],
         );
         AllocationProblem::new(infra, batch, None)
+    }
+
+    #[test]
+    fn borrowed_problem_solves_on_the_callers_batch() {
+        let owned = problem();
+        let borrowed = AllocationProblem::borrowing(
+            Cow::Borrowed(owned.infra()),
+            Cow::Borrowed(owned.batch()),
+            None,
+        );
+        assert!(std::ptr::eq(borrowed.batch(), owned.batch()));
+        assert!(std::ptr::eq(borrowed.infra(), owned.infra()));
+        let mut a = Assignment::unassigned(4);
+        a.assign(VmId(0), ServerId(0));
+        assert_eq!(borrowed.evaluate(&a), owned.evaluate(&a));
+    }
+
+    #[test]
+    #[should_panic(expected = "previous allocation covers")]
+    fn borrowing_validates_like_new() {
+        let p = problem();
+        let _ = AllocationProblem::borrowing(
+            Cow::Borrowed(p.infra()),
+            Cow::Borrowed(p.batch()),
+            Some(Assignment::unassigned(7)),
+        );
     }
 
     #[test]

@@ -26,7 +26,7 @@ fn bits(s: &MoveScore) -> [u64; 4] {
 /// guarantee (exercising the downtime-penalty cache), migration costs are
 /// nonzero, and problems optionally have a partial previous allocation
 /// (exercising the moved-set and the -0.0 fold of `migration_cost`).
-fn problem_strategy() -> impl Strategy<Value = AllocationProblem> {
+fn problem_strategy() -> impl Strategy<Value = AllocationProblem<'static>> {
     (2usize..4, 2usize..5, 1u64..10_000, 0u8..2).prop_map(|(m_per_dc, reqs, seed, prev_flag)| {
         let with_prev = prev_flag == 1;
         let profile = ServerProfile::commodity(3);
@@ -93,7 +93,13 @@ fn problem_strategy() -> impl Strategy<Value = AllocationProblem> {
 /// as genes where `m` means unassigned, and an operation walk. Walk ops:
 /// 0 = apply, 1 = unassign, 2 = peek-then-apply-then-undo, 3+ = undo.
 #[allow(clippy::type_complexity)]
-fn scenario() -> impl Strategy<Value = (AllocationProblem, Vec<usize>, Vec<(u8, usize, usize)>)> {
+fn scenario() -> impl Strategy<
+    Value = (
+        AllocationProblem<'static>,
+        Vec<usize>,
+        Vec<(u8, usize, usize)>,
+    ),
+> {
     problem_strategy().prop_flat_map(|p| {
         let (m, n) = (p.m(), p.n());
         (
@@ -188,7 +194,8 @@ proptest! {
 /// Strategy: a problem, a (possibly partial) starting assignment (gene
 /// `m` = unassigned), a group of distinct VMs and a target (`m` = evict).
 #[allow(clippy::type_complexity)]
-fn group_scenario() -> impl Strategy<Value = (AllocationProblem, Vec<usize>, Vec<usize>, usize)> {
+fn group_scenario(
+) -> impl Strategy<Value = (AllocationProblem<'static>, Vec<usize>, Vec<usize>, usize)> {
     problem_strategy().prop_flat_map(|p| {
         let (m, n) = (p.m(), p.n());
         (

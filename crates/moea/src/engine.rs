@@ -75,7 +75,10 @@ pub struct NsgaConfig {
     pub variant: Variant,
     /// RNG seed (runs are fully deterministic given the seed).
     pub seed: u64,
-    /// Evaluate populations in parallel with rayon.
+    /// Evaluate populations in parallel with rayon. Off in
+    /// [`paper_defaults`](Self::paper_defaults): the vendored rayon spawns
+    /// threads per call, which loses to serial evaluation on small hosts
+    /// (the `parallel-eval` ablation), with identical outcomes.
     pub parallel_eval: bool,
     /// When the repair hook is invoked.
     pub repair_mode: RepairMode,
@@ -107,7 +110,7 @@ impl NsgaConfig {
             },
             variant,
             seed: 0,
-            parallel_eval: true,
+            parallel_eval: false,
             repair_mode: RepairMode::Off,
             deadline: None,
             operators: Operators::RealCoded,

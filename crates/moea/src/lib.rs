@@ -9,8 +9,9 @@
 //! repair hook of the paper's Fig. 4 through which the tabu search (or any
 //! other fixer) plugs into the reproduction pipeline.
 //!
-//! Populations evaluate in parallel with rayon; runs are deterministic
-//! given a seed regardless of parallelism.
+//! Populations evaluate serially by default, or in parallel with rayon
+//! under [`NsgaConfig::parallel_eval`](engine::NsgaConfig::parallel_eval);
+//! runs are deterministic given a seed regardless of parallelism.
 //!
 //! ```
 //! use cpo_moea::prelude::*;

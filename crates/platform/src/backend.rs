@@ -72,9 +72,9 @@ pub trait WindowBackend {
 }
 
 /// One part of a solve round, as its engine will apply it.
-pub(crate) struct Solved {
+pub(crate) struct Solved<'a> {
     /// The part's problem.
-    pub problem: AllocationProblem,
+    pub problem: AllocationProblem<'a>,
     /// The allocator's answer; all unplaced when the solve panicked.
     pub assignment: Assignment,
     /// Per request of `problem`: does the applied plan admit it?
@@ -84,13 +84,13 @@ pub(crate) struct Solved {
 /// Solves one round of `parts` problems, `build_part(p)` building part
 /// `p` on the thread that solves it. Returns every part in order plus
 /// the round's critical path: the slowest part's `allocate` time.
-pub(crate) fn solve_round(
+pub(crate) fn solve_round<'a>(
     allocator: &dyn Allocator,
     window: u64,
     round: u64,
     parts: usize,
-    build_part: impl Fn(usize) -> AllocationProblem + Sync,
-) -> (Vec<Solved>, Duration) {
+    build_part: impl Fn(usize) -> AllocationProblem<'a> + Sync,
+) -> (Vec<Solved<'a>>, Duration) {
     // Asked once per process: on Linux the query reads cgroup files.
     static PARALLEL: OnceLock<bool> = OnceLock::new();
     let parallel = parts > 1
@@ -128,7 +128,10 @@ pub(crate) fn solve_round(
 /// Solves one part under the panic guard. Returns it with its `allocate`
 /// time and whether the allocator (or its malformed answer) panicked, in
 /// which case nothing is accepted.
-fn solve_part(allocator: &dyn Allocator, problem: AllocationProblem) -> (Solved, Duration, bool) {
+fn solve_part<'a>(
+    allocator: &dyn Allocator,
+    problem: AllocationProblem<'a>,
+) -> (Solved<'a>, Duration, bool) {
     let mut solve_time = Duration::ZERO;
     let answer = catch_unwind(AssertUnwindSafe(|| {
         let start = Instant::now();

@@ -265,12 +265,14 @@ impl WindowExecutor {
 
     /// Builds the combined window problem: one request per running tenant
     /// (placed, in `previous`) followed by the new arrivals (unplaced).
-    pub fn build_window_problem(&self, arrivals: &RequestBatch) -> AllocationProblem {
+    /// The substrate is [`Self::effective_infra`]'s view, borrowed from
+    /// the executor while every server is healthy.
+    pub fn build_window_problem(&self, arrivals: &RequestBatch) -> AllocationProblem<'_> {
         let (mut batch, mut previous) = self.resident_batch();
         batch.append(arrivals.clone());
         previous.extend(std::iter::repeat_n(None, arrivals.vm_count()));
         let previous = Assignment::from_placements(previous);
-        AllocationProblem::new(self.effective_infra().into_owned(), batch, Some(previous))
+        AllocationProblem::borrowing(self.effective_infra(), Cow::Owned(batch), Some(previous))
     }
 
     /// Phase 4 — solves the window problem, applies the reconfiguration
@@ -296,6 +298,11 @@ impl WindowExecutor {
             assignment,
             accepted,
         } = solved.pop().expect("one part");
+        // Arrival `i`'s VMs follow every resident VM in the window
+        // problem. The problem may borrow this executor's substrate, so
+        // it ends here, before the executor changes.
+        let arrival_vm_base = problem.n() - arrivals.vm_count();
+        drop(problem);
 
         // --- Apply to running tenants (never evicted: a tenant whose
         //     request the plan does not accept keeps its old placement). ---
@@ -344,10 +351,11 @@ impl WindowExecutor {
             let tid = arrival_tenant_ids[i];
             if accepted[req_id.index()] {
                 // The request's VMs under their window-problem ids.
-                let vms = &problem.batch().request(req_id).vms;
-                let placement: Vec<ServerId> = vms
+                let placement: Vec<ServerId> = req
+                    .vms
                     .iter()
-                    .map(|&k| assignment.server_of(k).expect("accepted ⇒ placed"))
+                    .map(|&k| VmId(arrival_vm_base + k.index()))
+                    .map(|k| assignment.server_of(k).expect("accepted ⇒ placed"))
                     .collect();
                 denied_flows +=
                     self.apply_admission(tid, arrivals, req, placement, lifetime, window);

@@ -39,6 +39,7 @@ use cpo_core::prelude::Allocator;
 use cpo_model::fleet::{ServerLoadTable, VmTable, NO_SLOT};
 use cpo_model::prelude::*;
 use cpo_obs::flight;
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
@@ -294,7 +295,10 @@ impl WindowBackend for FleetExecutor {
         let window = self.window;
         let mut sp = cpo_obs::span!("platform.window", window = window);
         let (mut solved, solve_time) = solve_round(allocator, window, 0, 1, |_| {
-            AllocationProblem::new(self.store.residual_clone(), arrivals.clone(), None)
+            // The residual is a copy: the admit loop below reserves
+            // against the live store. The batch is the caller's.
+            let residual = Cow::Owned(self.store.residual_clone());
+            AllocationProblem::borrowing(residual, Cow::Borrowed(arrivals), None)
         });
         let solved = solved.pop().expect("one part");
 

@@ -30,14 +30,14 @@
 //!
 //! Each round's snapshot is a flat copy: two `m × h` capacity matrices
 //! plus a reference to the residual's shared static table (see
-//! [`Infrastructure`]). An unmasked part solves on its own copy of that
-//! residual. A masked part solves on the sub-fleet of the servers its
-//! regions own ([`Infrastructure::restrict`]): they keep their global
-//! order and every datacenter is kept, so its solver never scans a
-//! server it may not use, and the commit loop maps the part's local
-//! server ids back to global ones. Either copy moves into the part's
-//! [`AllocationProblem`], so each part copies the residual once per
-//! round.
+//! [`Infrastructure`]). An unmasked part's [`AllocationProblem`] borrows
+//! that residual. A masked part solves on the sub-fleet of the servers
+//! its regions own ([`Infrastructure::restrict`]): they keep their
+//! global order and every datacenter is kept, so its solver never scans
+//! a server it may not use, and the commit loop maps the part's local
+//! server ids back to global ones. A part that is the whole window
+//! borrows the window batch; any other part owns its
+//! [`RequestBatch::subset`].
 //!
 //! A round is one call of the crate's guarded solve (see
 //! [`crate::backend`]): part 0 solves on the coordinator's own thread,
@@ -65,6 +65,7 @@ use crate::store::{CommitCtx, PlacementStore};
 use crate::tenant::TenantId;
 use cpo_core::prelude::Allocator;
 use cpo_model::prelude::*;
+use std::borrow::Cow;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -129,7 +130,7 @@ fn fnv1a(key: u64) -> u64 {
 }
 
 /// A request's predicted placement region, from the first-fit dry run.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 enum Region {
     /// Fits: predicted into a datacenter (multi-datacenter fleets).
     Dc(usize),
@@ -157,6 +158,12 @@ impl Region {
 /// the server scan across requests. The region is the predicted
 /// server's datacenter on multi-datacenter fleets (the paper's region
 /// notion) and the server itself on single-datacenter ones.
+///
+/// A request whose demand exceeds a [`HeadroomCeiling`] of the scratch
+/// residual fits on no server and is predicted `Unplaced` without the
+/// scan. The ceiling is set exact after a scan finds no server and
+/// raised over each server a prediction touches; `d <= r` compares
+/// stored values, so it needs no slack.
 fn region_plan(
     residual: &Infrastructure,
     arrivals: &RequestBatch,
@@ -166,6 +173,7 @@ fn region_plan(
     let h = residual.attr_count();
     let by_datacenter = residual.datacenter_count() > 1;
     let mut room = residual.effective_matrix().clone();
+    let mut ceiling = HeadroomCeiling::unbounded(h);
     let mut cursor = 0usize;
     let mut demand = vec![0.0f64; h];
     remaining
@@ -179,15 +187,22 @@ fn region_plan(
                 }
             }
             let mut predicted: Option<ServerId> = None;
-            for step in 0..m {
-                let j = (cursor + step) % m;
-                if room.row(j).iter().zip(&demand).all(|(r, d)| d <= r) {
-                    for (r, d) in room.row_mut(j).iter_mut().zip(&demand) {
-                        *r -= d;
+            if !ceiling.excludes(&demand) {
+                for step in 0..m {
+                    let j = (cursor + step) % m;
+                    if room.row(j).iter().zip(&demand).all(|(r, d)| d <= r) {
+                        for (r, d) in room.row_mut(j).iter_mut().zip(&demand) {
+                            *r -= d;
+                        }
+                        // Room only shrinks unless a demand is negative.
+                        ceiling.raise(room.row(j).iter().copied());
+                        predicted = Some(ServerId(j));
+                        cursor = j;
+                        break;
                     }
-                    predicted = Some(ServerId(j));
-                    cursor = j;
-                    break;
+                }
+                if predicted.is_none() {
+                    ceiling = HeadroomCeiling::over(h, (0..m).map(|j| room.row(j)));
                 }
             }
             match predicted {
@@ -429,15 +444,15 @@ impl<B: ShardBackend> WindowBackend for ShardedScheduler<B> {
             let full_batch = shard_count == 1 && remaining.len() == n;
             let (solved, solve_time) = solve_round(allocator, window, round, shard_count, |p| {
                 let residual = match &masks[p] {
-                    Some(servers) => snapshot.residual.restrict(servers),
-                    None => snapshot.residual.clone(),
+                    Some(servers) => Cow::Owned(snapshot.residual.restrict(servers)),
+                    None => Cow::Borrowed(&snapshot.residual),
                 };
                 let batch = if full_batch {
-                    arrivals.clone()
+                    Cow::Borrowed(arrivals)
                 } else {
-                    arrivals.subset(&parts[p])
+                    Cow::Owned(arrivals.subset(&parts[p]))
                 };
-                AllocationProblem::new(residual, batch, None)
+                AllocationProblem::borrowing(residual, batch, None)
             });
             cpo_obs::counter_add("shard.solves", shard_count as u64);
             solve_critical += solve_time;
@@ -877,6 +892,169 @@ mod tests {
             sizes.iter().any(|&m| m < 8),
             "no part got a compact problem: {sizes:?}"
         );
+    }
+
+    /// The dry run as a plain scan: every request tries every server.
+    fn region_plan_oracle(
+        residual: &Infrastructure,
+        arrivals: &RequestBatch,
+        remaining: &[usize],
+    ) -> Vec<Region> {
+        let m = residual.server_count();
+        let by_datacenter = residual.datacenter_count() > 1;
+        let mut room = residual.effective_matrix().clone();
+        let mut cursor = 0usize;
+        let mut plan = Vec::new();
+        for &i in remaining {
+            let req = arrivals.request(RequestId(i));
+            let mut demand = vec![0.0f64; residual.attr_count()];
+            for &k in &req.vms {
+                for (d, x) in demand.iter_mut().zip(&arrivals.vm(k).demand) {
+                    *d += x;
+                }
+            }
+            let mut predicted = None;
+            for step in 0..m {
+                let j = (cursor + step) % m;
+                if room.row(j).iter().zip(&demand).all(|(r, d)| d <= r) {
+                    for (r, d) in room.row_mut(j).iter_mut().zip(&demand) {
+                        *r -= d;
+                    }
+                    predicted = Some(ServerId(j));
+                    cursor = j;
+                    break;
+                }
+            }
+            plan.push(match predicted {
+                Some(j) if by_datacenter => Region::Dc(residual.datacenter_of(j).index()),
+                Some(j) => Region::Server(j.index()),
+                None => Region::Unplaced(i),
+            });
+        }
+        plan
+    }
+
+    #[test]
+    fn region_plan_matches_the_plain_scan() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        let mut skipped = 0usize;
+        for seed in 0..300u64 {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let profile = ServerProfile::commodity(3);
+            let dcs = rng.gen_range(1..=2usize);
+            let mut residual = Infrastructure::new(
+                AttrSet::standard(),
+                (0..dcs)
+                    .map(|d| (format!("dc{d}"), profile.build_many(rng.gen_range(1..=6))))
+                    .collect(),
+            );
+            for j in residual.server_ids().collect::<Vec<_>>() {
+                let fill = [0.0, 0.5, 0.95, 1.0][rng.gen_range(0..4usize)];
+                let load: Vec<f64> = residual.capacity_row(j).iter().map(|c| -c * fill).collect();
+                residual.adjust_capacity(j, &load);
+            }
+            let m = residual.server_count();
+            let mut arrivals = RequestBatch::new();
+            for _ in 0..rng.gen_range(1..=30usize) {
+                let vms: Vec<VmSpec> = (0..rng.gen_range(1..=3usize))
+                    .map(|_| {
+                        let mut spec = vm_spec(
+                            rng.gen_range(0.5..6.0),
+                            rng.gen_range(512.0..16_384.0),
+                            rng.gen_range(1.0..128.0),
+                        );
+                        if rng.gen_bool(0.4) {
+                            // At, just above or far beyond a server's room.
+                            let room = residual.effective_row(ServerId(rng.gen_range(0..m)));
+                            let l = rng.gen_range(0..3usize);
+                            spec.demand[l] =
+                                room[l] * [1.0, 1.0 + 1e-12, 10.0][rng.gen_range(0..3)];
+                        }
+                        spec
+                    })
+                    .collect();
+                arrivals.push_request(vms, vec![]);
+            }
+            let n = arrivals.request_count();
+            let remaining: Vec<usize> = (0..n).filter(|_| rng.gen_bool(0.8)).collect();
+            let plan = region_plan(&residual, &arrivals, &remaining);
+            assert_eq!(
+                plan,
+                region_plan_oracle(&residual, &arrivals, &remaining),
+                "seed {seed}"
+            );
+            skipped += plan
+                .iter()
+                .filter(|r| matches!(r, Region::Unplaced(_)))
+                .count();
+        }
+        assert!(
+            skipped > 100,
+            "too few unplaced requests to test the ceiling: {skipped}"
+        );
+    }
+
+    /// Round Robin that records, per problem, where its batch and its
+    /// substrate live and how many servers it has.
+    #[derive(Default)]
+    struct Sources(std::sync::Mutex<Vec<(usize, usize, usize)>>);
+
+    impl Allocator for Sources {
+        fn name(&self) -> &'static str {
+            "sources"
+        }
+
+        fn allocate(&self, problem: &AllocationProblem) -> cpo_core::prelude::AllocationOutcome {
+            let batch = std::ptr::from_ref(problem.batch()) as usize;
+            let infra = std::ptr::from_ref(problem.infra()) as usize;
+            self.0.lock().unwrap().push((batch, infra, problem.m()));
+            RoundRobinAllocator.allocate(problem)
+        }
+    }
+
+    #[test]
+    fn native_and_unmasked_parts_borrow_masked_parts_own() {
+        // Two of these VMs fill a server, so the dry run spreads the
+        // requests over six servers and region hashing over both parts.
+        let mut arrivals = RequestBatch::new();
+        for _ in 0..12 {
+            arrivals.push_request(vec![vm_spec(10.0, 4096.0, 40.0)], vec![]);
+        }
+        let caller = std::ptr::from_ref(&arrivals) as usize;
+        let solve = |shards: usize, partition: PartitionStrategy, native: bool| {
+            let mut exec = fleet(8);
+            let ids = exec.register_arrivals(&arrivals);
+            let sources = Sources::default();
+            if native {
+                exec.execute_window(&sources, &arrivals, &ids);
+            } else {
+                let config = ShardConfig {
+                    shards,
+                    retry_budget: 3,
+                    partition,
+                };
+                ShardedScheduler::new(exec, config).execute_window(&sources, &arrivals, &ids);
+            }
+            sources.0.into_inner().unwrap()
+        };
+        // The native window and a one-shard round solve on the caller's
+        // batch.
+        for native in [true, false] {
+            let seen = solve(1, PartitionStrategy::RegionHash, native);
+            assert!(seen.iter().all(|&(b, _, _)| b == caller), "{seen:?}");
+        }
+        // Unmasked parts of one round share the round's residual and
+        // solve on their own slices of the batch.
+        let seen = solve(2, PartitionStrategy::RoundRobin, false);
+        assert_eq!(seen.len(), 2);
+        assert_eq!(seen[0].1, seen[1].1, "unmasked parts share the residual");
+        assert!(seen.iter().all(|&(b, _, m)| b != caller && m == 8));
+        // Masked parts each solve on a sub-fleet of their own.
+        let seen = solve(2, PartitionStrategy::RegionHash, false);
+        assert_eq!(seen.len(), 2);
+        assert_ne!(seen[0].1, seen[1].1, "masked parts own their residuals");
+        assert!(seen.iter().all(|&(b, _, m)| b != caller && m < 8));
     }
 
     #[test]

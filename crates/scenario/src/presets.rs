@@ -112,7 +112,7 @@ impl ScenarioSpec {
 
     /// Generates the [`AllocationProblem`] for run index `run` (each run
     /// re-derives both infrastructure and requests from the seed).
-    pub fn generate(&self, seed: u64) -> AllocationProblem {
+    pub fn generate(&self, seed: u64) -> AllocationProblem<'static> {
         let infra = generate_infra(&self.infra, seed ^ 0x9e37_79b9_7f4a_7c15);
         let batch = generate_requests(&self.requests, seed.wrapping_mul(0x2545_f491_4f6c_dd1d));
         AllocationProblem::new(infra.infra, batch, None)

@@ -403,7 +403,7 @@ mod tests {
     fn problem_with(
         servers_per_dc: &[usize],
         requests: Vec<(Vec<VmSpec>, Vec<AffinityRule>)>,
-    ) -> AllocationProblem {
+    ) -> AllocationProblem<'static> {
         let profile = ServerProfile::commodity(3);
         let dcs = servers_per_dc
             .iter()

@@ -195,7 +195,7 @@ enum ScoreEngine<'p> {
         evals: usize,
     },
     Full {
-        problem: &'p AllocationProblem,
+        problem: &'p AllocationProblem<'p>,
         current: Assignment,
         /// Σ rule member counts, for the analytic per-eval work cost.
         total_rule_vms: u64,
@@ -205,7 +205,7 @@ enum ScoreEngine<'p> {
 }
 
 impl<'p> ScoreEngine<'p> {
-    fn new(problem: &'p AllocationProblem, start: Assignment, scoring: Scoring) -> Self {
+    fn new(problem: &'p AllocationProblem<'p>, start: Assignment, scoring: Scoring) -> Self {
         match scoring {
             Scoring::Delta => {
                 let ev = Box::new(DeltaEvaluator::new(problem, start));
@@ -698,7 +698,7 @@ mod tests {
     use super::*;
     use cpo_model::attr::AttrSet;
 
-    fn problem(servers: usize, vms: usize) -> AllocationProblem {
+    fn problem(servers: usize, vms: usize) -> AllocationProblem<'static> {
         let profile = ServerProfile::commodity(3);
         let infra = Infrastructure::new(
             AttrSet::standard(),

@@ -6,7 +6,7 @@
 use cpo_iaas::prelude::*;
 use proptest::prelude::*;
 
-fn scenario_strategy() -> impl Strategy<Value = AllocationProblem> {
+fn scenario_strategy() -> impl Strategy<Value = AllocationProblem<'static>> {
     (6usize..20, 1.0_f64..4.0, 0u64..500).prop_map(|(servers, scale, seed)| {
         let size = ScenarioSize::with_servers(servers);
         let mut spec = ScenarioSpec::for_size(&size);

@@ -10,7 +10,7 @@ use cpo_iaas::scenario::prelude::{ScenarioSize, ScenarioSpec};
 use cpo_iaas::tabu::{tabu_search, Scoring, TabuConfig, TabuResult};
 
 /// The fig8 seed-42 cell: 100 servers, the paper's request mix.
-fn fig8_problem() -> AllocationProblem {
+fn fig8_problem() -> AllocationProblem<'static> {
     ScenarioSpec::for_size(&ScenarioSize::with_servers(100)).generate(42)
 }
 

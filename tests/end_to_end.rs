@@ -4,7 +4,7 @@
 use cpo_iaas::exper::runner::{Algorithm, Effort};
 use cpo_iaas::prelude::*;
 
-fn scenario(servers: usize, seed: u64) -> AllocationProblem {
+fn scenario(servers: usize, seed: u64) -> AllocationProblem<'static> {
     let size = ScenarioSize::with_servers(servers);
     ScenarioSpec::for_size(&size)
         .with_heavy_affinity()

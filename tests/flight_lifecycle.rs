@@ -108,7 +108,7 @@ fn des_failure_run_yields_complete_timelines_for_every_request() {
 
 /// A 2-VM problem with an anti-affinity rule, plus an assignment that
 /// overloads one server *and* breaks the rule.
-fn corrupted_case() -> (AllocationProblem, Assignment) {
+fn corrupted_case() -> (AllocationProblem<'static>, Assignment) {
     let infra = Infrastructure::new(
         AttrSet::standard(),
         vec![("dc".into(), ServerProfile::commodity(3).build_many(3))],

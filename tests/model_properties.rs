@@ -11,7 +11,7 @@ use cpo_iaas::tabu::repair::{repair, repair_on, RepairConfig, ScanOrder};
 use proptest::prelude::*;
 
 /// Strategy: a small random problem (infrastructure + batch, no rules).
-fn problem_strategy() -> impl Strategy<Value = AllocationProblem> {
+fn problem_strategy() -> impl Strategy<Value = AllocationProblem<'static>> {
     (2usize..6, 1usize..10, 1u64..1_000).prop_map(|(m, reqs, seed)| {
         let profile = ServerProfile::commodity(3);
         let infra = Infrastructure::new(
@@ -32,7 +32,7 @@ fn problem_strategy() -> impl Strategy<Value = AllocationProblem> {
 }
 
 /// Strategy: a problem plus a complete random assignment.
-fn problem_and_assignment() -> impl Strategy<Value = (AllocationProblem, Assignment)> {
+fn problem_and_assignment() -> impl Strategy<Value = (AllocationProblem<'static>, Assignment)> {
     problem_strategy().prop_flat_map(|p| {
         let (m, n) = (p.m(), p.n());
         (Just(p), proptest::collection::vec(0usize..m, n))
@@ -44,7 +44,8 @@ fn problem_and_assignment() -> impl Strategy<Value = (AllocationProblem, Assignm
 /// and a few loose VMs of random size, with or without a running
 /// allocation, plus two complete assignments: one to dirty a pooled
 /// evaluator with, one to repair on it.
-fn pooled_repair_case() -> impl Strategy<Value = (AllocationProblem, Assignment, Assignment)> {
+fn pooled_repair_case(
+) -> impl Strategy<Value = (AllocationProblem<'static>, Assignment, Assignment)> {
     (1usize..4, 0usize..4, 1usize..6, 1u64..1_000, 0u8..2).prop_flat_map(
         |(m_per_dc, kind_idx, loose, seed, with_previous)| {
             let profile = ServerProfile::commodity(3);
@@ -106,8 +107,8 @@ fn pooled_repair_case() -> impl Strategy<Value = (AllocationProblem, Assignment,
 /// Strategy: a problem over two datacenters whose multi-VM requests carry
 /// affinity rules, plus a partial assignment (some VMs unplaced) — every
 /// way a request can fail acceptance.
-fn ruled_problem_and_partial_assignment() -> impl Strategy<Value = (AllocationProblem, Assignment)>
-{
+fn ruled_problem_and_partial_assignment(
+) -> impl Strategy<Value = (AllocationProblem<'static>, Assignment)> {
     let kinds = [
         AffinityKind::SameServer,
         AffinityKind::SameDatacenter,
@@ -331,7 +332,8 @@ proptest! {
 }
 
 /// Strategy: a rule-rich problem plus a complete random assignment.
-fn ruled_problem_and_assignment() -> impl Strategy<Value = (AllocationProblem, Assignment)> {
+fn ruled_problem_and_assignment() -> impl Strategy<Value = (AllocationProblem<'static>, Assignment)>
+{
     use cpo_iaas::model::prelude::{AffinityKind, AffinityRule};
     (2usize..5, 0usize..4, 1u64..1_000).prop_flat_map(|(m_per_dc, kind_idx, seed)| {
         let profile = ServerProfile::commodity(3);
@@ -496,7 +498,7 @@ fn violation_degree_oracle(rule: &AffinityRule, a: &Assignment, infra: &Infrastr
 /// of 2–20 VMs each carrying random rules of all four kinds over random
 /// member subsets (overlapping rules of one kind included), and a partial
 /// assignment. Large separation rules overflow `RuleView`'s inline lists.
-fn rule_view_case() -> impl Strategy<Value = (AllocationProblem, Assignment)> {
+fn rule_view_case() -> impl Strategy<Value = (AllocationProblem<'static>, Assignment)> {
     (
         proptest::collection::vec(1usize..4, 1..11),
         1usize..4,

@@ -15,7 +15,7 @@ use cpo_iaas::tabu::search::{
 use proptest::prelude::*;
 use std::time::Duration;
 
-fn scenario(servers: usize, seed: u64) -> AllocationProblem {
+fn scenario(servers: usize, seed: u64) -> AllocationProblem<'static> {
     ScenarioSpec::for_size(&ScenarioSize::with_servers(servers)).generate(seed)
 }
 

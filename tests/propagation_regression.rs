@@ -19,7 +19,7 @@ use cpo_iaas::scenario::prelude::{ScenarioSize, ScenarioSpec};
 /// unsatisfiable on this infrastructure (a different-datacenter rule
 /// spanning more VMs than there are datacenters) are dropped upfront —
 /// exactly what an admission check rejects before solving.
-fn fig8_problem() -> AllocationProblem {
+fn fig8_problem() -> AllocationProblem<'static> {
     let raw = ScenarioSpec::for_size(&ScenarioSize::with_servers(100)).generate(42);
     let g = raw.g();
     let mut batch = RequestBatch::new();

@@ -27,7 +27,7 @@ fn brute_force_feasible(problem: &AllocationProblem) -> Vec<Vec<usize>> {
     out
 }
 
-fn tiny_problem(seed: u64) -> AllocationProblem {
+fn tiny_problem(seed: u64) -> AllocationProblem<'static> {
     let profile = ServerProfile::commodity(3);
     let infra = Infrastructure::new(
         AttrSet::standard(),
