@@ -11,10 +11,11 @@
 //! }
 //! ```
 //!
-//! Cells are flat maps of metric name → number (or string). The writer is
-//! dependency-free: values are formatted directly so the binaries stay
-//! buildable without any serialisation crate in their dependency graph.
+//! Cells are flat maps of metric name → number (or string). Numbers are
+//! formatted here (floats to four decimals); strings are escaped by
+//! `cpo_obs::json`, the workspace's one JSON codec.
 
+use cpo_obs::json;
 use std::fmt::Write as _;
 use std::path::Path;
 
@@ -77,9 +78,12 @@ impl Cell {
     }
 
     fn render(&self, out: &mut String) {
-        let _ = write!(out, "  {{\"name\":\"{}\"", escape(&self.name));
+        out.push_str("  {\"name\":");
+        json::write_escaped(&self.name, out);
         for (key, value) in &self.fields {
-            let _ = write!(out, ",\"{}\":", escape(key));
+            out.push(',');
+            json::write_escaped(key, out);
+            out.push(':');
             match value {
                 Value::Null => out.push_str("null"),
                 Value::Int(v) => {
@@ -89,24 +93,11 @@ impl Cell {
                     let _ = write!(out, "{v:.4}");
                 }
                 Value::Float(_) => out.push_str("null"),
-                Value::Str(s) => {
-                    let _ = write!(out, "\"{}\"", escape(s));
-                }
+                Value::Str(s) => json::write_escaped(s, out),
             }
         }
         out.push('}');
     }
-}
-
-fn escape(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' => vec!['\\', '"'],
-            '\\' => vec!['\\', '\\'],
-            '\n' => vec!['\\', 'n'],
-            c => vec![c],
-        })
-        .collect()
 }
 
 /// A schema-versioned collection of [`Cell`]s.
@@ -144,11 +135,9 @@ impl Report {
 
     /// Renders the JSON envelope.
     pub fn to_json(&self) -> String {
-        let mut out = format!(
-            "{{\n\"schema\":\"{}\",\"schema_version\":{},\"cells\":[\n",
-            escape(&self.schema),
-            self.version
-        );
+        let mut out = String::from("{\n\"schema\":");
+        json::write_escaped(&self.schema, &mut out);
+        let _ = writeln!(out, ",\"schema_version\":{},\"cells\":[", self.version);
         for (i, cell) in self.cells.iter().enumerate() {
             cell.render(&mut out);
             out.push_str(if i + 1 < self.cells.len() {
@@ -230,6 +219,22 @@ mod tests {
         let json = report.to_json();
         assert!(json.contains("x\\\"y"));
         assert!(json.contains("a\\\\b\\nc"));
+        report.push(Cell::new("tab\there").str("ctl", "\u{1}\r"));
+        let text = report.to_json();
+        assert!(
+            !text.contains(['\t', '\r', '\u{1}']),
+            "raw control characters"
+        );
+        let parsed = json::parse(&text).expect("valid JSON");
+        let cells = parsed.get("cells").and_then(json::Value::as_array).unwrap();
+        assert_eq!(
+            cells[1].get("name").and_then(json::Value::as_str),
+            Some("tab\there")
+        );
+        assert_eq!(
+            cells[1].get("ctl").and_then(json::Value::as_str),
+            Some("\u{1}\r")
+        );
     }
 
     #[test]

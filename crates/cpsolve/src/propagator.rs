@@ -397,11 +397,6 @@ impl Pack {
         }
     }
 
-    /// The item variables.
-    pub fn item_vars(&self) -> &[VarId] {
-        &self.vars
-    }
-
     /// Recomputes the cached load of `value` exactly as the reference path
     /// would: ascending-item summation over committed items.
     fn recompute_used(&mut self, value: usize) {

@@ -150,11 +150,6 @@ impl Csp {
         self.in_queue.push(false);
     }
 
-    /// Number of registered propagators.
-    pub fn n_propagators(&self) -> usize {
-        self.propagators.len()
-    }
-
     /// Total propagator invocations performed on this CSP so far (across
     /// all searches run on it).
     pub fn propagations(&self) -> u64 {

@@ -28,11 +28,6 @@ impl Trace {
             .find(|g| g.feasible * 2 >= population)
             .map(|g| g.evaluations)
     }
-
-    /// Best feasible aggregate objective at the end, if any.
-    pub fn final_best(&self) -> Option<f64> {
-        self.history.last().and_then(|g| g.best_feasible_total)
-    }
 }
 
 /// Runs NSGA-II, NSGA-III, U-NSGA-III and the tabu hybrid on `problem`

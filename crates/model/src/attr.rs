@@ -9,9 +9,7 @@
 use std::fmt;
 
 /// Index of an attribute within an [`AttrSet`] (the paper's `l`).
-#[derive(
-    Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
 pub struct AttrId(pub usize);
 
 impl AttrId {

@@ -441,15 +441,6 @@ impl<'p> DeltaEvaluator<'p> {
         score
     }
 
-    /// As [`peek_relocate`](Self::peek_relocate) but for evicting `k`.
-    pub fn peek_unassign(&mut self, k: VmId) -> MoveScore {
-        let from = self.assignment.server_of(k);
-        self.relocate(k, None);
-        let score = self.score();
-        self.relocate(k, from);
-        score
-    }
-
     /// Commits "relocate VM `k` to server `j`" and records it for
     /// [`undo`](Self::undo).
     pub fn apply(&mut self, k: VmId, j: ServerId) {

@@ -8,9 +8,7 @@ use crate::matrix::Matrix;
 use std::sync::Arc;
 
 /// Index of a datacenter (the paper's `i ∈ G`).
-#[derive(
-    Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
 pub struct DatacenterId(pub usize);
 
 impl DatacenterId {
@@ -25,9 +23,7 @@ impl DatacenterId {
 ///
 /// Servers are numbered globally across all datacenters; the owning
 /// datacenter is recoverable through [`Infrastructure::datacenter_of`].
-#[derive(
-    Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
 pub struct ServerId(pub usize);
 
 impl ServerId {

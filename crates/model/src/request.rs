@@ -4,13 +4,10 @@
 //! *requests* that carry affinity/anti-affinity rules.
 
 use crate::affinity::AffinityRule;
-use crate::attr::AttrId;
 use crate::matrix::Matrix;
 
 /// Global index of a requested virtual resource (the paper's `k ∈ N`).
-#[derive(
-    Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
 pub struct VmId(pub usize);
 
 impl VmId {
@@ -22,9 +19,7 @@ impl VmId {
 }
 
 /// Index of a user request within a batch.
-#[derive(
-    Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
 pub struct RequestId(pub usize);
 
 impl RequestId {
@@ -92,12 +87,6 @@ impl VmSpec {
             return Err(format!("revenue must be >= 0, got {}", self.revenue));
         }
         Ok(())
-    }
-
-    /// Demand for attribute `l` (`C_{kl}`).
-    #[inline]
-    pub fn demand_for(&self, l: AttrId) -> f64 {
-        self.demand[l.index()]
     }
 }
 

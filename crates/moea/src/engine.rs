@@ -167,14 +167,6 @@ impl MoeaResult {
         self.population.iter().filter(|i| i.rank == 0).collect()
     }
 
-    /// Feasible members of the first front.
-    pub fn feasible_front(&self) -> Vec<&Individual> {
-        self.population
-            .iter()
-            .filter(|i| i.rank == 0 && i.is_feasible())
-            .collect()
-    }
-
     /// The individual closest (Euclidean, on raw objectives) to the ideal
     /// point of the final population — the paper's decision rule: "we
     /// choose the solution that is found closer to the ideal point".

@@ -18,42 +18,9 @@ fn write_fields(fields: &[(String, FieldValue)], out: &mut String) {
         }
         json::write_escaped(k, out);
         out.push(':');
-        write_value(&v.to_json(), out);
+        json::write_value(&v.to_json(), out);
     }
     out.push('}');
-}
-
-fn write_value(v: &Value, out: &mut String) {
-    match v {
-        Value::Null => out.push_str("null"),
-        Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Value::UInt(n) => out.push_str(&n.to_string()),
-        Value::Int(n) => out.push_str(&n.to_string()),
-        Value::Float(n) => json::write_f64(*n, out),
-        Value::Str(s) => json::write_escaped(s, out),
-        Value::Arr(items) => {
-            out.push('[');
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                write_value(item, out);
-            }
-            out.push(']');
-        }
-        Value::Obj(fields) => {
-            out.push('{');
-            for (i, (k, v)) in fields.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                json::write_escaped(k, out);
-                out.push(':');
-                write_value(v, out);
-            }
-            out.push('}');
-        }
-    }
 }
 
 fn write_event_line(ev: &TraceEvent, out: &mut String) {

@@ -1,8 +1,10 @@
-//! A deliberately tiny JSON reader/writer so the crate stays
-//! dependency-free. The writer emits the compact form (`{"k":v}`, no
-//! spaces) matching the rest of the workspace's traces; the reader is a
-//! plain recursive-descent parser over the subset the exporters emit
-//! (which is all of JSON except non-finite numbers).
+//! The workspace's one JSON codec, kept tiny so the crate stays
+//! dependency-free. Every JSON artifact goes through it: flight dumps,
+//! traces, timelines, profiles, series, bench reports, the platform event
+//! log and saved scenario files. The writers emit the compact form
+//! (`{"k":v}`, no spaces) or, for hand-edited files, a pretty form with
+//! two-space indents; the reader is a plain recursive-descent parser over
+//! all of JSON except non-finite numbers.
 
 /// A parsed JSON value. Integers keep their exact 64-bit representation
 /// (a plain `f64` tree would corrupt large counter values and nanosecond
@@ -111,6 +113,74 @@ pub fn write_f64(v: f64, out: &mut String) {
     } else {
         out.push_str("null");
     }
+}
+
+/// Appends `v` as compact JSON.
+pub fn write_value(v: &Value, out: &mut String) {
+    write_nested(v, None, out);
+}
+
+/// Appends `v` as pretty JSON: one array element or object member per
+/// line, two spaces of indent per level, `"key": value`.
+pub fn write_pretty(v: &Value, out: &mut String) {
+    write_nested(v, Some(0), out);
+}
+
+/// `depth` is `None` for compact output, else the pretty nesting level.
+fn write_nested(v: &Value, depth: Option<usize>, out: &mut String) {
+    let inner = depth.map(|d| d + 1);
+    match v {
+        Value::Null => out.push_str("null"),
+        Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+        Value::UInt(n) => out.push_str(&n.to_string()),
+        Value::Int(n) => out.push_str(&n.to_string()),
+        Value::Float(n) => write_f64(*n, out),
+        Value::Str(s) => write_escaped(s, out),
+        Value::Arr(items) => {
+            out.push('[');
+            for (i, item) in items.iter().enumerate() {
+                open_member(i, inner, out);
+                write_nested(item, inner, out);
+            }
+            close_container(items.is_empty(), depth, out);
+            out.push(']');
+        }
+        Value::Obj(fields) => {
+            out.push('{');
+            for (i, (k, item)) in fields.iter().enumerate() {
+                open_member(i, inner, out);
+                write_escaped(k, out);
+                out.push_str(if depth.is_some() { ": " } else { ":" });
+                write_nested(item, inner, out);
+            }
+            close_container(fields.is_empty(), depth, out);
+            out.push('}');
+        }
+    }
+}
+
+/// Starts member `i` of a container: a comma after the first member,
+/// then in pretty mode a line break indented to `depth`.
+fn open_member(i: usize, depth: Option<usize>, out: &mut String) {
+    if i > 0 {
+        out.push(',');
+    }
+    if let Some(d) = depth {
+        line_break(d, out);
+    }
+}
+
+/// In pretty mode, puts a non-empty container's closing bracket on its
+/// own line at the container's `depth`.
+fn close_container(empty: bool, depth: Option<usize>, out: &mut String) {
+    if let (false, Some(d)) = (empty, depth) {
+        line_break(d, out);
+    }
+}
+
+fn line_break(depth: usize, out: &mut String) {
+    out.push('\n');
+    out.extend(std::iter::repeat_n(' ', 2 * depth));
 }
 
 /// Parses one JSON document.
@@ -383,6 +453,22 @@ mod tests {
         let mut out = String::new();
         write_f64(f64::INFINITY, &mut out);
         assert_eq!(out, "null");
+    }
+
+    #[test]
+    fn compact_and_pretty_writers_roundtrip() {
+        let text = r#"{"a":[1,{"b":"c"}],"e":[],"f":{},"g":-2.5}"#;
+        let v = parse(text).unwrap();
+        let mut compact = String::new();
+        write_value(&v, &mut compact);
+        assert_eq!(compact, text);
+        let mut pretty = String::new();
+        write_pretty(&v, &mut pretty);
+        assert_eq!(
+            pretty,
+            "{\n  \"a\": [\n    1,\n    {\n      \"b\": \"c\"\n    }\n  ],\n  \"e\": [],\n  \"f\": {},\n  \"g\": -2.5\n}"
+        );
+        assert_eq!(parse(&pretty).unwrap(), v);
     }
 
     #[test]

@@ -18,6 +18,7 @@ use crate::tenant::TenantId;
 use cpo_model::prelude::ServerId;
 use cpo_obs::flight::{self, FlightKind};
 use std::collections::HashMap;
+use std::fmt::Write;
 
 /// Version of the JSON-lines trace schema written by
 /// [`EventLog::to_json_lines`]. Bump when an [`Event`] variant changes
@@ -25,8 +26,7 @@ use std::collections::HashMap;
 pub const EVENT_LOG_SCHEMA_VERSION: u32 = 1;
 
 /// One platform event, stamped with the window index it occurred in.
-#[derive(Clone, Debug, PartialEq, serde::Serialize)]
-#[serde(tag = "event", rename_all = "snake_case")]
+#[derive(Clone, Debug, PartialEq)]
 pub enum Event {
     /// A new request arrived in the window's batch.
     RequestArrived {
@@ -110,6 +110,76 @@ impl Event {
             | Event::WindowClosed { window, .. } => *window,
         }
     }
+
+    /// Appends the event as one compact JSON line: the snake-case
+    /// variant name as the `event` tag, then the fields in declaration
+    /// order.
+    fn write_json_line(&self, out: &mut String) {
+        let _ = match *self {
+            Event::RequestArrived {
+                window,
+                tenant: TenantId(t),
+                vms,
+            } => write!(
+                out,
+                r#"{{"event":"request_arrived","window":{window},"tenant":{t},"vms":{vms}}}"#
+            ),
+            Event::TenantAdmitted {
+                window,
+                tenant: TenantId(t),
+            } => write!(
+                out,
+                r#"{{"event":"tenant_admitted","window":{window},"tenant":{t}}}"#
+            ),
+            Event::RequestRejected {
+                window,
+                tenant: TenantId(t),
+            } => write!(
+                out,
+                r#"{{"event":"request_rejected","window":{window},"tenant":{t}}}"#
+            ),
+            Event::VmMigrated {
+                window,
+                tenant: TenantId(t),
+                vm,
+                from: ServerId(from),
+                to: ServerId(to),
+            } => write!(
+                out,
+                r#"{{"event":"vm_migrated","window":{window},"tenant":{t},"vm":{vm},"from":{from},"to":{to}}}"#
+            ),
+            Event::TenantDeparted {
+                window,
+                tenant: TenantId(t),
+            } => write!(
+                out,
+                r#"{{"event":"tenant_departed","window":{window},"tenant":{t}}}"#
+            ),
+            Event::ServerFailed {
+                window,
+                server: ServerId(s),
+            } => write!(
+                out,
+                r#"{{"event":"server_failed","window":{window},"server":{s}}}"#
+            ),
+            Event::ServerRepaired {
+                window,
+                server: ServerId(s),
+            } => write!(
+                out,
+                r#"{{"event":"server_repaired","window":{window},"server":{s}}}"#
+            ),
+            Event::WindowClosed {
+                window,
+                running_tenants,
+                active_servers,
+            } => write!(
+                out,
+                r#"{{"event":"window_closed","window":{window},"running_tenants":{running_tenants},"active_servers":{active_servers}}}"#
+            ),
+        };
+        out.push('\n');
+    }
 }
 
 /// An append-only event log with typed queries.
@@ -169,8 +239,7 @@ impl EventLog {
     pub fn to_json_lines(&self) -> String {
         let mut out = format!("{{\"schema_version\":{EVENT_LOG_SCHEMA_VERSION}}}\n");
         for e in &self.events {
-            out.push_str(&serde_json::to_string(e).expect("events always serialise"));
-            out.push('\n');
+            e.write_json_line(&mut out);
         }
         out
     }
@@ -399,6 +468,74 @@ mod tests {
         assert_eq!(trace.lines().count(), 4, "schema header + 3 events");
         assert!(trace.starts_with("{\"schema_version\":1}\n"));
         assert!(trace.contains("\"event\":\"server_failed\""));
+    }
+
+    /// Every variant's line, byte for byte as the earlier serde-based
+    /// writer produced it, so saved traces and the fixed-step pin's hash
+    /// stay valid.
+    #[test]
+    fn json_lines_match_the_golden_format() {
+        let mut log = EventLog::new();
+        for e in [
+            Event::RequestArrived {
+                window: 0,
+                tenant: TenantId(1),
+                vms: 2,
+            },
+            Event::TenantAdmitted {
+                window: 0,
+                tenant: TenantId(1),
+            },
+            Event::RequestRejected {
+                window: 1,
+                tenant: TenantId(2),
+            },
+            Event::VmMigrated {
+                window: 1,
+                tenant: TenantId(1),
+                vm: 3,
+                from: ServerId(4),
+                to: ServerId(5),
+            },
+            Event::TenantDeparted {
+                window: 2,
+                tenant: TenantId(1),
+            },
+            Event::ServerFailed {
+                window: 3,
+                server: ServerId(6),
+            },
+            Event::ServerRepaired {
+                window: 5,
+                server: ServerId(6),
+            },
+            Event::WindowClosed {
+                window: 7,
+                running_tenants: 2,
+                active_servers: 3,
+            },
+            Event::VmMigrated {
+                window: u64::MAX,
+                tenant: TenantId(u64::MAX),
+                vm: usize::MAX,
+                from: ServerId(0),
+                to: ServerId(usize::MAX),
+            },
+        ] {
+            log.push(e);
+        }
+        let golden = r#"{"schema_version":1}
+{"event":"request_arrived","window":0,"tenant":1,"vms":2}
+{"event":"tenant_admitted","window":0,"tenant":1}
+{"event":"request_rejected","window":1,"tenant":2}
+{"event":"vm_migrated","window":1,"tenant":1,"vm":3,"from":4,"to":5}
+{"event":"tenant_departed","window":2,"tenant":1}
+{"event":"server_failed","window":3,"server":6}
+{"event":"server_repaired","window":5,"server":6}
+{"event":"window_closed","window":7,"running_tenants":2,"active_servers":3}
+{"event":"vm_migrated","window":18446744073709551615,"tenant":18446744073709551615,"vm":18446744073709551615,"from":0,"to":18446744073709551615}
+"#;
+        assert_eq!(log.to_json_lines(), golden);
     }
 
     #[test]

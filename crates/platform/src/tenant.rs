@@ -3,9 +3,7 @@
 use cpo_model::prelude::*;
 
 /// Identifier of a tenant (an accepted, still-running request).
-#[derive(
-    Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
 pub struct TenantId(pub u64);
 
 /// One running tenant: the request's resources, rules, placements and

@@ -93,7 +93,7 @@ pub fn sample<'a>(catalog: &'a [Flavor], rng: &mut impl Rng) -> &'a Flavor {
 }
 
 /// Cost/QoS parameter ranges for generated VM specs.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct VmCostParams {
     /// QoS guarantee range `[lo, hi]` (paper: C^Q_k).
     pub qos_guarantee: (f64, f64),

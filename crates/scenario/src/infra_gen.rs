@@ -45,7 +45,7 @@ impl HostClass {
 }
 
 /// Infrastructure generation parameters.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct InfraSpec {
     /// Number of datacenters `g`.
     pub datacenters: usize,

@@ -7,7 +7,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 /// Request generation parameters.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct RequestSpec {
     /// Total number of virtual resources `n` to generate (requests are
     /// drawn until the budget is filled; the last request may be smaller).
