@@ -30,6 +30,10 @@
 //!   of 1,000 servers whose residual leaves a tail of VMs that fit
 //!   nowhere (seed 42): wall time and the exact admitted and rejected
 //!   request counts;
+//! * `fleet.tenant_churn` — `FleetExecutor` register → Round Robin
+//!   window → depart over a fixed seeded stream of 100,000 single-VM
+//!   tenants, about 25,000 resident at a time (seed 42): wall time and
+//!   the exact admitted and rejected request counts;
 //! * `alloc.<label>.flight_{off,on}` — one allocator sweep with the
 //!   flight recorder disabled vs enabled, plus the overhead ratio. The
 //!   recorder's acceptance bar is ≤5% overhead when enabled; the ratio
@@ -46,6 +50,7 @@ use cpo_model::attr::AttrSet;
 use cpo_model::prelude::*;
 use cpo_moea::prelude::NsgaConfig;
 use cpo_obs::flight;
+use cpo_platform::prelude::{FleetExecutor, TenantId, WindowBackend};
 use cpo_scenario::prelude::ScenarioSize;
 use cpo_tabu::repair::{repair_on, RepairConfig, ScanOrder};
 use cpo_tabu::{tabu_search, Neighborhood, Scoring, TabuConfig};
@@ -364,6 +369,62 @@ fn main() {
         );
         report.push(
             Cell::new("alloc.round-robin.saturated")
+                .int("wall_ns", wall_ns as i128)
+                .int("admitted", admitted as i128)
+                .int("rejected", rejected as i128),
+        );
+    }
+
+    // --- fleet: tenant churn through the packed tables ----------------
+    // 400 windows of 250 single-VM requests (100,000 tenants) on 1,200
+    // servers. Each admitted tenant stays 1–199 windows, so about 25,000
+    // are resident once the fleet warms up and every window admits,
+    // rejects and departs through the per-tenant tables.
+    {
+        let mut rng = SmallRng::seed_from_u64(42);
+        let stream: Vec<(RequestBatch, Vec<usize>)> = (0..400)
+            .map(|_| {
+                let mut batch = RequestBatch::new();
+                let mut stays = Vec::new();
+                for _ in 0..250 {
+                    let cpu = f64::from(rng.gen_range(1..=2u32));
+                    let spec = vm_spec(cpu, 2_048.0 * cpu, rng.gen_range(10.0..100.0));
+                    batch.push_request(vec![spec], vec![]);
+                    stays.push(rng.gen_range(1..200));
+                }
+                (batch, stays)
+            })
+            .collect();
+        let infra = Infrastructure::new(
+            AttrSet::standard(),
+            vec![("dc".into(), ServerProfile::commodity(3).build_many(1_200))],
+        );
+        let mut totals = (0usize, 0usize);
+        let wall_ns = median_ns(5, || {
+            let mut fleet = FleetExecutor::new(infra.clone());
+            let mut due: Vec<Vec<TenantId>> = vec![Vec::new(); stream.len() + 200];
+            let (mut admitted, mut rejected) = (0, 0);
+            for (w, (batch, stays)) in stream.iter().enumerate() {
+                for id in std::mem::take(&mut due[w]) {
+                    assert!(fleet.depart_tenant(id), "resident tenant departs");
+                }
+                let ids = fleet.register_arrivals(batch);
+                let (report, accepted) = fleet.execute_window(&RoundRobinAllocator, batch, &ids);
+                admitted += report.admitted;
+                rejected += report.rejected;
+                for id in accepted {
+                    due[w + stays[(id.0 - ids[0].0) as usize]].push(id);
+                }
+            }
+            totals = (admitted, rejected);
+        });
+        let (admitted, rejected) = totals;
+        println!(
+            "fleet.tenant_churn: {:.2} ms, {admitted} admitted, {rejected} rejected",
+            wall_ns as f64 / 1e6
+        );
+        report.push(
+            Cell::new("fleet.tenant_churn")
                 .int("wall_ns", wall_ns as i128)
                 .int("admitted", admitted as i128)
                 .int("rejected", rejected as i128),

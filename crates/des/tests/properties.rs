@@ -23,3 +23,51 @@ proptest! {
         prop_assert_eq!(popped, expected);
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Interleaved schedules and pops, on a handful of integer stamps so
+    /// ties are common and many events land at the current clock, pop
+    /// exactly as a plain binary heap over `(time, seq)` does.
+    #[test]
+    fn interleaved_schedule_and_pop_match_a_plain_heap(
+        ops in vec((0u8..3, 0u8..4), 1..200),
+    ) {
+        use std::cmp::Reverse;
+        use std::collections::BinaryHeap;
+        let mut q = EventQueue::new();
+        let mut model: BinaryHeap<Reverse<(u64, u64)>> = BinaryHeap::new();
+        let mut now = 0u64;
+        let mut seq = 0u64;
+        let pop_both = |q: &mut EventQueue<u64>, model: &mut BinaryHeap<Reverse<(u64, u64)>>| {
+            let got = q.pop().map(|(t, s)| (t.as_f64() as u64, s));
+            (got, model.pop().map(|Reverse(e)| e))
+        };
+        for &(kind, dt) in &ops {
+            if kind < 2 {
+                // Offset 0 schedules at the current clock.
+                let at = now + u64::from(dt);
+                q.schedule(SimTime::new(at as f64), seq);
+                model.push(Reverse((at, seq)));
+                seq += 1;
+            } else {
+                let (got, want) = pop_both(&mut q, &mut model);
+                prop_assert_eq!(got, want);
+                if let Some((t, _)) = want {
+                    now = t;
+                    prop_assert_eq!(q.now(), SimTime::new(t as f64));
+                }
+            }
+            prop_assert_eq!(q.len(), model.len());
+            let peek = model.peek().map(|Reverse((t, _))| SimTime::new(*t as f64));
+            prop_assert_eq!(q.peek_time(), peek);
+        }
+        while !model.is_empty() {
+            let (got, want) = pop_both(&mut q, &mut model);
+            prop_assert_eq!(got, want);
+        }
+        prop_assert!(q.is_empty());
+        prop_assert!(q.pop().is_none());
+    }
+}

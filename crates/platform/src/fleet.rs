@@ -20,7 +20,11 @@
 //!   [`cpo_model::fleet::VmTable`] (flat slot-recycled rows, intrusive
 //!   per-tenant chains) and per-server loads in a
 //!   [`cpo_model::fleet::ServerLoadTable`], maintained incrementally in
-//!   O(h) per admit/depart;
+//!   O(h) per admit/depart. Each tenant's chain head sits in a
+//!   [`TenantTable`] indexed by its sequentially minted id: no hashing
+//!   on admit or depart, and one 8-byte slot per id from the oldest
+//!   resident tenant to the newest, however many ids were minted
+//!   before;
 //! * **no event log** — its `Lifecycle` records the same flight
 //!   events in the same order as `WindowExecutor`'s (`admitted`, binding
 //!   key↔tenant, precedes the per-VM `placed` events) and the typed
@@ -34,13 +38,12 @@ use crate::accounting::WindowReport;
 use crate::backend::{solve_round, WindowBackend};
 use crate::lifecycle::Lifecycle;
 use crate::store::PlacementStore;
-use crate::tenant::TenantId;
+use crate::tenant::{TenantId, TenantTable};
 use cpo_core::prelude::Allocator;
 use cpo_model::fleet::{ServerLoadTable, VmTable, NO_SLOT};
 use cpo_model::prelude::*;
 use cpo_obs::flight;
 use std::borrow::Cow;
-use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -55,7 +58,7 @@ pub struct FleetExecutor {
     vms: VmTable,
     loads: ServerLoadTable,
     /// Tenant → head slot of its VM chain.
-    heads: HashMap<u64, u32>,
+    heads: TenantTable<u32>,
     pub(crate) lifecycle: Lifecycle,
     window: u64,
     offline: Vec<bool>,
@@ -74,7 +77,7 @@ impl FleetExecutor {
             store,
             vms: VmTable::new(h),
             loads: ServerLoadTable::new(m, h),
-            heads: HashMap::new(),
+            heads: TenantTable::new(),
             lifecycle: Lifecycle::default(),
             window: 0,
             offline: vec![false; m],
@@ -134,7 +137,7 @@ impl FleetExecutor {
             head = self.vms.insert(tid.0, j, &vm.demand, vm.revenue, head);
             self.admit_load(j, &vm.demand, reserve);
         }
-        self.heads.insert(tid.0, head);
+        self.heads.insert(tid, head);
     }
 
     /// Post-admission window close shared by the native and sharded
@@ -330,7 +333,7 @@ impl WindowBackend for FleetExecutor {
     /// demand to the residual headroom (unless the hosting server is
     /// offline — a failed server has no headroom to return to).
     fn depart_tenant(&mut self, id: TenantId) -> bool {
-        let Some(head) = self.heads.remove(&id.0) else {
+        let Some(head) = self.heads.remove(id) else {
             return false;
         };
         let mut slot = head;
@@ -442,6 +445,31 @@ mod tests {
         for j in 0..4 {
             assert_eq!(f.residual_row(ServerId(j)), fresh.residual_row(ServerId(j)));
         }
+    }
+
+    #[test]
+    fn depart_is_false_for_ids_that_hold_nothing() {
+        let mut f = fleet(1);
+        assert!(!f.depart_tenant(TenantId(0)), "nothing registered yet");
+        // 10 four-core requests on one 28.8-core server: 7 fit.
+        let mut arrivals = RequestBatch::new();
+        for _ in 0..10 {
+            arrivals.push_request(vec![vm_spec(4.0, 8192.0, 80.0)], vec![]);
+        }
+        let ids = f.register_arrivals(&arrivals);
+        let (report, admitted) = f.execute_window(&RoundRobinAllocator, &arrivals, &ids);
+        assert_eq!((report.admitted, report.rejected), (7, 3));
+        for id in ids.iter().filter(|id| !admitted.contains(id)) {
+            assert!(!f.depart_tenant(*id), "rejected {id:?}");
+        }
+        for id in [TenantId(10), TenantId(1_000_000), TenantId(u64::MAX)] {
+            assert!(!f.depart_tenant(id), "never registered {id:?}");
+        }
+        assert!(f.depart_tenant(admitted[0]));
+        assert!(!f.depart_tenant(admitted[0]), "already departed");
+        assert_eq!(f.resident_requests(), 6);
+        assert_eq!(f.live_vms(), 6);
+        assert!(f.verify().is_ok());
     }
 
     #[test]

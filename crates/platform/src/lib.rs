@@ -6,7 +6,8 @@
 //! that operational substrate:
 //!
 //! * [`tenant`] — accepted requests living across windows with their
-//!   affinity rules and lifetimes;
+//!   affinity rules and lifetimes, and [`tenant::TenantTable`], the
+//!   dense per-tenant storage indexed by tenant id;
 //! * [`executor`] — [`executor::WindowExecutor`], the cyclic window loop:
 //!   departures → arrivals → solve (any
 //!   [`cpo_core::allocator::Allocator`]) → apply reconfiguration plan

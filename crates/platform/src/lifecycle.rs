@@ -14,10 +14,9 @@
 //! log is exact and per executor.
 
 use crate::accounting::WindowReport;
-use crate::tenant::TenantId;
+use crate::tenant::{TenantId, TenantTable};
 use cpo_model::prelude::ServerId;
 use cpo_obs::flight::{self, FlightKind};
-use std::collections::HashMap;
 use std::fmt::Write;
 
 /// Version of the JSON-lines trace schema written by
@@ -252,9 +251,10 @@ pub(crate) struct Lifecycle {
     /// The next tenant id to mint; ids start at 0.
     next_tenant: u64,
     /// Tenant → flight-recorder correlation key (the request uid). Bound
-    /// by [`Lifecycle::bind_keys`]; dropped when the request is rejected
-    /// or the tenant departs.
-    keys: HashMap<TenantId, u64>,
+    /// by [`Lifecycle::bind_keys`], which the scheduler calls only while
+    /// the recorder is on; dropped when the request is rejected or the
+    /// tenant departs.
+    keys: TenantTable<u64>,
 }
 
 impl Lifecycle {
@@ -286,7 +286,7 @@ impl Lifecycle {
 
     /// The correlation key bound to a tenant, or [`flight::NONE`].
     pub fn key(&self, tenant: TenantId) -> u64 {
-        self.keys.get(&tenant).copied().unwrap_or(flight::NONE)
+        self.keys.get(tenant).copied().unwrap_or(flight::NONE)
     }
 
     /// An admission: the `admitted` flight event (binding key ↔ tenant in
@@ -312,14 +312,14 @@ impl Lifecycle {
 
     /// A rejection; the correlation key is dropped.
     pub fn rejected(&mut self, window: u64, tenant: TenantId) -> Event {
-        let key = self.keys.remove(&tenant).unwrap_or(flight::NONE);
+        let key = self.keys.remove(tenant).unwrap_or(flight::NONE);
         flight::record(FlightKind::Rejected, key, tenant.0, window, 0);
         Event::RequestRejected { window, tenant }
     }
 
     /// A departure; the correlation key is dropped.
     pub fn departed(&mut self, window: u64, tenant: TenantId) -> Event {
-        let key = self.keys.remove(&tenant).unwrap_or(flight::NONE);
+        let key = self.keys.remove(tenant).unwrap_or(flight::NONE);
         flight::record(FlightKind::Departed, key, tenant.0, window, 0);
         Event::TenantDeparted { window, tenant }
     }

@@ -5,10 +5,9 @@
 //! manage. Cross-datacenter pairs are tallied as WAN traffic (not
 //! admitted against the fabric).
 
-use crate::tenant::{Tenant, TenantId};
+use crate::tenant::{Tenant, TenantId, TenantTable};
 use cpo_model::prelude::{Infrastructure, ServerId};
 use cpo_topology::{BuiltPod, LinkId, NodeId};
-use std::collections::HashMap;
 
 /// One admitted fabric flow.
 #[derive(Clone, Debug)]
@@ -36,7 +35,7 @@ pub struct NetworkModel {
     server_node: Vec<(usize, NodeId)>,
     /// Bandwidth reserved per VM pair (Mbit/s).
     per_pair_bw: f64,
-    flows: HashMap<TenantId, Vec<Flow>>,
+    flows: TenantTable<Vec<Flow>>,
 }
 
 impl NetworkModel {
@@ -67,7 +66,7 @@ impl NetworkModel {
             pods,
             server_node,
             per_pair_bw,
-            flows: HashMap::new(),
+            flows: TenantTable::new(),
         }
     }
 
@@ -107,7 +106,7 @@ impl NetworkModel {
 
     /// Releases all flows of a tenant (departure or pre-migration).
     pub fn release_tenant(&mut self, id: TenantId) {
-        if let Some(flows) = self.flows.remove(&id) {
+        if let Some(flows) = self.flows.remove(id) {
             for f in flows {
                 self.pods[f.pod].fabric.release_path(&f.path, f.bandwidth);
             }
