@@ -34,13 +34,22 @@
 //!   window → depart over a fixed seeded stream of 100,000 single-VM
 //!   tenants, about 25,000 resident at a time (seed 42): wall time and
 //!   the exact admitted and rejected request counts;
+//! * `des.trace_ingest.{native,sharded}` — a warm replay of the committed
+//!   sample amplified 1,954 times (125,056 arrivals, the `trace-native`
+//!   input) through `WindowedScheduler<TraceArrivalSource, _>` with Round
+//!   Robin on 1,250 servers, natively and on 2 shards: the exact
+//!   allocation count of the whole process during the replay, and the
+//!   arrivals. The sharded count assumes `host_cores` ≥ 2, where the
+//!   second part solves on a scoped thread;
 //! * `alloc.<label>.flight_{off,on}` — one allocator sweep with the
 //!   flight recorder disabled vs enabled, plus the overhead ratio. The
 //!   recorder's acceptance bar is ≤5% overhead when enabled; the ratio
 //!   is reported, not asserted, because CI machines are noisy.
 
 use cpo_bench::report::{Cell, Report};
-use cpo_bench::{admissible_fig8_problem, outcome_fingerprint, reconfig_problem};
+use cpo_bench::{
+    admissible_fig8_problem, outcome_fingerprint, reconfig_problem, trace_ingest_replay,
+};
 use cpo_core::cp_alloc::build_batch_csp;
 use cpo_core::prelude::{Allocator, EvoAllocator, RoundRobinAllocator};
 use cpo_cpsolve::prelude::*;
@@ -56,7 +65,34 @@ use cpo_tabu::repair::{repair_on, RepairConfig, ScanOrder};
 use cpo_tabu::{tabu_search, Neighborhood, Scoring, TabuConfig};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
+
+/// Allocations the process has made, for the `des.trace_ingest` cells.
+static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+
+/// The system allocator behind a relaxed count of every allocation.
+struct CountingAlloc;
+
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        System.alloc(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc;
 
 /// Median wall time of `reps` runs of `f`, in nanoseconds.
 fn median_ns(reps: usize, mut f: impl FnMut()) -> u128 {
@@ -428,6 +464,28 @@ fn main() {
                 .int("wall_ns", wall_ns as i128)
                 .int("admitted", admitted as i128)
                 .int("rejected", rejected as i128),
+        );
+    }
+
+    // --- des: allocations of the trace arrival path ----------------
+    for (name, shards) in [
+        ("des.trace_ingest.native", 1),
+        ("des.trace_ingest.sharded", 2),
+    ] {
+        // The first replay sets up whatever the process initialises once.
+        trace_ingest_replay(1_954, 1_250, shards);
+        let before = ALLOCATIONS.load(Ordering::Relaxed);
+        let arrivals = trace_ingest_replay(1_954, 1_250, shards);
+        let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
+        println!(
+            "{name}: {allocations} allocations for {arrivals} arrivals ({:.3} per arrival)",
+            allocations as f64 / arrivals as f64
+        );
+        report.push(
+            Cell::new(name)
+                .int("shards", shards as i128)
+                .int("arrivals", arrivals as i128)
+                .int("allocations", allocations as i128),
         );
     }
 

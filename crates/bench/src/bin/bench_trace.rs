@@ -51,23 +51,19 @@
 //! deterministic attribution counters become pinned report cells.
 
 use cpo_bench::report::{Cell, Report};
+use cpo_bench::{amplifier, fleet, SAMPLE};
 use cpo_core::prelude::{
     AllocationOutcome, Allocator, CpAllocator, FilteringAllocator, PortfolioAllocator,
     PortfolioCriterion, RoundRobinAllocator, TabuSearchAllocator,
 };
 use cpo_des::prelude::*;
-use cpo_model::attr::AttrSet;
 use cpo_model::prelude::*;
 use cpo_platform::prelude::{
     FleetExecutor, ShardConfig, ShardedScheduler, StoreMetrics, WindowReport,
 };
 use cpo_scenario::prelude::ArrivalSpec;
 use cpo_traces::prelude::*;
-use std::io::Cursor;
 use std::time::{Duration, Instant};
-
-/// The committed 64-row Azure-style seed trace (3600 s span).
-const SAMPLE: &str = include_str!("../../../../examples/data/azure_sample.csv");
 
 struct Args {
     arrivals: usize,
@@ -110,28 +106,6 @@ fn parse_args() -> Args {
         }
     }
     args
-}
-
-fn fleet(servers: usize) -> Infrastructure {
-    Infrastructure::new(
-        AttrSet::standard(),
-        vec![("dc".into(), ServerProfile::commodity(3).build_many(servers))],
-    )
-}
-
-fn amplifier(factor: usize, seed: u64) -> Amplifier {
-    let reader = AzureReader::new(Cursor::new(SAMPLE), MalformedPolicy::Fail)
-        .expect("embedded sample parses");
-    Amplifier::new(
-        reader,
-        AmplifyConfig {
-            factor,
-            time_jitter: 30.0,
-            demand_jitter: 0.2,
-            seed,
-        },
-    )
-    .expect("embedded sample amplifies")
 }
 
 /// FNV-1a over the per-window allocation outcomes.

@@ -81,6 +81,9 @@ pub fn policy_for(key: &str) -> Policy {
         | "peak_active_servers"
         | "peak_running_vms"
         | "fingerprint"
+        // Allocation counts of deterministic replays: a count that moves
+        // means an allocation came onto (or left) a pinned path.
+        | "allocations"
         | "propagations"
         | "nodes"
         | "eval_work"

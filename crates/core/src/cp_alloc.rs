@@ -61,7 +61,7 @@ impl CpAllocator {
 
 /// Builds the CSP for one request against the current platform state
 /// (`tracker` carries everything already committed). Variable `v` of the
-/// CSP is `req.vms[v]`. Shared by the CP allocator and the CP repair of
+/// CSP is `req.vms.at(v)`. Shared by the CP allocator and the CP repair of
 /// the NSGA-III hybrid.
 pub fn build_request_csp(problem: &AllocationProblem, req: &Request, tracker: &LoadTracker) -> Csp {
     let m = problem.m();
@@ -86,26 +86,15 @@ pub fn build_request_csp(problem: &AllocationProblem, req: &Request, tracker: &L
                 .collect()
         })
         .collect();
-    let demand: Vec<Vec<f64>> = req
-        .vms
-        .iter()
-        .map(|&k| problem.batch().vm(k).demand.clone())
-        .collect();
     let vars: Vec<VarId> = (0..req.vms.len()).map(VarId).collect();
-    csp.add(Box::new(Pack::new(vars.clone(), demand, capacity)));
+    let demand = problem.batch().demand_rows(req.vms);
+    csp.add(Box::new(Pack::from_rows(vars.clone(), demand, capacity)));
 
     // Affinity rules → propagators over this request's variables.
     let dc_group: Vec<usize> = (0..m)
         .map(|j| problem.infra().datacenter_of(ServerId(j)).index())
         .collect();
-    let var_of = |k: VmId| -> VarId {
-        VarId(
-            req.vms
-                .iter()
-                .position(|&v| v == k)
-                .expect("rule vm in request"),
-        )
-    };
+    let var_of = |k: VmId| -> VarId { VarId(req.vms.position(k).expect("rule vm in request")) };
     for rule in &req.rules {
         let rule_vars: Vec<VarId> = rule.vms().iter().map(|&k| var_of(k)).collect();
         match rule.linearize() {
@@ -152,12 +141,9 @@ pub fn build_batch_csp(problem: &AllocationProblem) -> Csp {
                 .collect()
         })
         .collect();
-    let demand: Vec<Vec<f64>> = (0..n)
-        .map(|k| problem.batch().vm(VmId(k)).demand.clone())
-        .collect();
-    csp.add(Box::new(Pack::new(
+    csp.add(Box::new(Pack::from_rows(
         (0..n).map(VarId).collect(),
-        demand,
+        problem.batch().demand_rows(VmRange::new(0, n)),
         capacity,
     )));
 
@@ -271,7 +257,7 @@ impl Allocator for CpAllocator {
             match solution {
                 Some(values) => {
                     for (v, &j) in values.iter().enumerate() {
-                        let k = req.vms[v];
+                        let k = req.vms.at(v);
                         assignment.assign(k, ServerId(j));
                         tracker.add(k, ServerId(j), problem.batch());
                     }

@@ -57,7 +57,7 @@ impl CpRepair {
             let req = batch.request(r);
             // Commit everything except this request.
             let mut tracker = ev.tracker().clone();
-            for &k in &req.vms {
+            for k in req.vms {
                 if let Some(j) = ev.assignment().server_of(k) {
                     tracker.remove(k, j, batch);
                 }
@@ -72,7 +72,7 @@ impl CpRepair {
             let (outcome, _) = solve(&mut csp, &config);
             if let Some(values) = outcome.solution() {
                 for (v, &j) in values.iter().enumerate() {
-                    ev.apply(req.vms[v], ServerId(j));
+                    ev.apply(req.vms.at(v), ServerId(j));
                 }
                 ev.clear_history();
                 changed = true;

@@ -126,7 +126,7 @@ fn finalize(problem: &AllocationProblem, assignment: &mut Assignment) -> Vec<Req
     let mut rejected = Vec::new();
     for req in problem.batch().requests() {
         if !accepted[req.id.index()] {
-            for &k in &req.vms {
+            for k in req.vms {
                 assignment.unassign(k);
             }
             rejected.push(req.id);

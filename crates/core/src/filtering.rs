@@ -62,7 +62,7 @@ impl Allocator for FilteringAllocator {
             let mut placed: Vec<(VmId, ServerId)> = Vec::with_capacity(req.vms.len());
             // Place same-server groups first (the hardest filter), then
             // the rest in declaration order.
-            let mut ordered: Vec<VmId> = req.vms.clone();
+            let mut ordered: Vec<VmId> = req.vms.iter().collect();
             ordered.sort_by_key(|&k| {
                 usize::from(
                     !req.rules

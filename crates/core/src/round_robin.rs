@@ -26,6 +26,18 @@ use std::time::Instant;
 #[derive(Clone, Copy, Debug, Default)]
 pub struct RoundRobinAllocator;
 
+/// Placement buffers one `allocate` call owns and clears per request, so
+/// placing a request allocates nothing once they have grown to size.
+#[derive(Default)]
+struct Scratch {
+    /// The request's placements so far, for rollback.
+    placed: Vec<(VmId, ServerId)>,
+    /// VMs bound by a same-server rule, placed as one unit.
+    unit: Vec<VmId>,
+    /// The unit's placements on the server being tried.
+    trial: Vec<(VmId, ServerId)>,
+}
+
 impl RoundRobinAllocator {
     /// Places all VMs of `req` starting the server scan at `cursor`.
     /// Returns `false` (leaving `assignment`/`tracker` rolled back) when
@@ -38,14 +50,20 @@ impl RoundRobinAllocator {
         tracker: &mut LoadTracker,
         ceiling: &mut HeadroomCeiling,
         cursor: &mut usize,
+        scratch: &mut Scratch,
     ) -> bool {
         let m = problem.m();
         let batch = problem.batch();
-        let mut placed: Vec<(VmId, ServerId)> = Vec::with_capacity(req.vms.len());
+        let Scratch {
+            placed,
+            unit,
+            trial,
+        } = scratch;
+        placed.clear();
 
         // Same-server groups must go as a unit: pre-compute the union of
         // VMs bound by any same-server rule of this request.
-        let mut unit: Vec<VmId> = Vec::new();
+        unit.clear();
         for rule in &req.rules {
             if rule.kind() == AffinityKind::SameServer {
                 for &k in rule.vms() {
@@ -71,7 +89,7 @@ impl RoundRobinAllocator {
         // Place the same-server unit first (hardest to fit). A member
         // that fits on no server alone fits on none beside its partners.
         if !unit.is_empty() {
-            if unit.iter().any(|&k| ceiling.excludes(&batch.vm(k).demand)) {
+            if unit.iter().any(|&k| ceiling.excludes(batch.demand(k))) {
                 return false;
             }
             let mut found = false;
@@ -79,8 +97,8 @@ impl RoundRobinAllocator {
                 let j = ServerId((*cursor + step) % m);
                 // The whole unit must fit on j simultaneously.
                 let mut ok = true;
-                let mut trial: Vec<(VmId, ServerId)> = Vec::with_capacity(unit.len());
-                for &k in &unit {
+                trial.clear();
+                for &k in unit.iter() {
                     if is_valid_allocation(problem, assignment, tracker, k, j) {
                         tracker.add(k, j, batch);
                         assignment.assign(k, j);
@@ -91,12 +109,12 @@ impl RoundRobinAllocator {
                     }
                 }
                 if ok {
-                    placed.extend_from_slice(&trial);
+                    placed.extend_from_slice(trial);
                     *cursor = (j.index() + 1) % m;
                     found = true;
                     break;
                 }
-                rollback(assignment, tracker, ceiling, &trial);
+                rollback(assignment, tracker, ceiling, trial);
             }
             if !found {
                 return false;
@@ -106,12 +124,12 @@ impl RoundRobinAllocator {
         // Place the remaining VMs one by one round-robin. A VM the
         // ceiling excludes fits nowhere, so it is decided without the
         // scan; a scan that finds nothing sets the ceiling exact.
-        for &k in &req.vms {
+        for k in req.vms {
             if unit.contains(&k) {
                 continue;
             }
             let mut found = false;
-            if !ceiling.excludes(&batch.vm(k).demand) {
+            if !ceiling.excludes(batch.demand(k)) {
                 for step in 0..m {
                     let j = ServerId((*cursor + step) % m);
                     if is_valid_allocation(problem, assignment, tracker, k, j) {
@@ -128,7 +146,7 @@ impl RoundRobinAllocator {
                 }
             }
             if !found {
-                rollback(assignment, tracker, ceiling, &placed);
+                rollback(assignment, tracker, ceiling, placed);
                 return false;
             }
         }
@@ -148,6 +166,7 @@ impl Allocator for RoundRobinAllocator {
         let mut tracker = LoadTracker::new(problem.m(), problem.h());
         let mut ceiling = HeadroomCeiling::unbounded(problem.h());
         let mut cursor = 0usize;
+        let mut scratch = Scratch::default();
         let mut rejected = Vec::new();
         for req in problem.batch().requests() {
             if !Self::place_request(
@@ -157,6 +176,7 @@ impl Allocator for RoundRobinAllocator {
                 &mut tracker,
                 &mut ceiling,
                 &mut cursor,
+                &mut scratch,
             ) {
                 rejected.push(req.id);
             }

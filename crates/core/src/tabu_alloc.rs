@@ -77,7 +77,7 @@ impl Allocator for TabuSearchAllocator {
         let mut rejected = Vec::new();
         for req in problem.batch().requests() {
             if !accepted[req.id.index()] {
-                for &k in &req.vms {
+                for k in req.vms {
                     polished.unassign(k);
                 }
                 rejected.push(req.id);

@@ -82,7 +82,7 @@ impl Allocator for WeightedGaAllocator {
         let mut rejected = Vec::new();
         for req in problem.batch().requests() {
             if !accepted[req.id.index()] {
-                for &k in &req.vms {
+                for k in req.vms {
                     assignment.unassign(k);
                 }
                 rejected.push(req.id);

@@ -70,7 +70,7 @@ fn oracle_place(
             return false;
         }
     }
-    for &k in &req.vms {
+    for k in req.vms {
         if unit.contains(&k) {
             continue;
         }

@@ -352,7 +352,8 @@ impl Propagator for GroupAllDifferent {
 /// bit-identical (no floating-point drift).
 pub struct Pack {
     vars: Vec<VarId>,
-    demand: Vec<Vec<f64>>,
+    /// Row-major `items × h`: row `i` is the demand of `vars[i]`.
+    demand: Vec<f64>,
     capacity: Vec<Vec<f64>>,
     h: usize,
     /// `committed[i]` — value item `i` was last seen fixed to.
@@ -382,11 +383,23 @@ impl Pack {
             demand.iter().all(|d| d.len() == h),
             "demand rows must match capacity dimensionality"
         );
+        Self::from_rows(vars, &demand.concat(), capacity)
+    }
+
+    /// As [`Pack::new`], with the demand rows given row-major in one
+    /// slice: row `i` (`demand[i * h..(i + 1) * h]`) belongs to `vars[i]`.
+    pub fn from_rows(vars: Vec<VarId>, demand: &[f64], capacity: Vec<Vec<f64>>) -> Self {
+        let h = capacity.first().map_or(0, Vec::len);
+        assert_eq!(
+            vars.len() * h,
+            demand.len(),
+            "one demand row of the capacity dimensionality per variable"
+        );
         let n_items = vars.len();
         let n_values = capacity.len();
         Self {
             vars,
-            demand,
+            demand: demand.to_vec(),
             capacity,
             h,
             committed: vec![None; n_items],
@@ -405,7 +418,7 @@ impl Pack {
         for (i, committed) in self.committed.iter().enumerate() {
             if *committed == Some(value) {
                 for l in 0..h {
-                    self.used[value * h + l] += self.demand[i][l];
+                    self.used[value * h + l] += self.demand[i * h + l];
                 }
             }
         }
@@ -416,8 +429,9 @@ impl Pack {
     #[inline]
     fn overflows(&self, i: usize, value: usize) -> bool {
         let h = self.h;
-        (0..h)
-            .any(|l| self.used[value * h + l] + self.demand[i][l] > self.capacity[value][l] + 1e-9)
+        (0..h).any(|l| {
+            self.used[value * h + l] + self.demand[i * h + l] > self.capacity[value][l] + 1e-9
+        })
     }
 }
 
@@ -431,7 +445,7 @@ impl Propagator for Pack {
             if store.is_fixed(v) {
                 let value = store.value(v);
                 for (l, u) in used[value].iter_mut().enumerate() {
-                    *u += self.demand[i][l];
+                    *u += self.demand[i * h + l];
                 }
             }
         }
@@ -453,7 +467,7 @@ impl Propagator for Pack {
                 .iter_domain(v)
                 .filter(|&value| {
                     (0..h).any(|l| {
-                        used[value][l] + self.demand[i][l] > self.capacity[value][l] + 1e-9
+                        used[value][l] + self.demand[i * h + l] > self.capacity[value][l] + 1e-9
                     })
                 })
                 .collect();

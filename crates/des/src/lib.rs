@@ -52,7 +52,9 @@ pub mod prelude {
     pub use crate::scheduler::{
         DesConfig, DesReport, FailureSpec, LatencyModel, WaitingStats, WindowedScheduler,
     };
-    pub use crate::sources::{Arrival, ArrivalSource, FailureProcess, PoissonArrivals};
+    pub use crate::sources::{
+        Arrival, ArrivalRequest, ArrivalSource, FailureProcess, PoissonArrivals,
+    };
     pub use crate::time::SimTime;
     pub use cpo_platform::prelude::WindowBackend;
 }

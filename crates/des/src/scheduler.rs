@@ -184,8 +184,20 @@ pub struct WindowedScheduler<S: ArrivalSource, B: WindowBackend = WindowExecutor
     /// The one arrival in flight: drawn from the source, due at the
     /// queue's single pending [`DesEvent::Arrival`].
     next: Option<Arrival>,
-    /// Arrivals popped since the last window boundary, in arrival order.
-    pending: Vec<Arrival>,
+    /// Arrivals popped since the last window boundary.
+    pending: usize,
+    /// This window's requests, written in arrival order as each arrival
+    /// is popped; cleared, not freed, at the boundary, so a steady replay
+    /// reuses its storage window after window.
+    window: RequestBatch,
+    /// Per-request arrival time, holding time and correlation key,
+    /// indexed like `window`'s requests and reused the same way. An
+    /// arrival's key goes to its first request only (the sources emit
+    /// one request per arrival); any further requests get
+    /// [`cpo_obs::flight::NONE`].
+    arrived_at: Vec<SimTime>,
+    holdings: Vec<f64>,
+    keys: Vec<u64>,
     failures: Option<FailureProcess>,
 }
 
@@ -216,7 +228,11 @@ impl<S: ArrivalSource, B: WindowBackend> WindowedScheduler<S, B> {
             source,
             config,
             next: None,
-            pending: Vec::new(),
+            pending: 0,
+            window: RequestBatch::new(),
+            arrived_at: Vec::new(),
+            holdings: Vec::new(),
+            keys: Vec::new(),
             failures: None,
         }
     }
@@ -294,9 +310,9 @@ impl<S: ArrivalSource, B: WindowBackend> WindowedScheduler<S, B> {
                         arrival.key,
                         cpo_obs::flight::NONE,
                         sim_us(now.as_f64()),
-                        arrival.batch.vm_count() as u64,
+                        arrival.request.vm_count() as u64,
                     );
-                    self.pending.push(arrival);
+                    self.admit_to_window(arrival);
                     self.schedule_next_arrival(horizon);
                 }
                 DesEvent::Departure(id) => {
@@ -327,26 +343,41 @@ impl<S: ArrivalSource, B: WindowBackend> WindowedScheduler<S, B> {
         report
     }
 
+    /// Writes a due arrival's requests onto the end of the window batch
+    /// and records their arrival time, holding time and key.
+    fn admit_to_window(&mut self, arrival: Arrival) {
+        let added = arrival.request.write_into(&mut self.window);
+        for r in 0..added {
+            self.arrived_at.push(arrival.at);
+            self.holdings.push(arrival.holding);
+            self.keys.push(if r == 0 {
+                arrival.key
+            } else {
+                cpo_obs::flight::NONE
+            });
+        }
+        self.pending += 1;
+    }
+
     /// Solves one window at boundary time `now` and feeds the solve
     /// latency back into the timeline.
     fn close_window(&mut self, allocator: &dyn Allocator, now: SimTime, report: &mut DesReport) {
         let mut sp = cpo_obs::span!("des.window", window = report.windows.len());
-        cpo_obs::gauge_set("des.queue_depth", self.pending.len() as f64);
-        let (batch, arrival_times, holdings, keys) =
-            merge_pending(std::mem::take(&mut self.pending));
-        let ids = self.exec.register_arrivals(&batch);
+        cpo_obs::gauge_set("des.queue_depth", self.pending as f64);
+        let batch = &self.window;
+        let ids = self.exec.register_arrivals(batch);
         // Bind correlation keys before the solve so admission, placement
         // and later per-tenant events carry the request uid.
         if cpo_obs::flight::is_enabled() {
-            self.exec.bind_request_keys(&ids, &keys);
+            self.exec.bind_request_keys(&ids, &self.keys);
         }
         let problem_requests = self.exec.resident_requests() + batch.request_count();
         let (window_report, admitted) = match self.config.solve_deadline {
             Some(budget) => {
                 let bounded = cpo_core::prelude::DeadlineBound::new(allocator, budget);
-                self.exec.execute_window(&bounded, &batch, &ids)
+                self.exec.execute_window(&bounded, batch, &ids)
             }
-            None => self.exec.execute_window(allocator, &batch, &ids),
+            None => self.exec.execute_window(allocator, batch, &ids),
         };
         let latency = self
             .config
@@ -357,7 +388,7 @@ impl<S: ArrivalSource, B: WindowBackend> WindowedScheduler<S, B> {
 
         // Every request decided this window waited from its arrival until
         // the solve finished.
-        for at in &arrival_times {
+        for at in &self.arrived_at {
             report.waiting.observe(effective - *at);
         }
         // Admitted tenants depart one holding time after admission. The
@@ -376,9 +407,14 @@ impl<S: ArrivalSource, B: WindowBackend> WindowedScheduler<S, B> {
             };
             cursor += offset;
             self.queue
-                .schedule(effective + holdings[cursor], DesEvent::Departure(id));
+                .schedule(effective + self.holdings[cursor], DesEvent::Departure(id));
             cursor += 1;
         }
+        self.pending = 0;
+        self.window.clear();
+        self.arrived_at.clear();
+        self.holdings.clear();
+        self.keys.clear();
         // The next window opens when both the cycle and the solve allow.
         let next = (now + self.config.window_length).max(effective);
         self.queue.schedule(next, DesEvent::WindowBoundary);
@@ -403,32 +439,10 @@ fn sim_us(t: f64) -> u64 {
     (t.max(0.0) * 1e6).round() as u64
 }
 
-/// Moves the pending arrivals into one window batch, keeping arrival
-/// order; returns the batch plus per-request arrival times, holding
-/// times and correlation keys (indexed like the batch's requests). An
-/// arrival's key goes to its first request only (the sources emit one
-/// request per arrival); any further requests get
-/// [`cpo_obs::flight::NONE`].
-fn merge_pending(pending: Vec<Arrival>) -> (RequestBatch, Vec<SimTime>, Vec<f64>, Vec<u64>) {
-    let mut batch = RequestBatch::new();
-    let mut times = Vec::with_capacity(pending.len());
-    let mut holdings = Vec::with_capacity(pending.len());
-    let mut keys = Vec::with_capacity(pending.len());
-    for p in pending {
-        for r in 0..p.batch.request_count() {
-            times.push(p.at);
-            holdings.push(p.holding);
-            keys.push(if r == 0 { p.key } else { cpo_obs::flight::NONE });
-        }
-        batch.append(p.batch);
-    }
-    (batch, times, holdings, keys)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sources::PoissonArrivals;
+    use crate::sources::{ArrivalRequest, PoissonArrivals};
     use cpo_core::prelude::RoundRobinAllocator;
     use cpo_model::attr::AttrSet;
     use cpo_platform::prelude::FleetExecutor;
@@ -654,7 +668,7 @@ mod tests {
                 batch.push_request(vec![cpu_vm(cpu)], vec![]);
                 Arrival {
                     at: SimTime::new((i + 1) as f64 / (shape.len() + 1) as f64),
-                    batch,
+                    request: ArrivalRequest::Batch(batch),
                     holding,
                     key: i as u64,
                 }
@@ -678,7 +692,7 @@ mod tests {
     }
 
     #[test]
-    fn merge_pending_indexes_side_tables_like_the_batch() {
+    fn window_side_tables_index_like_the_batch() {
         let arrival = |at: f64, requests: usize, holding: f64, key: u64| {
             let mut batch = RequestBatch::new();
             for _ in 0..requests {
@@ -691,22 +705,43 @@ mod tests {
             }
             Arrival {
                 at: SimTime::new(at),
-                batch,
+                request: ArrivalRequest::Batch(batch),
                 holding,
                 key,
             }
         };
-        let (batch, times, holdings, keys) =
-            merge_pending(vec![arrival(0.5, 1, 3.0, 7), arrival(0.75, 2, 4.0, 8)]);
-        assert_eq!((batch.request_count(), batch.vm_count()), (3, 6));
+        let spec = ArrivalSpec::default();
+        let row = Arrival {
+            at: SimTime::new(0.875),
+            request: ArrivalRequest::Trace(spec.trace_record(3, 0, [2.0, 4096.0, 40.0], 2)),
+            holding: 5.0,
+            key: 9,
+        };
+        let mut s = WindowedScheduler::with_backend(
+            FleetExecutor::new(infra(1)),
+            one_window_config(),
+            scripted(&[]),
+        );
+        for a in [arrival(0.5, 1, 3.0, 7), arrival(0.75, 2, 4.0, 8), row] {
+            s.admit_to_window(a);
+        }
+        let batch = &s.window;
+        assert_eq!((batch.request_count(), batch.vm_count()), (4, 8));
         assert_eq!(
             batch.request(RequestId(2)).rules[0].vms(),
             &[VmId(4), VmId(5)]
         );
+        // The trace record is written exactly as the standalone builder
+        // writes it.
+        assert_eq!(
+            batch.subset(&[3]),
+            spec.trace_request_at(3, 0, &[2.0, 4096.0, 40.0], 2)
+        );
         let at = |t| SimTime::new(t);
-        assert_eq!(times, vec![at(0.5), at(0.75), at(0.75)]);
-        assert_eq!(holdings, vec![3.0, 4.0, 4.0]);
-        assert_eq!(keys, vec![7, 8, cpo_obs::flight::NONE]);
+        assert_eq!(s.arrived_at, vec![at(0.5), at(0.75), at(0.75), at(0.875)]);
+        assert_eq!(s.holdings, vec![3.0, 4.0, 4.0, 5.0]);
+        assert_eq!(s.keys, vec![7, 8, cpo_obs::flight::NONE, 9]);
+        assert_eq!(s.pending, 3, "three arrivals, four requests");
     }
 
     #[test]

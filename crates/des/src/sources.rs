@@ -11,7 +11,7 @@
 
 use crate::time::SimTime;
 use cpo_model::prelude::RequestBatch;
-use cpo_scenario::arrival_gen::ArrivalSpec;
+use cpo_scenario::arrival_gen::{ArrivalSpec, TraceRequest};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -28,14 +28,58 @@ fn exponential(rng: &mut SmallRng, mean: f64) -> f64 {
 pub struct Arrival {
     /// Absolute arrival time.
     pub at: SimTime,
-    /// The (single-request) batch.
-    pub batch: RequestBatch,
+    /// The request body.
+    pub request: ArrivalRequest,
     /// Tenant holding time in sim-time units.
     pub holding: f64,
     /// Flight-recorder correlation key: the request's uid, stable from
     /// generation through admission to departure. Sources assign their
     /// stream index, so the `i`-th arrival is always request `i`.
     pub key: u64,
+}
+
+/// The body of an [`Arrival`], written into the scheduler's window batch
+/// when the arrival is due.
+#[derive(Clone, Debug)]
+pub enum ArrivalRequest {
+    /// A generated batch (Poisson requests carry affinity rules).
+    Batch(RequestBatch),
+    /// A trace row as a heap-free record: no allocation until it is
+    /// written.
+    Trace(TraceRequest),
+}
+
+impl ArrivalRequest {
+    /// Requested resources.
+    pub fn vm_count(&self) -> usize {
+        match self {
+            ArrivalRequest::Batch(batch) => batch.vm_count(),
+            ArrivalRequest::Trace(row) => row.vm_count,
+        }
+    }
+
+    /// Writes the body onto the end of `batch`; returns how many requests
+    /// it added.
+    pub fn write_into(self, batch: &mut RequestBatch) -> usize {
+        match self {
+            ArrivalRequest::Batch(body) => {
+                let requests = body.request_count();
+                batch.append(body);
+                requests
+            }
+            ArrivalRequest::Trace(row) => {
+                row.write_into(batch);
+                1
+            }
+        }
+    }
+
+    /// The body as a standalone batch.
+    pub fn into_batch(self) -> RequestBatch {
+        let mut batch = RequestBatch::new();
+        self.write_into(&mut batch);
+        batch
+    }
 }
 
 /// A stream of timestamped requests. Sources own their clock: arrival
@@ -81,7 +125,7 @@ impl ArrivalSource for PoissonArrivals {
         self.index += 1;
         Some(Arrival {
             at: SimTime::new(self.clock),
-            batch,
+            request: ArrivalRequest::Batch(batch),
             holding,
             key,
         })
@@ -134,7 +178,7 @@ mod tests {
         for i in 0..2_000u64 {
             let arr = src.next_arrival().unwrap();
             assert!(arr.at.as_f64() > last);
-            assert_eq!(arr.batch.request_count(), 1);
+            assert_eq!(arr.request.into_batch().request_count(), 1);
             assert!(arr.holding >= 0.0);
             assert_eq!(arr.key, i, "keys are the stream index");
             times.push(arr.at.as_f64() - last);
@@ -156,7 +200,7 @@ mod tests {
             assert_eq!(x.at, y.at);
             assert_eq!(x.holding, y.holding);
             assert_eq!(x.key, y.key);
-            assert_eq!(x.batch.vm_count(), y.batch.vm_count());
+            assert_eq!(x.request.into_batch(), y.request.into_batch());
         }
     }
 

@@ -91,10 +91,10 @@ pub fn usage_opex_cost(tracker: &LoadTracker, infra: &Infrastructure) -> f64 {
 ///
 /// [`DeltaEvaluator`]: crate::delta::DeltaEvaluator
 #[inline]
-pub fn downtime_penalty(spec: &crate::request::VmSpec, q: f64) -> f64 {
-    let guarantee = spec.qos_guarantee;
+pub fn downtime_penalty(terms: &crate::request::VmTerms, q: f64) -> f64 {
+    let guarantee = terms.qos_guarantee;
     if guarantee > 0.0 && q < guarantee {
-        spec.downtime_cost * (1.0 - q / guarantee)
+        terms.downtime_cost * (1.0 - q / guarantee)
     } else {
         0.0
     }
@@ -111,7 +111,7 @@ pub fn downtime_cost(
     let mut cost = 0.0;
     for (k, j) in assignment.iter_assigned() {
         let q = *per_server_qos[j.index()].get_or_insert_with(|| worst_qos(tracker, j, infra));
-        cost += downtime_penalty(batch.vm(k), q);
+        cost += downtime_penalty(batch.terms(k), q);
     }
     cost
 }
@@ -120,7 +120,7 @@ pub fn downtime_cost(
 pub fn migration_cost(next: &Assignment, previous: &Assignment, batch: &RequestBatch) -> f64 {
     next.migrations_from(previous)
         .into_iter()
-        .map(|k| batch.vm(k).migration_cost)
+        .map(|k| batch.terms(k).migration_cost)
         .sum()
 }
 

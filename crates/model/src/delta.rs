@@ -414,7 +414,7 @@ impl<'p> DeltaEvaluator<'p> {
             migration = -0.0;
             for (k, moved) in self.moved.iter().enumerate() {
                 if *moved {
-                    migration += batch.vm(VmId(k)).migration_cost;
+                    migration += batch.terms(VmId(k)).migration_cost;
                 }
             }
         }
@@ -597,7 +597,7 @@ impl<'p> DeltaEvaluator<'p> {
         let q = worst_qos(&self.tracker, j, infra);
         self.qos[j.index()] = q;
         for &k in vms {
-            self.penalty[k.index()] = cost::downtime_penalty(batch.vm(k), q);
+            self.penalty[k.index()] = cost::downtime_penalty(batch.terms(k), q);
         }
         let h = infra.attr_count();
         self.work += ((vms.len() + 2) * h + vms.len()) as u64;

@@ -170,7 +170,7 @@ impl IlpFormulation {
             for l in infra.attrs().ids() {
                 let terms: Vec<(usize, f64)> = batch
                     .vm_ids()
-                    .map(|k| (ilp.x(j, k), batch.vm(k).demand[l.index()]))
+                    .map(|k| (ilp.x(j, k), batch.demand(k)[l.index()]))
                     .filter(|&(_, c)| c != 0.0)
                     .collect();
                 ilp.constraints.push(LinearConstraint {

@@ -95,5 +95,7 @@ pub mod prelude {
     pub use crate::load::{HeadroomCeiling, LoadTracker};
     pub use crate::matrix::Matrix;
     pub use crate::problem::AllocationProblem;
-    pub use crate::request::{vm_spec, Request, RequestBatch, RequestId, VmId, VmSpec};
+    pub use crate::request::{
+        vm_spec, Request, RequestBatch, RequestId, VmId, VmRange, VmSpec, VmTerms,
+    };
 }

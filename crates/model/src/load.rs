@@ -50,7 +50,7 @@ impl LoadTracker {
     /// Accounts VM `k`'s demand onto server `j`.
     #[inline]
     pub fn add(&mut self, k: VmId, j: ServerId, batch: &RequestBatch) {
-        let demand = &batch.vm(k).demand;
+        let demand = batch.demand(k);
         let row = self.used.row_mut(j.index());
         for (u, d) in row.iter_mut().zip(demand) {
             *u += d;
@@ -61,7 +61,7 @@ impl LoadTracker {
     /// Removes VM `k`'s demand from server `j`.
     #[inline]
     pub fn remove(&mut self, k: VmId, j: ServerId, batch: &RequestBatch) {
-        let demand = &batch.vm(k).demand;
+        let demand = batch.demand(k);
         let row = self.used.row_mut(j.index());
         for (u, d) in row.iter_mut().zip(demand) {
             *u = (*u - d).max(0.0); // clamp fp noise
@@ -112,7 +112,7 @@ impl LoadTracker {
     /// Would placing VM `k` on server `j` keep every attribute within the
     /// capacity constraint (Eq. 4/16)? O(h).
     pub fn fits(&self, k: VmId, j: ServerId, batch: &RequestBatch, infra: &Infrastructure) -> bool {
-        let demand = &batch.vm(k).demand;
+        let demand = batch.demand(k);
         let used = self.used.row(j.index());
         let cap = infra.effective_row(j);
         used.iter()
@@ -159,7 +159,7 @@ impl LoadTracker {
         let row = self.used.row_mut(j.index());
         row.fill(0.0);
         for &k in vms {
-            let demand = &batch.vm(k).demand;
+            let demand = batch.demand(k);
             for (u, d) in row.iter_mut().zip(demand) {
                 *u += d;
             }

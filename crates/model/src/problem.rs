@@ -207,7 +207,7 @@ impl<'a> AllocationProblem<'a> {
                 // Every VM placed on a server that is not overloaded…
                 req.vms
                     .iter()
-                    .all(|&k| assignment.server_of(k).is_some_and(|j| !overloaded[j.index()]))
+                    .all(|k| assignment.server_of(k).is_some_and(|j| !overloaded[j.index()]))
                     // …respecting every rule.
                     && req
                         .rules
@@ -243,8 +243,8 @@ impl<'a> AllocationProblem<'a> {
             .iter()
             .zip(accepted)
             .filter(|&(_, &ok)| ok)
-            .flat_map(|(req, _)| req.vms.iter())
-            .map(|&k| self.batch.vm(k).revenue)
+            .flat_map(|(req, _)| req.vms)
+            .map(|k| self.batch.terms(k).revenue)
             .sum()
     }
 
@@ -440,7 +440,7 @@ mod tests {
         let gross = p.gross_revenue(&a);
         let expected: f64 = [VmId(0), VmId(1)]
             .iter()
-            .map(|&k| p.batch().vm(k).revenue)
+            .map(|&k| p.batch().terms(k).revenue)
             .sum();
         assert!((gross - expected).abs() < 1e-12);
         // Fully placed and valid earns more.

@@ -167,7 +167,7 @@ fn applied_mask(problem: &AllocationProblem, assignment: &Assignment) -> Vec<boo
         let mut plan = assignment.clone();
         let requests = problem.batch().requests();
         for (req, _) in requests.iter().zip(&accepted).filter(|(_, &ok)| !ok) {
-            for &k in &req.vms {
+            for k in req.vms {
                 match previous.server_of(k) {
                     Some(j) => plan.assign(k, j),
                     None => plan.unassign(k),

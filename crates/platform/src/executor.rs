@@ -354,7 +354,7 @@ impl WindowExecutor {
                 let placement: Vec<ServerId> = req
                     .vms
                     .iter()
-                    .map(|&k| VmId(arrival_vm_base + k.index()))
+                    .map(|k| VmId(arrival_vm_base + k.index()))
                     .map(|k| assignment.server_of(k).expect("accepted ⇒ placed"))
                     .collect();
                 denied_flows +=
@@ -425,7 +425,7 @@ impl WindowExecutor {
         };
         self.tenants.push(Tenant {
             id: tid,
-            vms: req.vms.iter().map(|&k| arrivals.vm(k).clone()).collect(),
+            vms: req.vms.iter().map(|k| arrivals.spec(k)).collect(),
             rules: rebase_rules(req),
             placement,
             remaining_windows,
@@ -570,7 +570,8 @@ impl WindowExecutor {
                     AffinityRule::new(*kind, locals.iter().map(|&l| VmId(base + l)).collect())
                 })
                 .collect();
-            batch.push_request(t.vms.clone(), rules);
+            let rows = t.vms.iter().map(|vm| (vm.demand.as_slice(), vm.terms()));
+            batch.push_request_rows(rows, rules);
             placements.extend(t.placement.iter().map(|&s| Some(s)));
         }
         (batch, placements)

@@ -129,13 +129,15 @@ impl FleetExecutor {
     ) {
         let servers = req.vms.iter().enumerate();
         self.lifecycle
-            .admitted(window, tid, servers.map(|(l, &k)| server_of(l, k) as usize));
+            .admitted(window, tid, servers.map(|(l, k)| server_of(l, k) as usize));
         let mut head = NO_SLOT;
-        for (local, &k) in req.vms.iter().enumerate() {
+        for (local, k) in req.vms.iter().enumerate() {
             let j = server_of(local, k);
-            let vm = arrivals.vm(k);
-            head = self.vms.insert(tid.0, j, &vm.demand, vm.revenue, head);
-            self.admit_load(j, &vm.demand, reserve);
+            let demand = arrivals.demand(k);
+            head = self
+                .vms
+                .insert(tid.0, j, demand, arrivals.terms(k).revenue, head);
+            self.admit_load(j, demand, reserve);
         }
         self.heads.insert(tid, head);
     }

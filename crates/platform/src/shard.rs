@@ -181,8 +181,8 @@ fn region_plan(
         .map(|&i| {
             let req = arrivals.request(RequestId(i));
             demand.fill(0.0);
-            for &k in &req.vms {
-                for (d, x) in demand.iter_mut().zip(&arrivals.vm(k).demand) {
+            for k in req.vms {
+                for (d, x) in demand.iter_mut().zip(arrivals.demand(k)) {
                     *d += x;
                 }
             }
@@ -493,7 +493,7 @@ impl<B: ShardBackend> WindowBackend for ShardedScheduler<B> {
                     local_req
                         .vms
                         .iter()
-                        .map(|&k| global(sol.assignment.server_of(k).expect("accepted ⇒ placed"))),
+                        .map(|k| global(sol.assignment.server_of(k).expect("accepted ⇒ placed"))),
                 );
                 placements.clear();
                 placements.extend(
@@ -501,7 +501,7 @@ impl<B: ShardBackend> WindowBackend for ShardedScheduler<B> {
                         .vms
                         .iter()
                         .zip(&placement)
-                        .map(|(&k, &j)| (j, sol.problem.batch().vm(k).demand.as_slice())),
+                        .map(|(k, &j)| (j, sol.problem.batch().demand(k))),
                 );
                 let ctx = CommitCtx {
                     key: self.backend.flight_key_of(tid),
@@ -908,8 +908,8 @@ mod tests {
         for &i in remaining {
             let req = arrivals.request(RequestId(i));
             let mut demand = vec![0.0f64; residual.attr_count()];
-            for &k in &req.vms {
-                for (d, x) in demand.iter_mut().zip(&arrivals.vm(k).demand) {
+            for k in req.vms {
+                for (d, x) in demand.iter_mut().zip(arrivals.demand(k)) {
                     *d += x;
                 }
             }

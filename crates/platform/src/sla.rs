@@ -83,7 +83,7 @@ impl SlaLedger {
             for (local, &server) in t.placement.iter().enumerate() {
                 let q = worst_qos(tracker, server, infra);
                 record.worst_qos_seen = record.worst_qos_seen.min(q);
-                let spec = batch.vm(VmId(vm_base + local));
+                let spec = batch.terms(VmId(vm_base + local));
                 if spec.qos_guarantee > 0.0 && q < spec.qos_guarantee {
                     degraded = true;
                     window_credit += spec.downtime_cost * (1.0 - q / spec.qos_guarantee);

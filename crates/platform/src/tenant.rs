@@ -41,10 +41,9 @@ pub fn rebase_rules(req: &Request) -> Vec<(AffinityKind, Vec<usize>)> {
             let locals = rule
                 .vms()
                 .iter()
-                .map(|vm| {
+                .map(|&vm| {
                     req.vms
-                        .iter()
-                        .position(|&k| k == *vm)
+                        .position(vm)
                         .expect("rule vms belong to the request")
                 })
                 .collect();

@@ -45,12 +45,8 @@ impl Allocator for PoisonAllocator {
     }
 
     fn allocate(&self, problem: &AllocationProblem) -> AllocationOutcome {
-        if problem
-            .batch()
-            .vms()
-            .iter()
-            .any(|vm| vm.demand[0] == POISON_CPU)
-        {
+        let batch = problem.batch();
+        if batch.vm_ids().any(|k| batch.demand(k)[0] == POISON_CPU) {
             panic!("poisoned shard solve");
         }
         RoundRobinAllocator.allocate(problem)

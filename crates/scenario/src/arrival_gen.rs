@@ -12,6 +12,7 @@
 //! always the same request, independent of how the driver interleaves
 //! other event sources.
 
+use crate::flavors::VmCostParams;
 use crate::request_gen::{generate_requests, RequestSpec};
 use cpo_model::prelude::*;
 use rand::rngs::SmallRng;
@@ -47,7 +48,7 @@ impl ArrivalSpec {
     /// link of the per-request lifecycle timeline.
     pub fn request_at(&self, seed: u64, i: u64) -> RequestBatch {
         let batch = generate_single_request(&self.request, arrival_seed(seed, i));
-        mint_generated(i, &batch);
+        mint_generated(i, batch.vm_count());
         batch
     }
 
@@ -59,7 +60,8 @@ impl ArrivalSpec {
     /// QoS/cost parameters the trace does not record, and the price
     /// follows the shape via [`crate::flavors::flavor_revenue`].
     /// Deterministic in `(seed, i)` and minted into the flight recorder
-    /// exactly like [`ArrivalSpec::request_at`].
+    /// exactly like [`ArrivalSpec::request_at`]. A one-request batch
+    /// written by the same writer as [`TraceRequest::write_into`].
     pub fn trace_request_at(
         &self,
         seed: u64,
@@ -67,33 +69,37 @@ impl ArrivalSpec {
         demand: &[f64],
         vm_count: usize,
     ) -> RequestBatch {
-        assert!(vm_count >= 1, "a request needs at least one VM");
-        let mut rng = SmallRng::seed_from_u64(arrival_seed(seed, i));
-        let range = |(lo, hi): (f64, f64), rng: &mut SmallRng| {
-            if hi > lo {
-                lo + (hi - lo) * rng.gen::<f64>()
-            } else {
-                lo
-            }
-        };
-        let costs = &self.request.costs;
-        let revenue = crate::flavors::flavor_revenue(
-            demand.first().copied().unwrap_or(0.0),
-            demand.get(1).copied().unwrap_or(0.0),
-        );
-        let vms: Vec<VmSpec> = (0..vm_count)
-            .map(|_| VmSpec {
-                demand: demand.to_vec(),
-                qos_guarantee: range(costs.qos_guarantee, &mut rng),
-                downtime_cost: range(costs.downtime_cost, &mut rng),
-                migration_cost: range(costs.migration_cost, &mut rng),
-                revenue,
-            })
-            .collect();
         let mut batch = RequestBatch::new();
-        batch.push_request(vms, Vec::new());
-        mint_generated(i, &batch);
+        write_trace_request(
+            &mut batch,
+            demand,
+            vm_count,
+            arrival_seed(seed, i),
+            &self.request.costs,
+        );
+        mint_generated(i, vm_count);
         batch
+    }
+
+    /// The `i`-th request of stream `seed` as a heap-free
+    /// [`TraceRequest`] record: what [`Self::trace_request_at`] builds,
+    /// kept unwritten until the caller has a batch to write it into.
+    /// Minted into the flight recorder here, at generation.
+    pub fn trace_record(
+        &self,
+        seed: u64,
+        i: u64,
+        demand: [f64; 3],
+        vm_count: usize,
+    ) -> TraceRequest {
+        assert!(vm_count >= 1, "a request needs at least one VM");
+        mint_generated(i, vm_count);
+        TraceRequest {
+            demand,
+            vm_count,
+            seed: arrival_seed(seed, i),
+            costs: self.request.costs,
+        }
     }
 
     /// Draws the `i`-th holding time of stream `seed`.
@@ -105,6 +111,67 @@ impl ArrivalSpec {
     }
 }
 
+/// One trace row's request, unwritten: `vm_count` identical VMs of
+/// `demand` (CPU cores, RAM MiB, disk GiB) whose QoS guarantee, downtime
+/// and migration costs are drawn from `costs` under the per-arrival
+/// sub-seed `seed`. Plain data, so an arrival can carry it without a heap
+/// allocation and the scheduler can write it straight into its window
+/// batch.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct TraceRequest {
+    /// Demand row of every VM.
+    pub demand: [f64; 3],
+    /// Number of identical VMs.
+    pub vm_count: usize,
+    /// Per-arrival sub-seed of the cost draws.
+    pub seed: u64,
+    /// Cost template the draws come from.
+    pub costs: VmCostParams,
+}
+
+impl TraceRequest {
+    /// Writes the request onto the end of `batch`; returns its id.
+    pub fn write_into(&self, batch: &mut RequestBatch) -> RequestId {
+        write_trace_request(batch, &self.demand, self.vm_count, self.seed, &self.costs)
+    }
+}
+
+/// The trace-request writer: appends `vm_count` VMs of `demand` to
+/// `batch` as one rule-free request, drawing each VM's QoS guarantee,
+/// downtime cost and migration cost, in that order, from `costs` under
+/// `seed`; the price follows the shape.
+fn write_trace_request(
+    batch: &mut RequestBatch,
+    demand: &[f64],
+    vm_count: usize,
+    seed: u64,
+    costs: &VmCostParams,
+) -> RequestId {
+    assert!(vm_count >= 1, "a request needs at least one VM");
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let mut range = |(lo, hi): (f64, f64)| {
+        if hi > lo {
+            lo + (hi - lo) * rng.gen::<f64>()
+        } else {
+            lo
+        }
+    };
+    let revenue = crate::flavors::flavor_revenue(
+        demand.first().copied().unwrap_or(0.0),
+        demand.get(1).copied().unwrap_or(0.0),
+    );
+    let rows = (0..vm_count).map(|_| {
+        let terms = VmTerms {
+            qos_guarantee: range(costs.qos_guarantee),
+            downtime_cost: range(costs.downtime_cost),
+            migration_cost: range(costs.migration_cost),
+            revenue,
+        };
+        (demand, terms)
+    });
+    batch.push_request_rows(rows, Vec::new())
+}
+
 /// Per-arrival sub-seed: decorrelates consecutive arrivals of one stream.
 fn arrival_seed(seed: u64, i: u64) -> u64 {
     seed ^ i.wrapping_mul(0x9e37_79b9_7f4a_7c15).rotate_left(17)
@@ -113,12 +180,12 @@ fn arrival_seed(seed: u64, i: u64) -> u64 {
 /// Drops the `generated` lifecycle event for arrival `i` into the flight
 /// recorder (no-op when disabled) — the first link of the per-request
 /// timeline, shared by the live, replayed, and trace paths.
-fn mint_generated(i: u64, batch: &RequestBatch) {
+fn mint_generated(i: u64, vm_count: usize) {
     cpo_obs::flight::record(
         cpo_obs::flight::FlightKind::Generated,
         i,
         cpo_obs::flight::NONE,
-        batch.vm_count() as u64,
+        vm_count as u64,
         0,
     );
 }
@@ -152,10 +219,7 @@ mod tests {
             let size = a.requests()[0].vms.len();
             assert!((spec.request_size.0..=spec.request_size.1).contains(&size));
             let b = generate_single_request(&spec, seed);
-            assert_eq!(a.vm_count(), b.vm_count());
-            for (x, y) in a.vms().iter().zip(b.vms()) {
-                assert_eq!(x, y);
-            }
+            assert_eq!(a, b);
         }
     }
 
@@ -176,8 +240,9 @@ mod tests {
         let a = spec.trace_request_at(5, 9, &demand, 2);
         assert_eq!(a.request_count(), 1);
         assert_eq!(a.vm_count(), 2);
-        for vm in a.vms() {
-            assert_eq!(vm.demand, demand.to_vec());
+        for k in a.vm_ids() {
+            assert_eq!(a.demand(k), &demand);
+            let vm = a.terms(k);
             let c = &spec.request.costs;
             assert!((c.qos_guarantee.0..=c.qos_guarantee.1).contains(&vm.qos_guarantee));
             assert!((c.downtime_cost.0..=c.downtime_cost.1).contains(&vm.downtime_cost));
@@ -186,10 +251,81 @@ mod tests {
         assert!(a.requests()[0].rules.is_empty(), "traces carry no rules");
         // Deterministic in (seed, i).
         let b = spec.trace_request_at(5, 9, &demand, 2);
-        assert_eq!(a.vms(), b.vms());
+        assert_eq!(a, b);
         // A different index draws different costs.
         let c = spec.trace_request_at(5, 10, &demand, 2);
-        assert!(a.vms()[0].qos_guarantee != c.vms()[0].qos_guarantee);
+        assert!(a.terms(VmId(0)).qos_guarantee != c.terms(VmId(0)).qos_guarantee);
+    }
+
+    /// `(qos_guarantee, downtime_cost, migration_cost, revenue)` of every
+    /// VM of `batch`, as raw bits.
+    fn term_bits(batch: &RequestBatch) -> Vec<[u64; 4]> {
+        batch
+            .vm_ids()
+            .map(|k| {
+                let t = batch.terms(k);
+                [
+                    t.qos_guarantee,
+                    t.downtime_cost,
+                    t.migration_cost,
+                    t.revenue,
+                ]
+                .map(f64::to_bits)
+            })
+            .collect()
+    }
+
+    /// The exact draws of both constructors, captured from the
+    /// per-`VmSpec` builders they replaced: a writer that reorders or
+    /// drops an RNG draw changes these bits.
+    #[test]
+    fn draws_match_the_golden_bits() {
+        let spec = ArrivalSpec::default();
+        let trace = spec.trace_request_at(5, 9, &[2.0, 4096.0, 40.0], 2);
+        assert_eq!(
+            term_bits(&trace),
+            vec![
+                [
+                    0x3fed_7dfd_cb7c_5186,
+                    0x401e_fb01_c2b0_40f6,
+                    0x4000_0710_d81d_8ac0,
+                    0x4018_0000_0000_0000,
+                ],
+                [
+                    0x3fee_9302_8a5f_95ea,
+                    0x401d_bd74_ec07_1db3,
+                    0x3ff3_a110_e2b0_a662,
+                    0x4018_0000_0000_0000,
+                ],
+            ]
+        );
+        let generated = spec.request_at(5, 9);
+        assert_eq!(
+            generated.demand_rows(generated.requests()[0].vms),
+            &[1.0, 2048.0, 20.0]
+        );
+        assert_eq!(
+            term_bits(&generated),
+            vec![[
+                0x3fee_d843_0c35_9537,
+                0x400c_babd_e50c_b038,
+                0x3fe2_aa17_d224_990b,
+                0x4010_0000_0000_0000,
+            ]]
+        );
+    }
+
+    #[test]
+    fn a_trace_record_writes_what_trace_request_at_builds() {
+        let spec = ArrivalSpec::default();
+        let record = spec.trace_record(5, 9, [2.0, 4096.0, 40.0], 2);
+        let mut batch = RequestBatch::new();
+        batch.push_request(vec![vm_spec(1.0, 1.0, 1.0)], Vec::new());
+        assert_eq!(record.write_into(&mut batch), RequestId(1));
+        let mut expected = RequestBatch::new();
+        expected.push_request(vec![vm_spec(1.0, 1.0, 1.0)], Vec::new());
+        expected.append(spec.trace_request_at(5, 9, &[2.0, 4096.0, 40.0], 2));
+        assert_eq!(batch, expected);
     }
 
     #[test]

@@ -206,9 +206,7 @@ mod tests {
         let b = reloaded.to_spec().generate(reloaded.seed);
         assert_eq!(a.n(), b.n());
         assert_eq!(a.m(), b.m());
-        for (x, y) in a.batch().vms().iter().zip(b.batch().vms()) {
-            assert_eq!(x, y);
-        }
+        assert_eq!(a.batch(), b.batch());
         for j in a.infra().server_ids() {
             assert_eq!(a.infra().server_spec(j), b.infra().server_spec(j));
         }

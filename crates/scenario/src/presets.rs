@@ -174,11 +174,8 @@ mod tests {
         let a = spec.generate(5);
         let b = spec.generate(5);
         let c = spec.generate(6);
-        assert_eq!(a.batch().vms(), b.batch().vms());
-        assert_ne!(
-            a.batch().vms().iter().map(|v| v.demand[0]).sum::<f64>(),
-            c.batch().vms().iter().map(|v| v.demand[0]).sum::<f64>()
-        );
+        assert_eq!(a.batch(), b.batch());
+        assert_ne!(a.batch().total_demand(3)[0], c.batch().total_demand(3)[0]);
     }
 
     #[test]

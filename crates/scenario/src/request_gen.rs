@@ -153,10 +153,7 @@ mod tests {
         let spec = RequestSpec::default();
         let a = generate_requests(&spec, 4);
         let b = generate_requests(&spec, 4);
-        assert_eq!(a.vm_count(), b.vm_count());
-        for (x, y) in a.vms().iter().zip(b.vms()) {
-            assert_eq!(x, y);
-        }
+        assert_eq!(a, b);
     }
 
     #[test]
@@ -171,7 +168,7 @@ mod tests {
         for req in b.requests() {
             for rule in &req.rules {
                 for vm in rule.vms() {
-                    assert!(req.vms.contains(vm));
+                    assert!(req.vms.contains(*vm));
                 }
             }
         }

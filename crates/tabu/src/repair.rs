@@ -231,7 +231,7 @@ fn try_group_move(
     let mut total = vec![0.0_f64; h];
     for &k in group {
         for (l, t) in total.iter_mut().enumerate() {
-            *t += batch.vm(k).demand[l];
+            *t += batch.demand(k)[l];
         }
     }
     // Rules vs VMs outside the group (intra-group same-server holds by

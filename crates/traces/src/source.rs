@@ -3,10 +3,13 @@
 //! [`TraceArrivalSource`] adapts any [`DatasetReader`] to
 //! `cpo_des::sources::ArrivalSource`: each
 //! [`TraceEvent`](crate::event::TraceEvent) becomes one timestamped
-//! arrival whose request body is built by
-//! `ArrivalSpec::trace_request_at` — the same constructor family the
-//! Poisson path uses, so trace-fed requests mint flight-recorder
-//! correlation uids and draw cost parameters exactly like synthetic ones.
+//! arrival whose request body is a heap-free
+//! `cpo_scenario::arrival_gen::TraceRequest` record from
+//! `ArrivalSpec::trace_record`. The scheduler writes it straight into its
+//! window batch with the same writer `ArrivalSpec::trace_request_at`
+//! uses, so trace-fed requests mint flight-recorder correlation uids and
+//! draw cost parameters exactly like synthetic ones, and emitting one
+//! allocates nothing.
 //!
 //! Reader errors cannot propagate through the infallible
 //! `ArrivalSource` contract, so the source ends the stream at the first
@@ -15,7 +18,7 @@
 
 use crate::event::TraceError;
 use crate::reader::DatasetReader;
-use cpo_des::sources::{Arrival, ArrivalSource};
+use cpo_des::sources::{Arrival, ArrivalRequest, ArrivalSource};
 use cpo_des::time::SimTime;
 use cpo_scenario::arrival_gen::ArrivalSpec;
 
@@ -73,9 +76,9 @@ impl<D: DatasetReader> ArrivalSource for TraceArrivalSource<D> {
                 return None;
             }
         };
-        let batch =
-            self.spec
-                .trace_request_at(self.seed, self.index, &event.demand(), event.vm_count);
+        let row = self
+            .spec
+            .trace_record(self.seed, self.index, event.demand(), event.vm_count);
         // Defensive monotone clamp: readers should already be sorted
         // (or wrapped in `Sorted`), but the kernel's event queue panics
         // on past times, so never let a regression through.
@@ -84,7 +87,7 @@ impl<D: DatasetReader> ArrivalSource for TraceArrivalSource<D> {
         self.index += 1;
         Some(Arrival {
             at: SimTime::new(self.watermark),
-            batch,
+            request: ArrivalRequest::Trace(row),
             holding: event.holding.max(0.0),
             key,
         })
@@ -96,6 +99,7 @@ mod tests {
     use super::*;
     use crate::event::TraceEvent;
     use crate::reader::VecReader;
+    use cpo_model::prelude::VmId;
 
     fn ev(at: f64, vm_count: usize, holding: f64) -> TraceEvent {
         TraceEvent {
@@ -115,13 +119,17 @@ mod tests {
         let mut src = TraceArrivalSource::new(VecReader::new(events), ArrivalSpec::default(), 7);
         let a = src.next_arrival().unwrap();
         assert_eq!(a.key, 0);
-        assert_eq!(a.batch.vm_count(), 1);
+        assert_eq!(a.request.vm_count(), 1);
         assert_eq!(a.holding, 60.0);
         let b = src.next_arrival().unwrap();
         assert_eq!(b.key, 1);
-        assert_eq!(b.batch.vm_count(), 3, "vm_count fans out");
+        assert_eq!(b.request.vm_count(), 3, "vm_count fans out");
         assert_eq!(b.holding, 0.0, "zero-duration VMs are legal");
-        assert_eq!(b.batch.vms()[0].demand, vec![2.0, 4096.0, 40.0]);
+        let body = b.request.into_batch();
+        assert_eq!(body.demand(VmId(2)), &[2.0, 4096.0, 40.0]);
+        // The record writes what the standalone builder builds.
+        let spec = ArrivalSpec::default();
+        assert_eq!(body, spec.trace_request_at(7, 1, &[2.0, 4096.0, 40.0], 3));
         let c = src.next_arrival().unwrap();
         assert_eq!(c.at, b.at, "simultaneous arrivals are allowed");
         assert!(src.next_arrival().is_none());
@@ -138,7 +146,7 @@ mod tests {
         while let (Some(x), Some(y)) = (a.next_arrival(), b.next_arrival()) {
             assert_eq!(x.at, y.at);
             assert_eq!(x.key, y.key);
-            assert_eq!(x.batch.vms(), y.batch.vms());
+            assert_eq!(x.request.into_batch(), y.request.into_batch());
         }
     }
 

@@ -36,7 +36,7 @@ fn check_clean(problem: &AllocationProblem, outcome: &AllocationOutcome, name: &
     let accepted = problem.accepted_requests(&outcome.assignment);
     for req in problem.batch().requests() {
         if outcome.rejected.contains(&req.id) {
-            for &k in &req.vms {
+            for k in req.vms {
                 assert_eq!(
                     outcome.assignment.server_of(k),
                     None,

@@ -64,7 +64,7 @@ fn rejected_requests_have_no_placed_vms() {
     ] {
         let outcome = algorithm.build(Effort::Quick, 5).allocate(&problem);
         for r in &outcome.rejected {
-            for &k in &problem.batch().request(*r).vms {
+            for k in problem.batch().request(*r).vms {
                 assert_eq!(
                     outcome.assignment.server_of(k),
                     None,

@@ -81,12 +81,11 @@ fn pooled_repair_case(
             }
             let m = 2 * m_per_dc;
             let previous = (with_previous == 1).then(|| {
-                let genes: Vec<usize> = (0..batch.vms().len())
-                    .map(|_| next() as usize % m)
-                    .collect();
+                let genes: Vec<usize> =
+                    (0..batch.vm_count()).map(|_| next() as usize % m).collect();
                 Assignment::from_genes(&genes)
             });
-            let n = batch.vms().len();
+            let n = batch.vm_count();
             let p = AllocationProblem::new(infra, batch, previous);
             (
                 Just(p),
@@ -175,7 +174,7 @@ proptest! {
             .filter(|req| {
                 req.vms
                     .iter()
-                    .all(|&k| a.server_of(k).is_some_and(|j| !overloaded.contains(&j)))
+                    .all(|k| a.server_of(k).is_some_and(|j| !overloaded.contains(&j)))
                     && req.rules.iter().all(|r| r.is_satisfied(&a, p.infra()))
             })
             .map(|req| req.id)
@@ -189,7 +188,7 @@ proptest! {
         let folded: f64 = reference
             .iter()
             .flat_map(|&r| p.batch().request(r).vms.iter())
-            .map(|&k| p.batch().vm(k).revenue)
+            .map(|k| p.batch().terms(k).revenue)
             .sum();
         prop_assert_eq!(p.revenue_of(&mask).to_bits(), folded.to_bits());
         prop_assert_eq!(p.gross_revenue(&a).to_bits(), folded.to_bits());

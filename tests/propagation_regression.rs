@@ -31,8 +31,8 @@ fn fig8_problem() -> AllocationProblem<'static> {
         if !admissible {
             continue;
         }
-        let base = batch.vms().len();
-        let vms: Vec<VmSpec> = req.vms.iter().map(|&k| raw.batch().vm(k).clone()).collect();
+        let base = batch.vm_count();
+        let vms: Vec<VmSpec> = req.vms.iter().map(|k| raw.batch().spec(k)).collect();
         let rules: Vec<AffinityRule> = req
             .rules
             .iter()
@@ -41,7 +41,7 @@ fn fig8_problem() -> AllocationProblem<'static> {
                     .vms()
                     .iter()
                     .map(|k| {
-                        let pos = req.vms.iter().position(|v| v == k).expect("rule vm");
+                        let pos = req.vms.position(*k).expect("rule vm");
                         VmId(base + pos)
                     })
                     .collect();
