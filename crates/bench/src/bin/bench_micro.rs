@@ -38,9 +38,9 @@
 //!   sample amplified 1,954 times (125,056 arrivals, the `trace-native`
 //!   input) through `WindowedScheduler<TraceArrivalSource, _>` with Round
 //!   Robin on 1,250 servers, natively and on 2 shards: the exact
-//!   allocation count of the whole process during the replay, and the
-//!   arrivals. The sharded count assumes `host_cores` ≥ 2, where the
-//!   second part solves on a scoped thread;
+//!   allocation count of the whole process during one replay, the
+//!   arrivals, and the wall time (median of 3 more warm replays) with the
+//!   arrivals per wall second it gives;
 //! * `alloc.<label>.flight_{off,on}` — one allocator sweep with the
 //!   flight recorder disabled vs enabled, plus the overhead ratio. The
 //!   recorder's acceptance bar is ≤5% overhead when enabled; the ratio
@@ -467,7 +467,7 @@ fn main() {
         );
     }
 
-    // --- des: allocations of the trace arrival path ----------------
+    // --- des: the trace arrival path: allocations and wall time ----
     for (name, shards) in [
         ("des.trace_ingest.native", 1),
         ("des.trace_ingest.sharded", 2),
@@ -477,15 +477,23 @@ fn main() {
         let before = ALLOCATIONS.load(Ordering::Relaxed);
         let arrivals = trace_ingest_replay(1_954, 1_250, shards);
         let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
+        let wall_ns = median_ns(3, || {
+            trace_ingest_replay(1_954, 1_250, shards);
+        });
+        let events_per_sec = arrivals as f64 / (wall_ns as f64 / 1e9);
         println!(
-            "{name}: {allocations} allocations for {arrivals} arrivals ({:.3} per arrival)",
-            allocations as f64 / arrivals as f64
+            "{name}: {allocations} allocations for {arrivals} arrivals ({:.3} per arrival), \
+             {:.2} ms ({events_per_sec:.0} arrivals/s)",
+            allocations as f64 / arrivals as f64,
+            wall_ns as f64 / 1e6
         );
         report.push(
             Cell::new(name)
                 .int("shards", shards as i128)
                 .int("arrivals", arrivals as i128)
-                .int("allocations", allocations as i128),
+                .int("allocations", allocations as i128)
+                .int("wall_ns", wall_ns as i128)
+                .float("events_per_sec", events_per_sec),
         );
     }
 

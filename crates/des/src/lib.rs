@@ -8,7 +8,8 @@
 //!
 //! * [`time`] — a finite, totally ordered simulation clock;
 //! * [`queue`] — the deterministic future-event list: timestamp order
-//!   with stable FIFO tie-breaking;
+//!   with stable FIFO tie-breaking, and sequence numbers reserved for an
+//!   event the caller keeps outside the heap;
 //! * [`sources`] — the [`sources::ArrivalSource`] trait, seeded Poisson
 //!   arrivals and MTBF/MTTR failure processes;
 //! * [`scheduler`] — [`scheduler::WindowedScheduler`]: accumulates
@@ -48,7 +49,7 @@ pub mod time;
 
 /// The most-used kernel types.
 pub mod prelude {
-    pub use crate::queue::EventQueue;
+    pub use crate::queue::{EventKey, EventQueue};
     pub use crate::scheduler::{
         DesConfig, DesReport, FailureSpec, LatencyModel, WaitingStats, WindowedScheduler,
     };

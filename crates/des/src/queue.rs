@@ -6,21 +6,38 @@
 //! increasing sequence number). Determinism is the whole point: two runs
 //! that schedule the same events in the same order observe the same
 //! history, whatever the mix of tied timestamps.
+//!
+//! An event the caller keeps outside the heap joins the same order:
+//! [`EventQueue::reserve`] hands it the next sequence number without
+//! queueing anything, the caller handles it when its [`EventKey`]
+//! precedes [`EventQueue::peek_key`], and [`EventQueue::advance`] moves
+//! the clock to it as [`EventQueue::pop`] would have. The scheduler keeps
+//! its one parked arrival this way, so arrivals never sift through the
+//! heap of pending departures.
 
 use crate::time::SimTime;
 use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
 
-/// One scheduled entry.
+/// An event's place in the queue order: earlier `time` first, and among
+/// equal times the one scheduled (or reserved) first.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+pub struct EventKey {
+    /// When the event is due.
+    pub time: SimTime,
+    /// Its schedule order.
+    pub seq: u64,
+}
+
+/// One scheduled entry, ordered by its key alone.
 struct Entry<E> {
-    time: SimTime,
-    seq: u64,
+    key: EventKey,
     event: E,
 }
 
 impl<E> PartialEq for Entry<E> {
     fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
+        self.key == other.key
     }
 }
 impl<E> Eq for Entry<E> {}
@@ -31,9 +48,7 @@ impl<E> PartialOrd for Entry<E> {
 }
 impl<E> Ord for Entry<E> {
     fn cmp(&self, other: &Self) -> Ordering {
-        self.time
-            .cmp(&other.time)
-            .then_with(|| self.seq.cmp(&other.seq))
+        self.key.cmp(&other.key)
     }
 }
 
@@ -93,6 +108,17 @@ impl<E> EventQueue<E> {
     /// # Panics
     /// When `at` lies before the current clock — the past is immutable.
     pub fn schedule(&mut self, at: SimTime, event: E) {
+        let key = self.reserve(at);
+        self.heap.push(Reverse(Entry { key, event }));
+    }
+
+    /// Takes the next sequence number for an event at `at` that the
+    /// caller keeps outside the queue: it ranks against queued events
+    /// exactly as if it had been scheduled here.
+    ///
+    /// # Panics
+    /// When `at` lies before the current clock.
+    pub fn reserve(&mut self, at: SimTime) -> EventKey {
         assert!(
             at >= self.now,
             "cannot schedule into the past: {at} < {}",
@@ -100,11 +126,7 @@ impl<E> EventQueue<E> {
         );
         let seq = self.seq;
         self.seq += 1;
-        self.heap.push(Reverse(Entry {
-            time: at,
-            seq,
-            event,
-        }));
+        EventKey { time: at, seq }
     }
 
     /// Schedules `event` at `dt` time units after the current clock.
@@ -115,15 +137,33 @@ impl<E> EventQueue<E> {
 
     /// The timestamp of the next event without popping it.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|Reverse(e)| e.time)
+        self.peek_key().map(|key| key.time)
+    }
+
+    /// The key of the next queued event without popping it.
+    pub fn peek_key(&self) -> Option<EventKey> {
+        self.heap.peek().map(|Reverse(e)| e.key)
+    }
+
+    /// Advances the clock to a [`reserve`](Self::reserve)d event the
+    /// caller is handling now, as [`pop`](Self::pop) does for a queued
+    /// one. The caller handles it only while its key precedes
+    /// [`peek_key`](Self::peek_key).
+    pub fn advance(&mut self, key: EventKey) {
+        debug_assert!(key.time >= self.now, "the clock never runs back");
+        debug_assert!(
+            self.peek_key().is_none_or(|head| key < head),
+            "a kept event is handled only while it precedes the queue head"
+        );
+        self.now = key.time;
     }
 
     /// Pops the earliest event (FIFO among ties) and advances the clock
     /// to its timestamp.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         let Reverse(entry) = self.heap.pop()?;
-        self.now = entry.time;
-        Some((entry.time, entry.event))
+        self.now = entry.key.time;
+        Some((entry.key.time, entry.event))
     }
 }
 
@@ -195,6 +235,23 @@ mod tests {
         assert_eq!(q.now(), SimTime::new(2.0));
         q.schedule_in(1.0, ());
         assert_eq!(q.peek_time(), Some(SimTime::new(3.0)));
+    }
+
+    #[test]
+    fn a_reserved_key_ranks_like_a_scheduled_event() {
+        let mut q = EventQueue::new();
+        let t = SimTime::new(1.0);
+        q.schedule(t, "queued-before");
+        let kept = q.reserve(t);
+        q.schedule(t, "queued-after");
+        let head = q.peek_key().unwrap();
+        assert!(head < kept, "FIFO: the earlier schedule goes first");
+        assert_eq!(q.pop().unwrap().1, "queued-before");
+        assert!(kept < q.peek_key().unwrap());
+        q.advance(kept);
+        assert_eq!(q.now(), t);
+        assert_eq!(q.pop().unwrap().1, "queued-after");
+        assert!(q.is_empty());
     }
 
     #[test]

@@ -15,11 +15,14 @@
 //!   the queueing delay compounds — the paper's execution-time figures
 //!   (Fig. 7/8) becoming admission latency.
 //!
-//! Tenant departures and server failures/repairs are ordinary events on
-//! the same queue, interleaved deterministically with arrivals and
-//! boundaries (FIFO among equal timestamps).
+//! Tenant departures, server failures/repairs and window boundaries are
+//! events on one queue. Arrivals are not: the scheduler parks the one
+//! arrival in flight beside the queue under a reserved sequence number
+//! and handles whichever of it and the queue head comes first by
+//! `(time, seq)` — the order the queue itself would give, FIFO among
+//! equal timestamps.
 
-use crate::queue::EventQueue;
+use crate::queue::{EventKey, EventQueue};
 use crate::sources::{Arrival, ArrivalSource, FailureProcess};
 use crate::time::SimTime;
 use cpo_core::prelude::Allocator;
@@ -102,13 +105,10 @@ impl Default for DesConfig {
 }
 
 /// Events on the kernel queue. Every variant is at most 16 bytes, so a
-/// heap sift moves `(time, seq, event)` entries of 32 bytes.
+/// heap sift moves `(time, seq, event)` entries of 32 bytes. Arrivals
+/// are not among them: the one arrival in flight waits in
+/// [`WindowedScheduler`]'s `next` slot under a reserved key.
 enum DesEvent {
-    /// The scheduler's parked arrival ([`WindowedScheduler`]'s `next`)
-    /// is due. At most one arrival is ever in flight — the source is
-    /// pulled once at priming and once per popped arrival — so its
-    /// payload waits beside the queue instead of riding the heap.
-    Arrival,
     /// A tenant's holding time expired.
     Departure(TenantId),
     /// A server went down.
@@ -181,13 +181,14 @@ pub struct WindowedScheduler<S: ArrivalSource, B: WindowBackend = WindowExecutor
     queue: EventQueue<DesEvent>,
     source: S,
     config: DesConfig,
-    /// The one arrival in flight: drawn from the source, due at the
-    /// queue's single pending [`DesEvent::Arrival`].
-    next: Option<Arrival>,
-    /// Arrivals popped since the last window boundary.
+    /// The one arrival in flight — the source is pulled once at priming
+    /// and once per handled arrival — with the key
+    /// [`EventQueue::reserve`] gave it when it was pulled.
+    next: Option<(EventKey, Arrival)>,
+    /// Arrivals handled since the last window boundary.
     pending: usize,
     /// This window's requests, written in arrival order as each arrival
-    /// is popped; cleared, not freed, at the boundary, so a steady replay
+    /// is handled; cleared, not freed, at the boundary, so a steady replay
     /// reuses its storage window after window.
     window: RequestBatch,
     /// Per-request arrival time, holding time and correlation key,
@@ -258,14 +259,14 @@ impl<S: ArrivalSource, B: WindowBackend> WindowedScheduler<S, B> {
         self.queue.now()
     }
 
-    /// Pulls the next arrival from the source: parks its payload in
-    /// `next` and queues the payload-free marker at its time.
+    /// Pulls the next arrival from the source and parks it in `next`
+    /// under the queue's next sequence number, so it ranks against queued
+    /// events as if it had been scheduled here.
     fn schedule_next_arrival(&mut self, horizon: f64) {
         debug_assert!(self.next.is_none(), "one arrival in flight at a time");
         if let Some(arr) = self.source.next_arrival() {
             if arr.at.as_f64() <= horizon {
-                self.queue.schedule(arr.at, DesEvent::Arrival);
-                self.next = Some(arr);
+                self.next = Some((self.queue.reserve(arr.at), arr));
             }
         }
     }
@@ -294,27 +295,30 @@ impl<S: ArrivalSource, B: WindowBackend> WindowedScheduler<S, B> {
             self.failures = Some(proc);
         }
 
-        while let Some(t) = self.queue.peek_time() {
-            if t.as_f64() > horizon {
+        loop {
+            // The parked arrival goes first exactly when a heap holding
+            // it would pop it first. It is due within the horizon, so it
+            // precedes any head beyond it.
+            let head = self.queue.peek_key();
+            let due = |(key, _): &mut (EventKey, Arrival)| head.is_none_or(|h| *key < h);
+            if let Some((key, arrival)) = self.next.take_if(due) {
+                self.queue.advance(key);
+                cpo_obs::flight::record(
+                    cpo_obs::flight::FlightKind::Arrived,
+                    arrival.key,
+                    cpo_obs::flight::NONE,
+                    sim_us(key.time.as_f64()),
+                    arrival.request.vm_count() as u64,
+                );
+                self.admit_to_window(arrival);
+                self.schedule_next_arrival(horizon);
+                continue;
+            }
+            if head.is_none_or(|h| h.time.as_f64() > horizon) {
                 break;
             }
             let (now, event) = self.queue.pop().expect("peeked");
             match event {
-                DesEvent::Arrival => {
-                    let arrival = self
-                        .next
-                        .take()
-                        .expect("an arrival marker has a parked arrival");
-                    cpo_obs::flight::record(
-                        cpo_obs::flight::FlightKind::Arrived,
-                        arrival.key,
-                        cpo_obs::flight::NONE,
-                        sim_us(now.as_f64()),
-                        arrival.request.vm_count() as u64,
-                    );
-                    self.admit_to_window(arrival);
-                    self.schedule_next_arrival(horizon);
-                }
                 DesEvent::Departure(id) => {
                     self.exec.depart_tenant(id);
                 }

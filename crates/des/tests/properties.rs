@@ -71,3 +71,66 @@ proptest! {
         prop_assert!(q.pop().is_none());
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Queued events interleaved with one event the caller keeps outside
+    /// the heap (reserved, peeked against the head, advanced to) are
+    /// handled exactly as a plain binary heap over `(time, seq)` holding
+    /// every event pops them. Few distinct stamps make ties common, and
+    /// offset 0 schedules or reserves at the current clock.
+    #[test]
+    fn a_kept_event_merges_like_a_queued_one(ops in vec((0u8..4, 0u8..3), 1..200)) {
+        use cpo_des::queue::EventKey;
+        use std::cmp::Reverse;
+        use std::collections::BinaryHeap;
+        let mut q: EventQueue<u64> = EventQueue::new();
+        let mut model: BinaryHeap<Reverse<(u64, u64)>> = BinaryHeap::new();
+        let mut kept: Option<EventKey> = None;
+        let mut now = 0u64;
+        let mut seq = 0u64;
+        // Handles whichever comes first: the kept event or the queue head.
+        let handle = |q: &mut EventQueue<u64>, kept: &mut Option<EventKey>| {
+            let head = q.peek_key();
+            match kept.take_if(|k| head.is_none_or(|h| *k < h)) {
+                Some(k) => {
+                    q.advance(k);
+                    Some((k.time.as_f64() as u64, k.seq))
+                }
+                None => q.pop().map(|(t, s)| (t.as_f64() as u64, s)),
+            }
+        };
+        for &(kind, dt) in &ops {
+            let at = now + u64::from(dt);
+            match kind {
+                0 | 1 => {
+                    q.schedule(SimTime::new(at as f64), seq);
+                    model.push(Reverse((at, seq)));
+                    seq += 1;
+                }
+                2 if kept.is_none() => {
+                    let key = q.reserve(SimTime::new(at as f64));
+                    prop_assert_eq!(key.seq, seq);
+                    kept = Some(key);
+                    model.push(Reverse((at, seq)));
+                    seq += 1;
+                }
+                _ => {
+                    let got = handle(&mut q, &mut kept);
+                    let want = model.pop().map(|Reverse(e)| e);
+                    prop_assert_eq!(got, want);
+                    if let Some((t, _)) = want {
+                        now = t;
+                        prop_assert_eq!(q.now(), SimTime::new(t as f64));
+                    }
+                }
+            }
+            prop_assert_eq!(q.len() + usize::from(kept.is_some()), model.len());
+        }
+        while let Some(Reverse(want)) = model.pop() {
+            prop_assert_eq!(handle(&mut q, &mut kept), Some(want));
+        }
+        prop_assert!(kept.is_none() && q.is_empty());
+    }
+}

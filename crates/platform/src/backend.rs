@@ -8,10 +8,9 @@
 //! Every engine hands its allocator a problem through the crate-private
 //! `solve_round`, and only what it accepts reaches platform state. The
 //! two native engines solve a one-part round; the sharded scheduler
-//! solves one part per shard. The round builds each part's problem on
-//! the thread that solves it (parts 1..N−1 on scoped threads when the
-//! host has ≥2 cores), times `allocate` alone, and reports the round to
-//! the latency profiler. An allocator that panics does not abort the
+//! solves one part per shard. The round builds and solves its parts in
+//! part order on the calling thread, times each part's `allocate` alone,
+//! and reports the round to the latency profiler. An allocator that panics does not abort the
 //! run: its part comes back unsolved — every request not accepted — the
 //! `platform.solver_panics` counter moves and a
 //! [`FlightKind::SolverPanicked`] event records the window and part.
@@ -32,7 +31,6 @@ use cpo_core::prelude::Allocator;
 use cpo_model::prelude::{AllocationProblem, Assignment, RequestBatch, ServerId};
 use cpo_obs::flight;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 /// The window-engine surface `WindowedScheduler` drives: everything the
@@ -81,37 +79,22 @@ pub(crate) struct Solved<'a> {
     pub accepted: Vec<bool>,
 }
 
-/// Solves one round of `parts` problems, `build_part(p)` building part
-/// `p` on the thread that solves it. Returns every part in order plus
-/// the round's critical path: the slowest part's `allocate` time.
+/// Solves one round of `parts` problems in part order, `build_part(p)`
+/// building part `p` just before it is solved. Returns every part in
+/// order plus the round's critical path: the slowest part's `allocate`
+/// time, as if the parts had solved side by side.
 pub(crate) fn solve_round<'a>(
     allocator: &dyn Allocator,
     window: u64,
     round: u64,
     parts: usize,
-    build_part: impl Fn(usize) -> AllocationProblem<'a> + Sync,
+    build_part: impl Fn(usize) -> AllocationProblem<'a>,
 ) -> (Vec<Solved<'a>>, Duration) {
-    // Asked once per process: on Linux the query reads cgroup files.
-    static PARALLEL: OnceLock<bool> = OnceLock::new();
-    let parallel = parts > 1
-        && *PARALLEL
-            .get_or_init(|| std::thread::available_parallelism().is_ok_and(|p| p.get() >= 2));
     let prof_on = cpo_obs::prof::is_enabled();
     let start_us = if prof_on { cpo_obs::now_us() } else { 0 };
-    let solve = |p: usize| solve_part(allocator, build_part(p));
-    let results: Vec<_> = if parallel {
-        std::thread::scope(|s| {
-            let solve = &solve;
-            let handles: Vec<_> = (1..parts).map(|p| s.spawn(move || solve(p))).collect();
-            let first = solve(0);
-            let rest = handles
-                .into_iter()
-                .map(|h| h.join().expect("panics are caught"));
-            std::iter::once(first).chain(rest).collect()
-        })
-    } else {
-        (0..parts).map(solve).collect()
-    };
+    let results: Vec<_> = (0..parts)
+        .map(|p| solve_part(allocator, build_part(p)))
+        .collect();
     if prof_on {
         let part_us: Vec<u64> = results.iter().map(|r| r.1.as_micros() as u64).collect();
         cpo_obs::prof::solve_phase(window, round, start_us, cpo_obs::now_us(), &part_us);

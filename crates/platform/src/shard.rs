@@ -25,8 +25,7 @@
 //! arrival order for comparison) is a pure function of (snapshot,
 //! remaining order), commits are applied sequentially in arrival order,
 //! and shard solves are pure functions of (snapshot, slice) — so a run
-//! is bit-reproducible for a fixed seed and shard count whether the
-//! shards solved on real threads or serially.
+//! is bit-reproducible for a fixed seed and shard count.
 //!
 //! Each round's snapshot is a flat copy: two `m × h` capacity matrices
 //! plus a reference to the residual's shared static table (see
@@ -40,12 +39,12 @@
 //! [`RequestBatch::subset`].
 //!
 //! A round is one call of the crate's guarded solve (see
-//! [`crate::backend`]): part 0 solves on the coordinator's own thread,
-//! parts 1..N−1 on scoped threads when the host has ≥2 CPUs, each solve
-//! timed individually. The *modeled* window service time under the DES
-//! clock is the critical path — the slowest part of each round plus the
-//! commit phase — which is what [`WindowReport::solve_time`] carries for
-//! a sharded window. A part whose solve panics comes back with nothing
+//! [`crate::backend`]): the coordinator solves the parts one after
+//! another in part order, each solve timed individually. The *modeled*
+//! window service time under the DES clock is the critical path — the
+//! slowest part of each round plus the commit phase, as if the shards
+//! had solved side by side — which is what [`WindowReport::solve_time`]
+//! carries for a sharded window. A part whose solve panics comes back with nothing
 //! accepted, so its requests take the unsolved path: they bounce while
 //! the part was masked and are rejected otherwise.
 //!
@@ -387,8 +386,8 @@ impl<B: ShardBackend> ShardedScheduler<B> {
 /// solve runs the snapshot → solve → optimistic-commit protocol,
 /// everything else delegates to the wrapped backend. Under the DES clock
 /// the reported solve time is the sharded critical path, so latency
-/// feedback and throughput metrics see the parallel speedup even on a
-/// serial host.
+/// feedback and modeled throughput see the speedup side-by-side shards
+/// would give, although the parts solve one after another.
 impl<B: ShardBackend> WindowBackend for ShardedScheduler<B> {
     fn register_arrivals(&mut self, arrivals: &RequestBatch) -> Vec<TenantId> {
         self.backend.register_arrivals(arrivals)
@@ -996,7 +995,10 @@ mod tests {
     }
 
     /// Round Robin that records, per problem, where its batch and its
-    /// substrate live and how many servers it has.
+    /// substrate's capacity table live and how many servers it has. The
+    /// table is on the heap, so its address names one residual however
+    /// the problem holding it moves; an owned residual's stays distinct
+    /// while the round keeps its part's problem.
     #[derive(Default)]
     struct Sources(std::sync::Mutex<Vec<(usize, usize, usize)>>);
 
@@ -1007,7 +1009,7 @@ mod tests {
 
         fn allocate(&self, problem: &AllocationProblem) -> cpo_core::prelude::AllocationOutcome {
             let batch = std::ptr::from_ref(problem.batch()) as usize;
-            let infra = std::ptr::from_ref(problem.infra()) as usize;
+            let infra = problem.infra().capacity_row(ServerId(0)).as_ptr() as usize;
             self.0.lock().unwrap().push((batch, infra, problem.m()));
             RoundRobinAllocator.allocate(problem)
         }
