@@ -114,10 +114,10 @@ impl AllocationOutcome {
 
 /// A cloud resource allocation algorithm.
 ///
-/// `Sync` is a supertrait so a `&dyn Allocator` can be shared across the
-/// sharded scheduler's scoped solver threads; every allocator here is a
-/// pure function of the problem plus owned configuration, so the bound
-/// costs nothing.
+/// `Sync` is a supertrait so portfolio racing can share `&dyn Allocator`
+/// members across its scoped threads; every allocator here is a pure
+/// function of the problem plus owned configuration, so the bound costs
+/// nothing.
 pub trait Allocator: Sync {
     /// Short stable name used in reports ("round-robin", "nsga3-tabu", …).
     fn name(&self) -> &'static str;

@@ -4,10 +4,11 @@
 //! constraint-violation degree feeds constraint-domination.
 //!
 //! All scoring runs on one [`EvaluatorPool`] per adapter: each caller
-//! checks an evaluator out, `reset`s it onto the decoded assignment
-//! (every buffer — tracker matrix, per-server occupancy lists, penalty
-//! caches — is reused, no per-genome allocation of derived state), works
-//! on it, and returns it. Two callers share the pool:
+//! takes its evaluator, `reset`s it onto the decoded assignment (every
+//! buffer — tracker matrix, per-server occupancy lists, penalty caches —
+//! is reused, no per-genome allocation of derived state), works on it,
+//! and parks it again. Each `allocate` call builds its own adapter, so an
+//! adapter has one scorer at a time. Two callers share the pool:
 //!
 //! * [`MoeaProblem::evaluate`] scores a genome — bit-identical to the
 //!   per-genome `check`/`evaluate` pair, pinned by
@@ -30,8 +31,8 @@ pub struct AllocMoeaProblem<'a> {
     codec: GenomeCodec,
     /// `Some` scalarises the three objectives to one weighted sum.
     weights: Option<[f64; 3]>,
-    /// Shared evaluator pool — brief pop/push locks only, never held
-    /// across a score or a repair (see [`EvaluatorPool`]).
+    /// The one evaluator every score and repair reuses (see
+    /// [`EvaluatorPool`]).
     pool: EvaluatorPool<'a>,
 }
 

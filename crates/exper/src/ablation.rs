@@ -1,7 +1,7 @@
 //! The ablations: each design choice DESIGN.md §5 calls out, measured on
 //! one seeded scenario and returned as one table.
 //!
-//! `exper ablations` prints the eight tables and, under `--csv-dir`,
+//! `exper ablations` prints the seven tables and, under `--csv-dir`,
 //! writes `ablation-<name>.csv` for each; the committed record lives in
 //! `results/`. Columns named `*_ms` are wall-clock. Every other column is
 //! a pure function of the seeds, so a rerun reproduces it byte for byte
@@ -91,12 +91,11 @@ pub fn without_wall_clock(csv: &str) -> String {
     out
 }
 
-/// All eight ablations, in the order `exper ablations` prints them.
-pub fn all() -> [Ablation; 8] {
+/// All seven ablations, in the order `exper ablations` prints them.
+pub fn all() -> [Ablation; 7] {
     [
         constraint_handling(),
         repair_scan(),
-        parallel_eval(),
         nsga2_vs_nsga3(),
         mono_vs_multi(),
         refpoints(),
@@ -228,50 +227,6 @@ pub fn repair_scan() -> Ablation {
             "avg_moves",
             "avg_cost",
             "avg_rejection",
-            "time_ms",
-        ],
-        rows,
-    }
-}
-
-/// Threaded vs sequential population evaluation in unmodified NSGA-III
-/// (pop 40, 1 000 evaluations) at m=25 and m=100. The outcome columns
-/// must agree between the two modes; `time_ms` is the median of five
-/// runs.
-pub fn parallel_eval() -> Ablation {
-    let mut rows = Vec::new();
-    for servers in [25usize, 100] {
-        let problem = problem(servers, false);
-        for (name, parallel_eval) in [("sequential", false), ("parallel", true)] {
-            let alloc = EvoAllocator::nsga3(NsgaConfig {
-                max_evaluations: 1_000,
-                parallel_eval,
-                ..Effort::Quick.nsga_config()
-            });
-            let mut outcomes: Vec<AllocationOutcome> =
-                (0..5).map(|_| alloc.allocate(&problem)).collect();
-            outcomes.sort_by_key(|o| o.elapsed);
-            let median = &outcomes[outcomes.len() / 2];
-            rows.push(vec![
-                servers.to_string(),
-                name.to_string(),
-                median.evaluations.to_string(),
-                float(median.rejection_rate),
-                float(median.provider_cost()),
-                outcome_ms(median),
-            ]);
-        }
-    }
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    Ablation {
-        name: "parallel-eval",
-        title: format!("threaded vs sequential evaluation, NSGA-III ({cores} cores)"),
-        columns: &[
-            "servers",
-            "mode",
-            "evaluations",
-            "rejection",
-            "provider_cost",
             "time_ms",
         ],
         rows,

@@ -779,7 +779,7 @@ fn run_convergence(opts: &Options) -> Result<(), String> {
     write_csv(opts, "ext-conv", &convergence_csv(&traces))
 }
 
-/// Prints the eight ablation tables and writes `ablation-<name>.csv` for
+/// Prints the seven ablation tables and writes `ablation-<name>.csv` for
 /// each under `--csv-dir`.
 fn run_ablations(opts: &Options) -> Result<(), String> {
     for table in cpo_exper::ablation::all() {

@@ -1,64 +1,53 @@
-//! A shared pool of reusable [`DeltaEvaluator`]s for parallel scoring.
+//! One reusable [`DeltaEvaluator`] for scoring many assignments of one
+//! [`AllocationProblem`].
 //!
-//! Originally extracted from the two identical inline pools in the MOEA
-//! and weighted-GA adapters of `cpo-core` after a concurrency audit of
-//! the sharded-scheduler work. The audit question was whether a pool's
-//! `Mutex` is ever held across a solve or a score — which would
-//! serialise rayon workers and, worse, would deadlock if a scoring path
-//! ever re-entered the pool. The answer is no, and this type makes the
-//! discipline structural:
+//! Building an evaluator allocates every derived buffer (tracker matrix,
+//! per-server occupancy lists, penalty caches); `reset` rebuilds them in
+//! place. [`EvaluatorPool`] parks one evaluator between uses, so every
+//! score after the first is a `reset`, not a build. The slot is a
+//! [`Cell`]: a pool has one scorer at a time, and a [`with`] called from
+//! inside another `with`'s closure finds the slot empty and builds a
+//! fresh evaluator.
 //!
-//! * [`EvaluatorPool::with`] (and [`EvaluatorPool::score`] on top of it)
-//!   takes the lock **twice, briefly**: once to pop an evaluator (or miss
-//!   and build a fresh one), once to push it back. The actual `reset` and
-//!   the caller's work — a score, or a whole tabu repair — run on an
-//!   **owned** evaluator with no lock held.
-//! * The pool therefore grows to at most the number of concurrent
-//!   workers, and a worker can never block another for longer than a
-//!   `Vec::pop`/`Vec::push`.
-//!
-//! A `Mutex` (not a thread-local) because the evaluators borrow the
-//! problem for `'a` and `thread_local!` requires `'static`.
+//! [`with`]: EvaluatorPool::with
 
 use crate::assignment::Assignment;
 use crate::delta::{DeltaEvaluator, MoveScore};
 use crate::problem::AllocationProblem;
-use std::sync::Mutex;
+use std::cell::Cell;
 
-/// Reusable [`DeltaEvaluator`]s for one [`AllocationProblem`], popped
-/// per evaluation. See the module docs for the locking discipline.
+/// A reusable [`DeltaEvaluator`] for one [`AllocationProblem`], taken
+/// and reset per evaluation.
 pub struct EvaluatorPool<'a> {
     problem: &'a AllocationProblem<'a>,
-    pool: Mutex<Vec<DeltaEvaluator<'a>>>,
+    slot: Cell<Option<DeltaEvaluator<'a>>>,
 }
 
 impl<'a> EvaluatorPool<'a> {
-    /// An empty pool over `problem`. Evaluators are built lazily on
-    /// first miss, so an unused pool allocates nothing.
+    /// An empty pool over `problem`. The evaluator is built lazily on
+    /// first use, so an unused pool allocates nothing.
     pub fn new(problem: &'a AllocationProblem<'a>) -> Self {
         Self {
             problem,
-            pool: Mutex::new(Vec::new()),
+            slot: Cell::new(None),
         }
     }
 
-    /// The problem every pooled evaluator scores against.
+    /// The problem the evaluator scores against.
     pub fn problem(&self) -> &'a AllocationProblem<'a> {
         self.problem
     }
 
-    /// Runs `f` on a pooled evaluator holding `assignment`: pop (brief
-    /// lock) then reset — or a fresh build on a miss — then `f` and the
-    /// push back (brief lock), with no lock held during the reset or `f`.
+    /// Runs `f` on the parked evaluator reset onto `assignment` — or on a
+    /// fresh one when the slot is empty — and parks it again afterwards.
     /// Whatever state `f` leaves behind is kept; the next use resets it.
-    /// A panic in `f` drops the evaluator instead of returning it.
+    /// A panic in `f` drops the evaluator instead of parking it.
     pub fn with<R>(
         &self,
         assignment: Assignment,
         f: impl FnOnce(&mut DeltaEvaluator<'a>) -> R,
     ) -> R {
-        let pooled = self.pool.lock().expect("evaluator pool poisoned").pop();
-        let mut ev = match pooled {
+        let mut ev = match self.slot.take() {
             Some(mut ev) => {
                 ev.reset(assignment);
                 ev
@@ -66,22 +55,24 @@ impl<'a> EvaluatorPool<'a> {
             None => DeltaEvaluator::new(self.problem, assignment),
         };
         let out = f(&mut ev);
-        self.pool.lock().expect("evaluator pool poisoned").push(ev);
+        self.slot.set(Some(ev));
         out
     }
 
-    /// Scores `assignment` on a pooled evaluator (see [`with`](Self::with)).
+    /// Scores `assignment` on the pooled evaluator (see [`with`](Self::with)).
     /// Bit-identical to a fresh `DeltaEvaluator::new(..).score()` —
     /// `reset` rebuilds every derived buffer from the new assignment.
     pub fn score(&self, assignment: Assignment) -> MoveScore {
         self.with(assignment, |ev| ev.score())
     }
 
-    /// Evaluators currently parked in the pool (none are checked out
-    /// while this can be observed without a race, so this is primarily
-    /// a post-run diagnostic: it bounds the peak worker concurrency).
+    /// Evaluators currently parked: 1 after any completed use, 0 before
+    /// the first or after a panic in [`with`](Self::with).
     pub fn idle(&self) -> usize {
-        self.pool.lock().expect("evaluator pool poisoned").len()
+        let ev = self.slot.take();
+        let parked = usize::from(ev.is_some());
+        self.slot.set(ev);
+        parked
     }
 }
 
@@ -158,23 +149,16 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_use_grows_to_at_most_worker_count() {
+    fn reentrant_with_scores_bit_identically() {
         let p = problem();
         let pool = EvaluatorPool::new(&p);
-        let threads = 4;
-        std::thread::scope(|s| {
-            for _ in 0..threads {
-                s.spawn(|| {
-                    for _ in 0..32 {
-                        pool.score(spread(&p));
-                    }
-                });
-            }
+        let direct = DeltaEvaluator::new(&p, spread(&p)).score();
+        let inner = pool.with(spread(&p), |ev| {
+            ev.apply(VmId(0), ServerId(2));
+            pool.with(spread(&p), |inner| inner.score())
         });
-        let idle = pool.idle();
-        assert!(
-            idle >= 1 && idle <= threads,
-            "pool size {idle} out of range"
-        );
+        assert_eq!(inner.total_cost().to_bits(), direct.total_cost().to_bits());
+        assert_eq!(inner.violation, direct.violation);
+        assert_eq!(pool.idle(), 1);
     }
 }

@@ -23,7 +23,7 @@
 //! * [`qos`] — the Eq. 24 piecewise QoS curve
 //! * [`cost`] — the Eq. 15 objective vector (Eqs. 22, 23, 26)
 //! * [`delta`] — incremental O(h) move scoring for local search
-//! * [`eval_pool`] — reusable [`delta::DeltaEvaluator`] pool for parallel scoring
+//! * [`eval_pool`] — one reusable [`delta::DeltaEvaluator`] per scorer
 //! * [`deadline`] — wall-clock deadlines for anytime solvers
 //! * [`fleet`] — packed VM/server-load tables for production-scale replay
 //! * [`ilp`] — the explicit 0/1 integer program (Section III's LP view)

@@ -1,6 +1,7 @@
 //! The generational engine driving NSGA-II and NSGA-III, with the repair
 //! hook of the paper's Fig. 4 ("NSGA-III enhanced with tabu search in
-//! reproduction process") and rayon-parallel population evaluation.
+//! reproduction process"). Populations are evaluated serially, in index
+//! order.
 
 use crate::crowding::assign_crowding_distance;
 use crate::individual::Individual;
@@ -14,7 +15,6 @@ use crate::selection::{tournament_nsga2, tournament_nsga3, tournament_unsga3};
 use crate::sort::fast_non_dominated_sort;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use rayon::prelude::*;
 use std::time::{Duration, Instant};
 
 /// Which elitist selection the engine runs.
@@ -75,10 +75,8 @@ pub struct NsgaConfig {
     pub variant: Variant,
     /// RNG seed (runs are fully deterministic given the seed).
     pub seed: u64,
-    /// Evaluate populations in parallel with rayon. Off in
-    /// [`paper_defaults`](Self::paper_defaults): the vendored rayon spawns
-    /// threads per call, which loses to serial evaluation on small hosts
-    /// (the `parallel-eval` ablation), with identical outcomes.
+    /// No effect: populations are always evaluated serially, in index
+    /// order. Kept so existing configurations still build.
     pub parallel_eval: bool,
     /// When the repair hook is invoked.
     pub repair_mode: RepairMode,
@@ -230,14 +228,14 @@ impl MoeaResult {
 ///   the repair leaves (within bounds) bit for bit. The engine stores it
 ///   on the individual and counts it as that individual's evaluation
 ///   instead of scoring the genome again.
-pub trait Repair: Sync {
+pub trait Repair {
     /// Attempts to make `genes` feasible in place; returns the repaired
     /// genome's evaluation when the repair computed one on the way.
     fn repair(&self, genes: &mut [f64]) -> Option<Evaluation>;
 }
 
 /// Blanket impl so closures can serve as repair operators.
-impl<F: Fn(&mut [f64]) -> Option<Evaluation> + Sync> Repair for F {
+impl<F: Fn(&mut [f64]) -> Option<Evaluation>> Repair for F {
     fn repair(&self, genes: &mut [f64]) -> Option<Evaluation> {
         self(genes)
     }
@@ -264,23 +262,16 @@ fn individual(genes: Vec<f64>, eval: Option<Evaluation>) -> Individual {
     ind
 }
 
-fn evaluate_all<P: MoeaProblem>(problem: &P, pop: &mut [Individual], parallel: bool) -> usize {
-    let todo: Vec<usize> = (0..pop.len()).filter(|&i| !pop[i].is_evaluated()).collect();
-    if parallel && todo.len() > 1 {
-        let evals: Vec<_> = todo
-            .par_iter()
-            .map(|&i| problem.evaluate(&pop[i].genes))
-            .collect();
-        for (&i, e) in todo.iter().zip(evals) {
-            pop[i].set_evaluation(e);
-        }
-    } else {
-        for &i in &todo {
-            let e = problem.evaluate(&pop[i].genes);
-            pop[i].set_evaluation(e);
-        }
+/// Scores the individuals nobody scored yet, in index order; returns how
+/// many it scored.
+fn evaluate_all<P: MoeaProblem>(problem: &P, pop: &mut [Individual]) -> usize {
+    let mut scored = 0;
+    for ind in pop.iter_mut().filter(|i| !i.is_evaluated()) {
+        let e = problem.evaluate(&ind.genes);
+        ind.set_evaluation(e);
+        scored += 1;
     }
-    todo.len()
+    scored
 }
 
 fn random_genome<P: MoeaProblem>(problem: &P, rng: &mut impl Rng) -> Vec<f64> {
@@ -367,7 +358,7 @@ pub fn run<P: MoeaProblem>(
         pop.push(individual(genes, eval));
     }
 
-    evaluations += evaluate_all(problem, &mut pop, config.parallel_eval);
+    evaluations += evaluate_all(problem, &mut pop);
     let fronts = fast_non_dominated_sort(&mut pop);
     if config.variant == Variant::Nsga2 {
         for f in &fronts {
@@ -495,7 +486,7 @@ pub fn run<P: MoeaProblem>(
 
         {
             let _eval_span = cpo_obs::span!("moea.evaluate");
-            evaluations += evaluate_all(problem, &mut offspring, config.parallel_eval);
+            evaluations += evaluate_all(problem, &mut offspring);
         }
 
         // --- Environmental selection on parents ∪ offspring. ---
@@ -651,17 +642,6 @@ mod tests {
         let ga: Vec<f64> = a.population.iter().map(|i| i.genes[0]).collect();
         let gb: Vec<f64> = b.population.iter().map(|i| i.genes[0]).collect();
         assert_ne!(ga, gb);
-    }
-
-    #[test]
-    fn parallel_and_sequential_agree() {
-        let mut cfg = small_config(Variant::Nsga2);
-        let seq = run(&Sch, &cfg, None);
-        cfg.parallel_eval = true;
-        let par = run(&Sch, &cfg, None);
-        let gs: Vec<f64> = seq.population.iter().map(|i| i.genes[0]).collect();
-        let gp: Vec<f64> = par.population.iter().map(|i| i.genes[0]).collect();
-        assert_eq!(gs, gp, "evaluation order must not affect the run");
     }
 
     #[test]

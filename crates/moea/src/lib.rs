@@ -9,9 +9,8 @@
 //! repair hook of the paper's Fig. 4 through which the tabu search (or any
 //! other fixer) plugs into the reproduction pipeline.
 //!
-//! Populations evaluate serially by default, or in parallel with rayon
-//! under [`NsgaConfig::parallel_eval`](engine::NsgaConfig::parallel_eval);
-//! runs are deterministic given a seed regardless of parallelism.
+//! Populations evaluate serially, in index order, so runs are
+//! deterministic given a seed.
 //!
 //! ```
 //! use cpo_moea::prelude::*;

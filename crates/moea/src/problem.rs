@@ -32,10 +32,7 @@ impl Evaluation {
 /// Genomes are `Vec<f64>` with per-variable box bounds; discrete problems
 /// (like server indices) decode by flooring, the standard real-coding trick
 /// the paper's SBX/PM operators ("SBX and PM standard") assume.
-///
-/// Implementations must be [`Sync`] so populations can be evaluated in
-/// parallel with rayon.
-pub trait MoeaProblem: Sync {
+pub trait MoeaProblem {
     /// Number of decision variables (genes).
     fn n_vars(&self) -> usize;
 

@@ -5,22 +5,28 @@
 //! own test binary because the enabled recorder is process-global.
 
 use cpo_obs::flight::{self, FlightKind, CAPACITY};
-use rayon::prelude::*;
+use std::sync::Barrier;
 
 /// Payload relation: every event written by the hammer satisfies
 /// `a == key * 10 + 1` and `b == key * 10 + 2`. A torn read mixing words
 /// from two different writes violates at least one equation.
+///
+/// Each of the `threads` writers runs on its own thread; a barrier
+/// starts them together so their writes overlap.
 fn hammer(events_per_thread: u64, threads: u64) {
-    let writers: Vec<u64> = (0..threads).collect();
-    let _: Vec<()> = writers
-        .par_iter()
-        .map(|&t| {
-            for i in 0..events_per_thread {
-                let key = t * events_per_thread + i;
-                flight::record(FlightKind::Marker, key, key, key * 10 + 1, key * 10 + 2);
-            }
-        })
-        .collect();
+    let start = Barrier::new(threads as usize);
+    std::thread::scope(|s| {
+        for t in 0..threads {
+            let start = &start;
+            s.spawn(move || {
+                start.wait();
+                for i in 0..events_per_thread {
+                    let key = t * events_per_thread + i;
+                    flight::record(FlightKind::Marker, key, key, key * 10 + 1, key * 10 + 2);
+                }
+            });
+        }
+    });
 }
 
 #[test]

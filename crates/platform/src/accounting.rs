@@ -36,7 +36,10 @@ pub struct WindowReport {
     pub fabric_peak_utilization: f64,
     /// East-west flows the fabric could not admit this window.
     pub denied_flows: usize,
-    /// Allocator wall-clock time for the window.
+    /// Allocator time for the window. Unsharded, the wall-clock time of
+    /// the solve. Sharded, the sum over the window's rounds of the slowest
+    /// part's `allocate` plus the commit loop, as if the parts had solved
+    /// side by side; they solve in order on the calling thread.
     pub solve_time: Duration,
 }
 

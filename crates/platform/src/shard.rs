@@ -1,9 +1,9 @@
 //! Sharded window scheduling over the optimistic-commit
 //! [`PlacementStore`].
 //!
-//! [`ShardedScheduler`] partitions each window's arrivals across N
-//! worker shards. Every round, each shard solves its slice as an
-//! independent admission problem on a shared
+//! [`ShardedScheduler`] partitions each window's arrivals into N
+//! shards (parts), solved in order on the calling thread. Every round,
+//! each part is solved as an independent admission problem on a shared
 //! [`StoreSnapshot`](crate::store::StoreSnapshot), and the coordinator
 //! then replays the proposed placements through
 //! [`PlacementStore::try_commit`] in global arrival order:
@@ -99,7 +99,8 @@ pub enum PartitionStrategy {
 /// Sharding parameters.
 #[derive(Clone, Copy, Debug)]
 pub struct ShardConfig {
-    /// Worker shards per window (1 = unsharded).
+    /// Parts per window (1 = unsharded), solved in order on the calling
+    /// thread.
     pub shards: usize,
     /// Retry rounds a conflicted request may consume after its first
     /// attempt before it is force-rejected.
@@ -347,9 +348,10 @@ pub trait ShardBackend: WindowBackend {
     ) -> WindowReport;
 }
 
-/// Partitions incoming requests across N worker shards solving on store
-/// snapshots, resubmitting bounced conflicts with a bounded retry
-/// budget. See the module docs for the protocol.
+/// Partitions incoming requests into N parts solved in order on the
+/// calling thread against store snapshots, resubmitting bounced
+/// conflicts with a bounded retry budget. See the module docs for the
+/// protocol.
 pub struct ShardedScheduler<B> {
     backend: B,
     config: ShardConfig,

@@ -3,7 +3,7 @@
 //! `exper ablations --csv-dir results` writes `results/ablation-*.csv`.
 //! Every column not named `*_ms` is a pure function of the seeds, so a
 //! rerun must reproduce it byte for byte. This checks the two cheapest
-//! ablations; CI reruns all eight in release and diffs them the same way.
+//! ablations; CI reruns all seven in release and diffs them the same way.
 
 use cpo_iaas::exper::ablation::{self, without_wall_clock, Ablation};
 
