@@ -11,6 +11,11 @@
 //! * `cpsolve.{queued,reference}` — the fig8 seed-42 batch CSP under both
 //!   propagation engines (wall time, propagator invocations, nodes);
 //! * `des.synthetic_churn` — raw event-queue throughput in events/s;
+//! * `des.window_departures` — the event queue under trace-native's
+//!   departure shape ([`window_departures`]: 73 closes of 60 s windows,
+//!   1,713 departures each at `close + Exp(950 s)`, seed 42): wall time,
+//!   events popped, events/s and an exact FNV-1a fingerprint of the pop
+//!   order;
 //! * `tabu.move_scoring.{delta,full}` — the fig8 seed-42 tabu polish
 //!   under incremental vs full move scoring (wall time, `eval_work`
 //!   model-cell counter), plus the full/delta work ratio;
@@ -49,6 +54,7 @@
 use cpo_bench::report::{Cell, Report};
 use cpo_bench::{
     admissible_fig8_problem, outcome_fingerprint, reconfig_problem, trace_ingest_replay,
+    window_departures,
 };
 use cpo_core::cp_alloc::build_batch_csp;
 use cpo_core::prelude::{Allocator, EvoAllocator, RoundRobinAllocator};
@@ -164,6 +170,23 @@ fn main() {
             .int("wall_ns", wall_ns as i128)
             .int("events", events as i128)
             .float("events_per_sec", events_per_sec),
+    );
+
+    // --- des: the event queue under trace-native's departures -------
+    let mut totals = (0, 0);
+    let wall_ns = median_ns(3, || totals = window_departures(73, 1_713, 950.0, 42));
+    let (events, fingerprint) = totals;
+    let events_per_sec = events as f64 / (wall_ns as f64 / 1e9);
+    println!(
+        "des.window_departures: {events_per_sec:.0} events/s, {events} events, \
+         fingerprint {fingerprint:#018x}"
+    );
+    report.push(
+        Cell::new("des.window_departures")
+            .int("wall_ns", wall_ns as i128)
+            .int("events", events as i128)
+            .float("events_per_sec", events_per_sec)
+            .int("fingerprint", fingerprint as i128),
     );
 
     // --- tabu: delta vs full move scoring ---------------------------

@@ -7,9 +7,9 @@
 //! time delays everyone behind it. This crate supplies that timeline:
 //!
 //! * [`time`] — a finite, totally ordered simulation clock;
-//! * [`queue`] — the deterministic future-event list: timestamp order
-//!   with stable FIFO tie-breaking, and sequence numbers reserved for an
-//!   event the caller keeps outside the heap;
+//! * [`queue`] — the deterministic future-event list, a calendar queue:
+//!   timestamp order with stable FIFO tie-breaking, and sequence numbers
+//!   reserved for an event the caller keeps outside the queue;
 //! * [`sources`] — the [`sources::ArrivalSource`] trait, seeded Poisson
 //!   arrivals and MTBF/MTTR failure processes;
 //! * [`scheduler`] — [`scheduler::WindowedScheduler`]: accumulates

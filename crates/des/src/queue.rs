@@ -1,23 +1,42 @@
 //! The timestamp-ordered event queue — the kernel's substrate.
 //!
-//! A binary heap keyed on `(time, sequence)`: events pop in timestamp
-//! order, and events scheduled for the *same* timestamp pop in the order
-//! they were scheduled (stable FIFO tie-breaking via a monotonically
-//! increasing sequence number). Determinism is the whole point: two runs
-//! that schedule the same events in the same order observe the same
-//! history, whatever the mix of tied timestamps.
+//! A calendar queue (R. Brown, "Calendar Queues", CACM 31(10), 1988)
+//! keyed on `(time, sequence)`: events pop in timestamp order, and events
+//! scheduled for the *same* timestamp pop in the order they were
+//! scheduled (stable FIFO tie-breaking via a monotonically increasing
+//! sequence number). Determinism is the whole point: two runs that
+//! schedule the same events in the same order observe the same history,
+//! whatever the mix of tied timestamps.
 //!
-//! An event the caller keeps outside the heap joins the same order:
+//! Time is cut into buckets of a fixed width, [`BUCKETS_PER_WINDOW`] to
+//! a scheduling window. The *open* bucket, the one the queue head lies
+//! in, is sorted once, latest first, when it opens, so a pop is a
+//! `Vec::pop`. An event scheduled into the open bucket (or before it)
+//! after that sort waits in a small side heap, and the head is the
+//! earlier of the two. Later buckets are unsorted `Vec`s in a ring that
+//! grows as events land in it, up to 4,096 buckets from where it last
+//! started; events beyond the ring's end wait in an overflow list that
+//! is redistributed only once the ring drains, so a far-future event
+//! costs no storage per empty bucket.
+//!
+//! An event the caller keeps outside the queue joins the same order:
 //! [`EventQueue::reserve`] hands it the next sequence number without
 //! queueing anything, the caller handles it when its [`EventKey`]
 //! precedes [`EventQueue::peek_key`], and [`EventQueue::advance`] moves
 //! the clock to it as [`EventQueue::pop`] would have. The scheduler keeps
-//! its one parked arrival this way, so arrivals never sift through the
-//! heap of pending departures.
+//! its one parked arrival this way, so arrivals never enter the queue of
+//! pending departures.
 
 use crate::time::SimTime;
 use std::cmp::{Ordering, Reverse};
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
+
+/// Buckets per scheduling window: the one bucket-width rule.
+pub const BUCKETS_PER_WINDOW: f64 = 16.0;
+
+/// The most buckets the ring spans from where it last started; later
+/// events overflow.
+const RING_BUCKETS: usize = 4096;
 
 /// An event's place in the queue order: earlier `time` first, and among
 /// equal times the one scheduled (or reserved) first.
@@ -67,7 +86,24 @@ impl<E> Ord for Entry<E> {
 /// assert!(q.pop().is_none());
 /// ```
 pub struct EventQueue<E> {
-    heap: BinaryHeap<Reverse<Entry<E>>>,
+    /// Buckets per time unit: a stamp `t` lies in bucket
+    /// `⌊t · per_unit⌋`.
+    per_unit: f64,
+    /// The open bucket's number. Every queued event in a later bucket is
+    /// in `ring` or `overflow`, every other one in `open` or `late`.
+    open_bucket: u64,
+    /// The open bucket's entries as sorted when it opened, latest first.
+    open: Vec<Entry<E>>,
+    /// Entries due in or before the open bucket, scheduled after it
+    /// opened.
+    late: BinaryHeap<Reverse<Entry<E>>>,
+    /// `ring[i]` holds bucket `open_bucket + 1 + i`, unsorted.
+    ring: VecDeque<Vec<Entry<E>>>,
+    /// The last bucket the ring may hold until it drains.
+    ring_end: u64,
+    /// Entries in buckets past `ring_end`, unsorted.
+    overflow: Vec<Entry<E>>,
+    len: usize,
     seq: u64,
     now: SimTime,
 }
@@ -79,10 +115,38 @@ impl<E> Default for EventQueue<E> {
 }
 
 impl<E> EventQueue<E> {
-    /// An empty queue at the epoch.
+    /// An empty queue at the epoch, for events spaced on the order of one
+    /// time unit: it takes one unit as its window.
     pub fn new() -> Self {
+        Self::for_window(1.0)
+    }
+
+    /// An empty queue whose buckets cut `window` time units into
+    /// [`BUCKETS_PER_WINDOW`].
+    pub fn for_window(window: f64) -> Self {
+        Self::with_bucket_width(window / BUCKETS_PER_WINDOW)
+    }
+
+    /// An empty queue with buckets `width` time units wide. Any width
+    /// gives the same order; it only sets the cost.
+    ///
+    /// # Panics
+    /// When `width` is not positive or too small to invert.
+    pub fn with_bucket_width(width: f64) -> Self {
+        let per_unit = width.recip();
+        assert!(
+            width > 0.0 && per_unit.is_finite(),
+            "invalid bucket width: {width}"
+        );
         Self {
-            heap: BinaryHeap::new(),
+            per_unit,
+            open_bucket: 0,
+            open: Vec::new(),
+            late: BinaryHeap::new(),
+            ring: VecDeque::new(),
+            ring_end: RING_BUCKETS as u64,
+            overflow: Vec::new(),
+            len: 0,
             seq: 0,
             now: SimTime::ZERO,
         }
@@ -95,12 +159,12 @@ impl<E> EventQueue<E> {
 
     /// Pending events.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.len
     }
 
     /// Whether no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.len == 0
     }
 
     /// Schedules `event` at absolute time `at`.
@@ -109,7 +173,29 @@ impl<E> EventQueue<E> {
     /// When `at` lies before the current clock — the past is immutable.
     pub fn schedule(&mut self, at: SimTime, event: E) {
         let key = self.reserve(at);
-        self.heap.push(Reverse(Entry { key, event }));
+        let entry = Entry { key, event };
+        let bucket = bucket_of(at, self.per_unit);
+        self.len += 1;
+        if bucket <= self.open_bucket {
+            self.late.push(Reverse(entry));
+            return;
+        }
+        if bucket <= self.ring_end {
+            self.push_later((bucket - self.open_bucket - 1) as usize, entry);
+        } else {
+            self.overflow.push(entry);
+        }
+        if self.open.is_empty() && self.late.is_empty() {
+            self.open_next();
+        }
+    }
+
+    /// Adds `entry` to ring bucket `i`, growing the ring to reach it.
+    fn push_later(&mut self, i: usize, entry: Entry<E>) {
+        if i >= self.ring.len() {
+            self.ring.resize_with(i + 1, Vec::new);
+        }
+        self.ring[i].push(entry);
     }
 
     /// Takes the next sequence number for an event at `at` that the
@@ -129,20 +215,14 @@ impl<E> EventQueue<E> {
         EventKey { time: at, seq }
     }
 
-    /// Schedules `event` at `dt` time units after the current clock.
-    pub fn schedule_in(&mut self, dt: f64, event: E) {
-        let at = self.now + dt;
-        self.schedule(at, event);
-    }
-
-    /// The timestamp of the next event without popping it.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.peek_key().map(|key| key.time)
-    }
-
     /// The key of the next queued event without popping it.
     pub fn peek_key(&self) -> Option<EventKey> {
-        self.heap.peek().map(|Reverse(e)| e.key)
+        let open = self.open.last().map(|e| e.key);
+        let late = self.late.peek().map(|Reverse(e)| e.key);
+        match (open, late) {
+            (Some(o), Some(l)) => Some(o.min(l)),
+            (o, l) => o.or(l),
+        }
     }
 
     /// Advances the clock to a [`reserve`](Self::reserve)d event the
@@ -161,18 +241,81 @@ impl<E> EventQueue<E> {
     /// Pops the earliest event (FIFO among ties) and advances the clock
     /// to its timestamp.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let Reverse(entry) = self.heap.pop()?;
+        let from_late = match (self.open.last(), self.late.peek()) {
+            (Some(o), Some(Reverse(l))) => l.key < o.key,
+            (open, _) => open.is_none(),
+        };
+        let entry = if from_late {
+            self.late.pop().map(|Reverse(e)| e)
+        } else {
+            self.open.pop()
+        }?;
+        self.len -= 1;
         self.now = entry.key.time;
+        if self.open.is_empty() && self.late.is_empty() && self.len > 0 {
+            self.open_next();
+        }
         Some((entry.key.time, entry.event))
     }
+
+    /// Opens the next bucket that holds events, once the open bucket and
+    /// the side heap have drained. The ring's front buckets open in turn;
+    /// once the ring is empty the overflow is redistributed over a ring
+    /// starting at its earliest bucket.
+    fn open_next(&mut self) {
+        debug_assert!(self.open.is_empty() && self.late.is_empty() && self.len > 0);
+        loop {
+            let Some(bucket) = self.ring.pop_front() else {
+                self.rebase();
+                continue;
+            };
+            self.open_bucket += 1;
+            if !bucket.is_empty() {
+                self.open = bucket;
+                self.open.sort_unstable_by_key(|e| Reverse(e.key));
+                return;
+            }
+        }
+    }
+
+    /// Moves the ring to start at the overflow's earliest bucket and
+    /// redistributes the overflow entries it now covers.
+    fn rebase(&mut self) {
+        let per_unit = self.per_unit;
+        let first = self
+            .overflow
+            .iter()
+            .map(|e| bucket_of(e.key.time, per_unit))
+            .min()
+            .expect("pending events are in the overflow once the ring drains");
+        // Overflow buckets lie past `ring_end`, so `first` is at least 1.
+        self.open_bucket = first - 1;
+        self.ring_end = self.open_bucket.saturating_add(RING_BUCKETS as u64);
+        let ring_end = self.ring_end;
+        let mut overflow = std::mem::take(&mut self.overflow);
+        for entry in overflow.extract_if(.., |e| bucket_of(e.key.time, per_unit) <= ring_end) {
+            let bucket = bucket_of(entry.key.time, per_unit);
+            self.push_later((bucket - self.open_bucket - 1) as usize, entry);
+        }
+        self.overflow = overflow;
+    }
+}
+
+/// The bucket `time` lies in at `per_unit` buckets per time unit.
+/// Monotone in `time`; the cast saturates, so stamps past `u64::MAX`
+/// buckets share the last one.
+fn bucket_of(time: SimTime, per_unit: f64) -> u64 {
+    (time.as_f64() * per_unit) as u64
 }
 
 /// Synthetic schedule/pop churn for throughput measurement: keeps a
 /// steady population of `pending` events in flight and processes `n` of
 /// them, rescheduling a successor for each pop at a pseudo-random offset
-/// (SplitMix64 — no external RNG in the hot loop). Returns the number of
-/// events processed; used by the `micro_des` benchmark and the release
-/// throughput gate (≥ 1M events/sec).
+/// in `(0, 1]` (SplitMix64 — no external RNG in the hot loop) on a
+/// [`EventQueue::new`] queue, whose window is one time unit. Returns the
+/// number of events processed; used by `bench_micro`'s
+/// `des.synthetic_churn` cell and the release throughput gate (≥ 1M
+/// events/sec).
 pub fn synthetic_churn(n: usize, pending: usize, seed: u64) -> u64 {
     let mut state = seed;
     let mut next = move || {
@@ -233,8 +376,8 @@ mod tests {
         assert_eq!(q.now(), SimTime::ZERO);
         q.pop();
         assert_eq!(q.now(), SimTime::new(2.0));
-        q.schedule_in(1.0, ());
-        assert_eq!(q.peek_time(), Some(SimTime::new(3.0)));
+        q.schedule(q.now() + 1.0, ());
+        assert_eq!(q.peek_key().map(|k| k.time), Some(SimTime::new(3.0)));
     }
 
     #[test]
@@ -261,6 +404,57 @@ mod tests {
         q.schedule(SimTime::new(5.0), ());
         q.pop();
         q.schedule(SimTime::new(4.0), ());
+    }
+
+    #[test]
+    fn a_far_future_event_overflows_instead_of_growing_the_ring() {
+        let mut q = EventQueue::with_bucket_width(1e-3);
+        q.schedule(SimTime::ZERO, "now");
+        q.schedule(SimTime::new(1e9), "far");
+        assert!(q.ring.len() <= RING_BUCKETS);
+        assert_eq!(q.overflow.len(), 1, "1e12 buckets out is past the ring");
+        assert_eq!(q.pop(), Some((SimTime::ZERO, "now")));
+        assert!(q.ring.len() <= RING_BUCKETS);
+        assert_eq!(q.pop(), Some((SimTime::new(1e9), "far")));
+        assert!(q.ring.len() <= RING_BUCKETS);
+        assert!(q.pop().is_none());
+    }
+
+    #[test]
+    fn the_ring_never_grows_past_its_cap() {
+        // Stamps one bucket apart, spanning three rings' worth of buckets:
+        // the ring fills to its cap, the rest overflows and is rebased
+        // twice.
+        let mut q = EventQueue::with_bucket_width(1.0);
+        let span = 3 * RING_BUCKETS as u32;
+        for t in 0..span {
+            q.schedule(SimTime::new(f64::from(t) + 0.5), t);
+            assert!(q.ring.len() <= RING_BUCKETS);
+        }
+        for t in 0..span {
+            assert_eq!(q.pop().map(|(_, e)| e), Some(t));
+            assert!(q.ring.len() <= RING_BUCKETS);
+        }
+        assert!(q.is_empty());
+    }
+
+    #[test]
+    fn an_event_before_the_open_bucket_pops_first() {
+        let mut q = EventQueue::with_bucket_width(1.0);
+        q.schedule(SimTime::new(1.5), 'a');
+        q.schedule(SimTime::new(9.5), 'c');
+        assert_eq!(q.pop(), Some((SimTime::new(1.5), 'a')));
+        // The head moved to bucket 9; a schedule at 3 lands before it.
+        q.schedule(SimTime::new(3.0), 'b');
+        assert_eq!(q.peek_key().map(|k| k.time), Some(SimTime::new(3.0)));
+        assert_eq!(q.pop(), Some((SimTime::new(3.0), 'b')));
+        assert_eq!(q.pop(), Some((SimTime::new(9.5), 'c')));
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid bucket width")]
+    fn a_zero_bucket_width_panics() {
+        EventQueue::<()>::with_bucket_width(0.0);
     }
 
     #[test]

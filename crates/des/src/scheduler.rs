@@ -104,10 +104,10 @@ impl Default for DesConfig {
     }
 }
 
-/// Events on the kernel queue. Every variant is at most 16 bytes, so a
-/// heap sift moves `(time, seq, event)` entries of 32 bytes. Arrivals
-/// are not among them: the one arrival in flight waits in
-/// [`WindowedScheduler`]'s `next` slot under a reserved key.
+/// Events on the kernel queue. Every variant is at most 16 bytes, so the
+/// queue's buckets hold, sort and move `(time, seq, event)` entries of
+/// 32 bytes. Arrivals are not among them: the one arrival in flight
+/// waits in [`WindowedScheduler`]'s `next` slot under a reserved key.
 enum DesEvent {
     /// A tenant's holding time expired.
     Departure(TenantId),
@@ -225,7 +225,7 @@ impl<S: ArrivalSource, B: WindowBackend> WindowedScheduler<S, B> {
         assert!(config.window_length > 0.0, "window length must be positive");
         Self {
             exec: backend,
-            queue: EventQueue::new(),
+            queue: EventQueue::for_window(config.window_length),
             source,
             config,
             next: None,
@@ -296,7 +296,7 @@ impl<S: ArrivalSource, B: WindowBackend> WindowedScheduler<S, B> {
         }
 
         loop {
-            // The parked arrival goes first exactly when a heap holding
+            // The parked arrival goes first exactly when a queue holding
             // it would pop it first. It is due within the horizon, so it
             // precedes any head beyond it.
             let head = self.queue.peek_key();

@@ -1,7 +1,8 @@
 //! Release-mode throughput gate: the kernel queue must sustain at least
-//! one million synthetic events per second (the `micro_des` benchmark
-//! measures the same loop). Debug builds run the churn for correctness
-//! but skip the rate assertion.
+//! one million synthetic events per second (`bench_micro`'s
+//! `des.synthetic_churn` cell measures the same loop). Debug builds run
+//! the churn for correctness but skip the rate assertion; CI runs this
+//! crate's tests in release too.
 
 use cpo_des::queue::synthetic_churn;
 use std::time::Instant;

@@ -6,11 +6,12 @@
 //! buffers one `allocate` call owns. What is left is per window (the
 //! window's id and admission lists, the solve's assignment and load
 //! tables), so the count per arrival stays under one. This test installs
-//! a counting global allocator and pins that. It counts only the
-//! measuring thread's allocations, so the test harness's threads cannot
-//! bump it.
+//! a counting global allocator and pins that, and that setting up an
+//! event queue allocates nothing. It counts only the measuring thread's
+//! allocations, so the test harness's threads cannot bump it.
 
 use cpo_bench::trace_ingest_replay;
+use cpo_iaas::des::prelude::EventQueue;
 use cpo_iaas::obs::flight;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -70,4 +71,16 @@ fn a_warm_trace_replay_allocates_less_than_once_per_arrival() {
         "{allocations} allocations for {arrivals} arrivals ({:.3} per arrival)",
         allocations as f64 / arrivals as f64
     );
+}
+
+#[test]
+fn an_event_queue_allocates_nothing_until_events_arrive() {
+    // A scheduler builds its queue per run; setting one up must cost no
+    // heap work, whatever its bucket width.
+    let allocations = allocations_during(|| {
+        std::hint::black_box(EventQueue::<u64>::new());
+        std::hint::black_box(EventQueue::<u64>::with_bucket_width(1e-3));
+        std::hint::black_box(EventQueue::<u64>::for_window(60.0));
+    });
+    assert_eq!(allocations, 0);
 }
