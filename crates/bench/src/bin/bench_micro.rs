@@ -12,8 +12,10 @@
 //!   propagation engines (wall time, propagator invocations, nodes);
 //! * `des.synthetic_churn` — raw event-queue throughput in events/s;
 //! * `des.window_departures` — the event queue under trace-native's
-//!   departure shape ([`window_departures`]: 73 closes of 60 s windows,
-//!   1,713 departures each at `close + Exp(950 s)`, seed 42): wall time,
+//!   departure shape ([`window_departures`]: the 125,056 arrivals of the
+//!   sample amplified 1,954 times (seed 42), each departing its own
+//!   holding time after the close of its 60 s window, so every
+//!   replica's copy of a sample row lands in one burst): wall time,
 //!   events popped, events/s and an exact FNV-1a fingerprint of the pop
 //!   order;
 //! * `tabu.move_scoring.{delta,full}` — the fig8 seed-42 tabu polish
@@ -53,8 +55,8 @@
 
 use cpo_bench::report::{Cell, Report};
 use cpo_bench::{
-    admissible_fig8_problem, outcome_fingerprint, reconfig_problem, trace_ingest_replay,
-    window_departures,
+    admissible_fig8_problem, outcome_fingerprint, reconfig_problem, replay_holdings,
+    trace_ingest_replay, window_departures,
 };
 use cpo_core::cp_alloc::build_batch_csp;
 use cpo_core::prelude::{Allocator, EvoAllocator, RoundRobinAllocator};
@@ -174,7 +176,8 @@ fn main() {
 
     // --- des: the event queue under trace-native's departures -------
     let mut totals = (0, 0);
-    let wall_ns = median_ns(3, || totals = window_departures(73, 1_713, 950.0, 42));
+    let arrivals = replay_holdings(1_954, 42);
+    let wall_ns = median_ns(3, || totals = window_departures(&arrivals));
     let (events, fingerprint) = totals;
     let events_per_sec = events as f64 / (wall_ns as f64 / 1e9);
     println!(
@@ -342,18 +345,14 @@ fn main() {
         let mut totals = (0usize, 0u64);
         let wall_ns = median_ns(5, || {
             let mut moves = 0usize;
-            let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+            let mut hash = cpo_obs::FNV_OFFSET;
             for genome in &genomes {
                 ev.reset(genome.clone());
                 moves += repair_on(&mut ev, &config).moves;
                 let a = ev.assignment();
-                for k in 0..a.len() {
-                    let v = a.server_of(VmId(k)).map_or(u64::MAX, |j| j.index() as u64);
-                    for b in v.to_le_bytes() {
-                        hash ^= u64::from(b);
-                        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-                    }
-                }
+                hash = (0..a.len())
+                    .map(|k| a.server_of(VmId(k)).map_or(u64::MAX, |j| j.index() as u64))
+                    .fold(hash, cpo_obs::fnv1a);
             }
             totals = (moves, hash);
         });

@@ -23,17 +23,21 @@
 //!
 //! `exper des` runs the continuous-time simulator with the flight
 //! recorder on, dumps the ring to `<out-dir>/flight.jsonl`, reconstructs
-//! per-request lifecycle timelines into `<out-dir>/timelines.jsonl` and
-//! validates every one against the lifecycle state machine;
-//! `--timeline ID` prints one request's reconstructed history.
+//! per-request lifecycle timelines from it and checks every one against
+//! the lifecycle grammar (`cpo_obs::timeline::Track`). Any defect fails
+//! the command; when the ring overwrote events the timelines are
+//! partial, so the check is skipped and says so. `--timeline ID` prints
+//! one request's reconstructed history.
 //! `exper trace` replays a production trace the same way; `--telemetry`
-//! gives it the same flight/metrics dumps as `des` (metrics JSONL plus
-//! `flight.jsonl`/`timelines.jsonl` under `--out-dir`).
+//! (or `--strict`, `--profile`) turns the recorder on, and then it
+//! writes the same `flight.jsonl` under `--out-dir` and runs the same
+//! check.
 //! `--dash FILE` (on `des` and `trace`) collects per-window fleet-health
 //! time series and writes a self-contained HTML dashboard, plus an ANSI
 //! sparkline summary on stdout.
 //! `exper timeline <dump.jsonl>` reconstructs timelines offline from a
-//! previously written flight dump (e.g. a panic dump).
+//! previously written flight dump (e.g. a panic dump) and applies the
+//! same check, skipped when the dump records overwritten events.
 //!
 //! `--solve-deadline MS` bounds each window solve with a wall-clock
 //! deadline (anytime allocators cut and return their best incumbent;
@@ -73,7 +77,7 @@ struct Options {
     trace: Option<String>,
     /// Request uid whose reconstructed timeline `des`/`timeline` print.
     timeline: Option<u64>,
-    /// Directory for flight dumps, timeline files, and metrics JSONL.
+    /// Directory for flight dumps and metrics JSONL.
     out_dir: String,
     /// `des`/`trace`: write an HTML fleet-health dashboard here.
     dash: Option<String>,
@@ -390,6 +394,47 @@ fn print_timeline(set: &cpo_obs::timeline::TimelineSet, uid: u64) -> Result<(), 
     Ok(())
 }
 
+/// Gates on the lifecycle check: `Err` on any defect, unless the ring
+/// overwrote events, which leaves timelines partial and the check moot.
+fn lifecycle_gate(set: &cpo_obs::timeline::TimelineSet, overwritten: u64) -> Result<(), String> {
+    if overwritten > 0 {
+        println!("  lifecycle check skipped: {overwritten} events overwritten");
+        return Ok(());
+    }
+    let errors = set.all_errors();
+    if errors.is_empty() {
+        println!("  lifecycle check: every timeline complete and ordered");
+        return Ok(());
+    }
+    println!("  lifecycle check: {} defects", errors.len());
+    for e in errors.iter().take(10) {
+        println!("    {e}");
+    }
+    Err(format!("lifecycle check: {} defects", errors.len()))
+}
+
+/// Dumps the flight ring to `<out-dir>/flight.jsonl`, reconstructs the
+/// per-request timelines and gates on their lifecycle check.
+fn finish_flight(opts: &Options) -> Result<cpo_obs::timeline::TimelineSet, String> {
+    let snap = cpo_obs::flight::snapshot();
+    fs::create_dir_all(&opts.out_dir).map_err(|e| format!("creating {}: {e}", opts.out_dir))?;
+    let dump_path = format!("{}/flight.jsonl", opts.out_dir);
+    fs::write(&dump_path, cpo_obs::flight::dump_json_lines(&snap))
+        .map_err(|e| format!("writing {dump_path}: {e}"))?;
+    let set = cpo_obs::timeline::reconstruct(&snap.events);
+    println!(
+        "  flight: {} events recorded ({} overwritten) -> {dump_path}",
+        snap.recorded, snap.overwritten
+    );
+    println!(
+        "  timelines: {} requests, {} orphan events",
+        set.timelines.len(),
+        set.orphans.len()
+    );
+    lifecycle_gate(&set, snap.overwritten)?;
+    Ok(set)
+}
+
 /// `exper des` — a flight-recorded continuous-time run with per-request
 /// timeline reconstruction and lifecycle validation.
 fn run_des(opts: &Options) -> Result<(), String> {
@@ -453,16 +498,6 @@ fn run_des(opts: &Options) -> Result<(), String> {
         }
     };
 
-    let snap = cpo_obs::flight::snapshot();
-    fs::create_dir_all(&opts.out_dir).map_err(|e| format!("creating {}: {e}", opts.out_dir))?;
-    let dump_path = format!("{}/flight.jsonl", opts.out_dir);
-    fs::write(&dump_path, cpo_obs::flight::dump_json_lines(&snap))
-        .map_err(|e| format!("writing {dump_path}: {e}"))?;
-    let set = cpo_obs::timeline::reconstruct(&snap.events);
-    let tl_path = format!("{}/timelines.jsonl", opts.out_dir);
-    fs::write(&tl_path, cpo_obs::timeline::timelines_json_lines(&set))
-        .map_err(|e| format!("writing {tl_path}: {e}"))?;
-
     println!(
         "continuous-time run: {} servers, λ={}, horizon {} ({} windows), allocator {}{}",
         opts.servers,
@@ -482,25 +517,7 @@ fn run_des(opts: &Options) -> Result<(), String> {
         report.waiting.mean(),
         report.waiting.max,
     );
-    println!(
-        "  flight: {} events recorded ({} overwritten) -> {}",
-        snap.recorded, snap.overwritten, dump_path
-    );
-    println!(
-        "  timelines: {} requests, {} orphan events -> {}",
-        set.timelines.len(),
-        set.orphans.len(),
-        tl_path
-    );
-    let errors = set.all_errors();
-    if errors.is_empty() {
-        println!("  lifecycle check: every timeline complete and ordered");
-    } else {
-        println!("  lifecycle check: {} defects", errors.len());
-        for e in errors.iter().take(10) {
-            println!("    {e}");
-        }
-    }
+    let set = finish_flight(opts)?;
     finish_profile(opts)?;
     finish_dash(opts, "des")?;
     if let Some(uid) = opts.timeline {
@@ -654,28 +671,11 @@ fn run_trace(opts: &Options) -> Result<(), String> {
     if opts.strict {
         println!("  strict monitors: clean (no invariant violation aborted the run)");
     }
-    // Parity with `des`: when the flight recorder is on (--strict or
-    // --telemetry), dump the ring and the reconstructed timelines under
-    // --out-dir so trace replays are post-mortem debuggable too.
+    // Parity with `des`: when the flight recorder is on (--strict,
+    // --telemetry or --profile), dump the ring under --out-dir so trace
+    // replays are post-mortem debuggable too, and gate on the check.
     if cpo_obs::flight::is_enabled() {
-        let snap = cpo_obs::flight::snapshot();
-        fs::create_dir_all(&opts.out_dir).map_err(|e| format!("creating {}: {e}", opts.out_dir))?;
-        let dump_path = format!("{}/flight.jsonl", opts.out_dir);
-        fs::write(&dump_path, cpo_obs::flight::dump_json_lines(&snap))
-            .map_err(|e| format!("writing {dump_path}: {e}"))?;
-        let set = cpo_obs::timeline::reconstruct(&snap.events);
-        let tl_path = format!("{}/timelines.jsonl", opts.out_dir);
-        fs::write(&tl_path, cpo_obs::timeline::timelines_json_lines(&set))
-            .map_err(|e| format!("writing {tl_path}: {e}"))?;
-        println!(
-            "  flight: {} events recorded ({} overwritten) -> {dump_path}",
-            snap.recorded, snap.overwritten
-        );
-        println!(
-            "  timelines: {} requests, {} orphan events -> {tl_path}",
-            set.timelines.len(),
-            set.orphans.len()
-        );
+        finish_flight(opts)?;
     }
     finish_profile(opts)?;
     finish_dash(opts, "trace")?;
@@ -683,7 +683,8 @@ fn run_trace(opts: &Options) -> Result<(), String> {
 }
 
 /// `exper timeline <dump.jsonl>` — offline timeline reconstruction from
-/// a flight dump (a run's `flight.jsonl` or a panic hook's dump).
+/// a flight dump (a run's `flight.jsonl` or a panic hook's dump), gated
+/// on the lifecycle check like `des`.
 fn run_timeline(path: &str, opts: &Options) -> Result<(), String> {
     let text = fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
     let snap = cpo_obs::flight::dump_from_json_lines(&text)?;
@@ -723,7 +724,7 @@ fn run_timeline(path: &str, opts: &Options) -> Result<(), String> {
             }
         }
     }
-    Ok(())
+    lifecycle_gate(&set, snap.overwritten)
 }
 
 fn emit(fig: &Figure, opts: &Options) -> Result<(), String> {

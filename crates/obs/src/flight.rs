@@ -26,7 +26,9 @@
 //! generation time), an optional tenant id, and two payload words whose
 //! meaning depends on the [`FlightKind`] — see the table in DESIGN.md.
 //! [`crate::timeline`] reconstructs per-request lifecycles from a
-//! [`FlightSnapshot`].
+//! [`FlightSnapshot`] and checks them against its one lifecycle grammar;
+//! [`dump_json_lines`] is the only on-disk form of those events, and
+//! timelines are rebuilt from it rather than written separately.
 
 use std::sync::atomic::{fence, AtomicBool, AtomicU64, Ordering};
 use std::sync::OnceLock;

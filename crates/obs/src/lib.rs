@@ -65,6 +65,20 @@ pub use registry::{
 };
 pub use span::{span, SpanGuard};
 
+/// The FNV-1a offset basis: the hash of no input.
+pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Folds one word into an FNV-1a hash, its eight bytes in little-endian
+/// order. `words.fold(FNV_OFFSET, fnv1a)` hashes a word sequence; the
+/// workspace's byte-wise fingerprints (hot-server rankings, region
+/// shard keys, bench cells) all fold through here.
+#[inline]
+pub fn fnv1a(hash: u64, word: u64) -> u64 {
+    word.to_le_bytes().into_iter().fold(hash, |h, byte| {
+        (h ^ u64::from(byte)).wrapping_mul(0x100_0000_01b3)
+    })
+}
+
 /// Serialises the unit tests that touch the process-global flight ring
 /// or profiler state. One lock for both: the profiler's tests record
 /// through [`flight::record`], which writes the ring whenever a

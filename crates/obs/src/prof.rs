@@ -2,10 +2,12 @@
 //!
 //! The flight recorder says *what* happened to a request; this module
 //! says *where its microseconds went*. While enabled, every flight
-//! event is fanned into an online per-request state machine (see
-//! [`crate::flight::record`]) that decomposes each request's
-//! end-to-end admission latency — `arrived` to its last `placed` (or
-//! to `rejected`) — into five exhaustive, non-overlapping stages:
+//! event is fanned into the profiler (see [`crate::flight::record`]),
+//! which steps each request's lifecycle [`Track`] — the grammar the
+//! offline timeline validator folds — from `arrived` until it
+//! [settles](Track::settled), and decomposes its end-to-end admission
+//! latency — `arrived` to its last `placed` (or to `rejected`) — into
+//! five exhaustive, non-overlapping stages:
 //!
 //! | stage        | covers                                                    |
 //! |--------------|-----------------------------------------------------------|
@@ -52,6 +54,7 @@
 
 use crate::flight::{FlightKind, NONE};
 use crate::histogram::{Histogram, HistogramSummary};
+use crate::timeline::{Phase, Track};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -278,14 +281,12 @@ impl Profile {
     /// deterministic, diffable digest of (server, conflicts, stale,
     /// capacity) tuples in rank order.
     pub fn hot_fingerprint(&self, k: usize) -> String {
-        let mut h = Fnv::new();
-        for s in self.top_hot_servers(k) {
-            h.fold(s.server);
-            h.fold(s.conflicts);
-            h.fold(s.stale);
-            h.fold(s.capacity);
-        }
-        format!("{:016x}", h.0)
+        let hash = self
+            .top_hot_servers(k)
+            .iter()
+            .flat_map(|s| [s.server, s.conflicts, s.stale, s.capacity])
+            .fold(crate::FNV_OFFSET, crate::fnv1a);
+        format!("{hash:016x}")
     }
 
     /// Critical solve path summed over windows, µs.
@@ -478,21 +479,6 @@ fn write_request_json(out: &mut String, r: &RequestProfile) {
     out.push_str("}}");
 }
 
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn fold(&mut self, word: u64) {
-        for byte in word.to_le_bytes() {
-            self.0 ^= u64::from(byte);
-            self.0 = self.0.wrapping_mul(0x100_0000_01b3);
-        }
-    }
-}
-
 // --- online state -------------------------------------------------------
 
 /// One in-flight request.
@@ -505,9 +491,8 @@ struct ReqRec {
     stage_us: [u64; STAGE_COUNT],
     segments: [u64; STAGE_COUNT],
     bounces: u64,
-    /// VMs expected (from `admitted`) and placed so far.
-    vms: u64,
-    placed: u64,
+    /// Where the request stands in the lifecycle grammar.
+    track: Track,
 }
 
 impl ReqRec {
@@ -520,8 +505,7 @@ impl ReqRec {
             stage_us: [0; STAGE_COUNT],
             segments: [0; STAGE_COUNT],
             bounces: 0,
-            vms: 0,
-            placed: 0,
+            track: Track::from_arrival(),
         }
     }
 
@@ -702,6 +686,7 @@ impl ProfState {
             FlightKind::Arrived if key != NONE => {
                 self.live.insert(key, ReqRec::new(ts));
                 self.tracked += 1;
+                return;
             }
             FlightKind::CommitAttempt => {
                 // a = first infeasible server, b = reason tag.
@@ -744,7 +729,6 @@ impl ProfState {
             }
             FlightKind::Rejected if key != NONE => {
                 self.commit_segment(key, ts, CommitOutcome::Rejected);
-                self.finalize(key, false);
             }
             FlightKind::Admitted if key != NONE => {
                 // Native (storeless) paths fold queue+solve here;
@@ -753,20 +737,12 @@ impl ProfState {
                 self.ride_phase(key);
                 if let Some(rec) = self.live.get_mut(&key) {
                     rec.tenant = tenant;
-                    rec.vms = b;
                     rec.advance(Stage::Placement, ts);
-                    if rec.vms == 0 {
-                        self.finalize(key, true);
-                    }
                 }
             }
             FlightKind::Placed if key != NONE => {
                 if let Some(rec) = self.live.get_mut(&key) {
                     rec.advance(Stage::Placement, ts);
-                    rec.placed += 1;
-                    if rec.placed >= rec.vms {
-                        self.finalize(key, true);
-                    }
                 }
             }
             FlightKind::WindowClosed if !self.window_heat.is_empty() => {
@@ -790,6 +766,22 @@ impl ProfState {
             // CommitAttempt above already carries the attribution.
             // Everything else is irrelevant to admission latency.
             _ => {}
+        }
+        if key != NONE {
+            self.step(key, kind, b);
+        }
+    }
+
+    /// Steps the request's lifecycle [`Track`] and finalizes it the
+    /// moment the track first settles. An event the grammar refuses
+    /// leaves the request as it was.
+    fn step(&mut self, key: u64, kind: FlightKind, b: u64) {
+        let Some(rec) = self.live.get_mut(&key) else {
+            return;
+        };
+        if rec.track.step(kind, b).is_ok() && rec.track.settled() {
+            let admitted = rec.track.phase() != Phase::Rejected;
+            self.finalize(key, admitted);
         }
     }
 

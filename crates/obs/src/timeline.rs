@@ -1,20 +1,160 @@
-//! Per-request lifecycle reconstruction from flight-recorder events.
+//! Per-request lifecycles: the grammar every request's flight events
+//! follow ([`Track`]), and the per-request [`Timeline`]s reconstructed
+//! from a flight snapshot or dump.
 //!
 //! Every request drawn from an arrival stream carries a correlation key
 //! (its uid) from generation onwards; admission binds the key to a
 //! tenant id, and from then on platform events (placement, migration,
-//! SLA breaches, departure) are attributed to the tenant. This module
-//! joins the two views back into one [`Timeline`] per request —
-//! `generated → arrived → admitted/rejected → placed → migrated* →
-//! departed` — and validates the sequence against that state machine so
-//! tests can demand gap-free, orphan-free coverage of a whole run.
+//! SLA breaches, departure) are attributed to the tenant.
+//! [`reconstruct`] joins the two views back into one [`Timeline`] per
+//! request, and [`Timeline::lifecycle_errors`] folds its events through
+//! a [`Track`] so tests can demand gap-free, orphan-free coverage of a
+//! whole run. The latency profiler ([`crate::prof`]) steps the same
+//! [`Track`] online from `arrived` on and finalizes a request once it is
+//! [`Track::settled`], so the two consumers cannot disagree on the
+//! grammar. Timelines are not written to disk: the flight dump
+//! (`flight.jsonl`) holds every event, and `exper timeline <dump>`
+//! rebuilds them from it.
 
 use crate::flight::{FlightEvent, FlightKind, NONE};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-/// Timeline JSONL schema version.
-pub const TIMELINE_SCHEMA_VERSION: u64 = 1;
+/// Where a request stands in its lifecycle.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub enum Phase {
+    /// No event yet.
+    #[default]
+    Start,
+    /// Drawn from an arrival stream.
+    Generated,
+    /// Reached the simulator; store commit traffic may follow.
+    Arrived,
+    /// Admitted by admission control.
+    Admitted {
+        /// VMs the admission carries.
+        vms: u64,
+        /// VMs placed so far.
+        placed: u64,
+    },
+    /// Rejected by admission control.
+    Rejected,
+    /// Released its resources.
+    Departed,
+}
+
+/// One request's position in the lifecycle grammar:
+///
+/// ```text
+/// generated → arrived → (committed | conflicted | commit_attempt)*
+///           → admitted → placed × vms, interleaved with
+///                        (migrated | sla_violated)* → departed?
+///           | rejected
+/// ```
+///
+/// Commit traffic before the decision is legal because a sharded
+/// scheduler may bounce a request several times before it is admitted
+/// or rejected; a `committed` reserves capacity, so a request that saw
+/// one must end up admitted. A stream may stop anywhere (a run ends
+/// with requests undecided, waiting or running) except between an
+/// admission and its last placement, which [`Track::finish`] checks.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Track {
+    phase: Phase,
+    committed: bool,
+}
+
+impl Track {
+    /// A request first seen at its `arrived` event — where the profiler
+    /// starts tracking.
+    pub fn from_arrival() -> Self {
+        Self {
+            phase: Phase::Arrived,
+            committed: false,
+        }
+    }
+
+    /// The current phase.
+    pub fn phase(&self) -> Phase {
+        self.phase
+    }
+
+    /// Advances over one event of `kind`; `b` is the event's second
+    /// payload word, read only on `admitted` (the VM count). An event
+    /// the grammar does not allow here leaves the track unchanged and
+    /// returns the defect.
+    pub fn step(&mut self, kind: FlightKind, b: u64) -> Result<(), String> {
+        use FlightKind as K;
+        use Phase as P;
+        self.phase = match (self.phase, kind) {
+            (P::Start, K::Generated) => P::Generated,
+            (P::Generated, K::Arrived) => P::Arrived,
+            (P::Arrived, K::Committed) => {
+                self.committed = true;
+                P::Arrived
+            }
+            (P::Arrived, K::Conflicted | K::CommitAttempt) => P::Arrived,
+            (P::Arrived, K::Admitted) => P::Admitted { vms: b, placed: 0 },
+            (P::Arrived, K::Rejected) if !self.committed => P::Rejected,
+            (P::Admitted { vms, placed }, K::Placed) if placed < vms => P::Admitted {
+                vms,
+                placed: placed + 1,
+            },
+            (phase @ P::Admitted { .. }, K::Migrated | K::SlaViolated) => phase,
+            (P::Admitted { vms, placed }, K::Departed) if placed == vms => P::Departed,
+            (phase, kind) => return Err(defect(phase, kind)),
+        };
+        Ok(())
+    }
+
+    /// Whether the admission decision is complete: rejected, or
+    /// admitted with every VM placed.
+    pub fn settled(&self) -> bool {
+        match self.phase {
+            Phase::Rejected | Phase::Departed => true,
+            Phase::Admitted { vms, placed } => placed == vms,
+            _ => false,
+        }
+    }
+
+    /// The end-of-stream check: every state is a legal place for a run
+    /// to stop except an admission whose placements are incomplete.
+    pub fn finish(&self) -> Result<(), String> {
+        match self.phase {
+            Phase::Admitted { vms, placed } if placed < vms => {
+                Err(format!("admitted {vms} vms but placed {placed}"))
+            }
+            _ => Ok(()),
+        }
+    }
+}
+
+/// Why an event of `kind` cannot follow `phase`.
+fn defect(phase: Phase, kind: FlightKind) -> String {
+    use FlightKind as K;
+    use Phase as P;
+    let name = kind.name();
+    match (phase, kind) {
+        (P::Rejected, _) => format!("rejected yet has {name} events"),
+        // The only refused decision at `arrived`.
+        (P::Arrived, K::Rejected) => "rejected yet has committed events".into(),
+        (P::Departed, _) => "events recorded after departure".into(),
+        (P::Start, K::Arrived) => "arrived without generation".into(),
+        (P::Start, _) => "does not start with generated".into(),
+        (_, K::Generated | K::Arrived) => format!("expected at most one {name} event"),
+        (P::Generated, K::Admitted | K::Rejected) => "decided without an arrived event".into(),
+        (P::Generated, _) => format!("{name} before arrival"),
+        (P::Arrived, _) => format!("{name} before an admission decision"),
+        (P::Admitted { .. }, K::Admitted | K::Rejected) => {
+            "more than one admission decision".into()
+        }
+        (P::Admitted { vms, .. }, K::Placed) => format!("more than {vms} vms placed"),
+        (P::Admitted { vms, placed }, K::Departed) => {
+            format!("departed with {placed} of {vms} vms placed")
+        }
+        (P::Admitted { .. }, _) => format!("{name} after the admission decision"),
+    }
+}
 
 /// The reconstructed lifecycle of one request.
 #[derive(Clone, Debug, PartialEq)]
@@ -43,136 +183,37 @@ impl Timeline {
         self.events.iter().any(|e| e.kind == FlightKind::Departed)
     }
 
-    /// Validates the event sequence against the lifecycle state machine.
-    /// Returns one message per defect; empty means the timeline is
-    /// complete and ordered: it starts with `generated`, proceeds through
-    /// at most one `arrived` and at most one admission decision, carries
-    /// placements only when admitted, and ends with at most one
-    /// `departed`. Requests cut short by the end of a run — still
-    /// running, still waiting for a window boundary, or generated but not
-    /// yet arrived — are complete; what is never legitimate is a *later*
-    /// stage without its earlier ones.
-    pub fn lifecycle_errors(&self) -> Vec<String> {
-        let mut errors = Vec::new();
-        let count = |k: FlightKind| self.events.iter().filter(|e| e.kind == k).count();
-        let pos = |k: FlightKind| self.events.iter().position(|e| e.kind == k);
-
-        if self.events.first().map(|e| e.kind) != Some(FlightKind::Generated) {
-            errors.push(format!(
-                "request {}: does not start with generated",
-                self.key
-            ));
-        }
-        for (k, label) in [
-            (FlightKind::Generated, "generated"),
-            (FlightKind::Arrived, "arrived"),
-        ] {
-            if count(k) > 1 {
-                errors.push(format!(
-                    "request {}: expected at most one {label} event, got {}",
-                    self.key,
-                    count(k)
-                ));
-            }
-        }
-        let admissions = count(FlightKind::Admitted) + count(FlightKind::Rejected);
-        if admissions > 1 {
-            errors.push(format!(
-                "request {}: expected at most one admission decision, got {admissions}",
-                self.key
-            ));
-        }
-        // Stage skipping: each later stage requires the earlier ones.
-        if admissions == 1 && count(FlightKind::Arrived) == 0 {
-            errors.push(format!(
-                "request {}: decided without an arrived event",
-                self.key
-            ));
-        }
-        if count(FlightKind::Arrived) == 1 && count(FlightKind::Generated) == 0 {
-            errors.push(format!("request {}: arrived without generation", self.key));
-        }
-        // Store commit traffic (committed / conflicted / per-attempt
-        // bounces) legally precedes the admission decision: a sharded
-        // scheduler may bounce a request several times before it is
-        // admitted or rejected.
-        if admissions == 0
-            && self.events.iter().any(|e| {
-                !matches!(
-                    e.kind,
-                    FlightKind::Generated
-                        | FlightKind::Arrived
-                        | FlightKind::Committed
-                        | FlightKind::Conflicted
-                        | FlightKind::CommitAttempt
-                )
-            })
-        {
-            errors.push(format!(
-                "request {}: lifecycle events before an admission decision",
-                self.key
-            ));
-        }
-        if let (Some(g), Some(a)) = (pos(FlightKind::Generated), pos(FlightKind::Arrived)) {
-            if a < g {
-                errors.push(format!("request {}: arrived before generated", self.key));
-            }
-        }
-        if let Some(d) = pos(FlightKind::Arrived) {
-            if let Some(dec) = self
-                .events
-                .iter()
-                .position(|e| matches!(e.kind, FlightKind::Admitted | FlightKind::Rejected))
-            {
-                if dec < d {
-                    errors.push(format!("request {}: decided before it arrived", self.key));
-                }
-            }
-        }
-        if self.rejected() {
-            // `conflicted` is fine on a rejected timeline (the retry
-            // budget ran out); a surviving `committed` is not — a commit
-            // reserves capacity, so its request must end up admitted.
-            for k in [
-                FlightKind::Placed,
-                FlightKind::Migrated,
-                FlightKind::Departed,
-                FlightKind::SlaViolated,
-                FlightKind::Committed,
-            ] {
-                if count(k) > 0 {
-                    errors.push(format!(
-                        "request {}: rejected yet has {} events",
-                        self.key,
-                        k.name()
-                    ));
-                }
-            }
-        }
-        if self.admitted() && count(FlightKind::Placed) == 0 {
-            errors.push(format!("request {}: admitted but never placed", self.key));
-        }
-        match count(FlightKind::Departed) {
-            0 | 1 => {}
-            n => errors.push(format!("request {}: departed {n} times", self.key)),
-        }
-        if let Some(d) = pos(FlightKind::Departed) {
-            if d + 1 != self.events.len() {
-                errors.push(format!(
-                    "request {}: events recorded after departure",
-                    self.key
-                ));
-            }
-        }
-        let mut last_ticket = 0u64;
+    /// The request's [`Track`] after every event it accepts (defective
+    /// events are skipped, as [`Track::step`] leaves them).
+    pub fn track(&self) -> Track {
+        let mut track = Track::default();
         for e in &self.events {
-            if e.ticket < last_ticket {
-                errors.push(format!("request {}: tickets out of order", self.key));
-                break;
-            }
-            last_ticket = e.ticket;
+            let _ = track.step(e.kind, e.b);
+        }
+        track
+    }
+
+    /// Validates the event sequence against the lifecycle grammar: a
+    /// fold of [`Track::step`] over the events, then [`Track::finish`],
+    /// plus a ticket-order check. Returns one message per defect; empty
+    /// means the timeline is complete and ordered. Requests cut short by
+    /// the end of a run are complete; what is never legitimate is a
+    /// *later* stage without its earlier ones.
+    pub fn lifecycle_errors(&self) -> Vec<String> {
+        let mut track = Track::default();
+        let mut errors: Vec<String> = self
+            .events
+            .iter()
+            .filter_map(|e| track.step(e.kind, e.b).err())
+            .collect();
+        errors.extend(track.finish().err());
+        if self.events.windows(2).any(|w| w[1].ticket < w[0].ticket) {
+            errors.push("tickets out of order".into());
         }
         errors
+            .into_iter()
+            .map(|m| format!("request {}: {m}", self.key))
+            .collect()
     }
 
     /// Renders the timeline as a human-readable multi-line string.
@@ -303,86 +344,6 @@ pub fn reconstruct(events: &[FlightEvent]) -> TimelineSet {
         t.events.sort_by_key(|e| e.ticket);
     }
     TimelineSet { timelines, orphans }
-}
-
-/// Serialises timelines as JSON lines: a meta header, then one object
-/// per request with its full event list.
-pub fn timelines_json_lines(set: &TimelineSet) -> String {
-    let mut out = format!(
-        "{{\"event\":\"meta\",\"schema\":\"cpo-timelines\",\"schema_version\":{},\"requests\":{},\"orphans\":{}}}\n",
-        TIMELINE_SCHEMA_VERSION,
-        set.timelines.len(),
-        set.orphans.len()
-    );
-    for t in &set.timelines {
-        let _ = write!(out, "{{\"request\":{},\"tenant\":", t.key);
-        match t.tenant {
-            Some(id) => {
-                let _ = write!(out, "{id}");
-            }
-            None => out.push_str("null"),
-        }
-        out.push_str(",\"events\":[");
-        for (i, e) in t.events.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            crate::flight::write_event_json(e, &mut out);
-        }
-        out.push_str("]}\n");
-    }
-    out
-}
-
-/// Parses a [`timelines_json_lines`] document back. Orphans are not
-/// serialised, so the parsed set has none.
-pub fn timelines_from_json_lines(text: &str) -> Result<TimelineSet, String> {
-    let mut set = TimelineSet::default();
-    for (lineno, line) in text.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
-        }
-        let v = crate::json::parse(line).map_err(|e| format!("line {}: {e}", lineno + 1))?;
-        if v.get("event").and_then(crate::json::Value::as_str) == Some("meta") {
-            let version = v
-                .get("schema_version")
-                .and_then(crate::json::Value::as_u64)
-                .ok_or("meta line without schema_version")?;
-            if version != TIMELINE_SCHEMA_VERSION {
-                return Err(format!(
-                    "unsupported timeline schema version {version} (expected {TIMELINE_SCHEMA_VERSION})"
-                ));
-            }
-            continue;
-        }
-        let key = v
-            .get("request")
-            .and_then(crate::json::Value::as_u64)
-            .ok_or_else(|| format!("line {}: missing request", lineno + 1))?;
-        let tenant = match v.get("tenant") {
-            None | Some(crate::json::Value::Null) => None,
-            Some(x) => Some(
-                x.as_u64()
-                    .ok_or_else(|| format!("line {}: tenant not numeric", lineno + 1))?,
-            ),
-        };
-        let events = match v.get("events") {
-            Some(crate::json::Value::Arr(items)) => items
-                .iter()
-                .map(crate::flight::event_from_value)
-                .collect::<Result<Vec<_>, _>>()
-                .map_err(|e| format!("line {}: {e}", lineno + 1))?,
-            _ => return Err(format!("line {}: missing events array", lineno + 1)),
-        };
-        set.timelines.push(Timeline {
-            key,
-            tenant,
-            events,
-        });
-    }
-    set.timelines.sort_by_key(|t| t.key);
-    Ok(set)
 }
 
 #[cfg(test)]
@@ -516,8 +477,8 @@ mod tests {
     #[test]
     fn undecided_request_with_commit_attempts_is_not_stage_skipping() {
         // A run cut off mid-window may leave a request bounced but not
-        // yet decided; that must not trip the "lifecycle events before
-        // an admission decision" check.
+        // yet decided; that must not trip the "before an admission
+        // decision" defect.
         let events = vec![
             ev(0, FlightKind::Generated, 6, NONE, 1, 0),
             ev(1, FlightKind::Arrived, 6, NONE, 10, 1),
@@ -529,17 +490,46 @@ mod tests {
     }
 
     #[test]
-    fn timelines_round_trip_through_json_lines() {
-        let set = reconstruct(&lifecycle());
-        let text = timelines_json_lines(&set);
-        assert!(text.starts_with("{\"event\":\"meta\""));
-        let back = timelines_from_json_lines(&text).unwrap();
-        assert_eq!(back.timelines, set.timelines);
+    fn a_track_settles_once_every_vm_is_placed() {
+        let mut track = Track::from_arrival();
+        assert!(!track.settled());
+        track.step(FlightKind::Admitted, 2).unwrap();
+        track.step(FlightKind::Placed, 0).unwrap();
+        assert!(!track.settled(), "one of two vms placed");
+        track.step(FlightKind::Placed, 1).unwrap();
+        assert!(track.settled());
+        let err = track.step(FlightKind::Placed, 2).unwrap_err();
+        assert!(err.contains("more than 2 vms placed"), "{err}");
+        assert_eq!(
+            track.phase(),
+            Phase::Admitted { vms: 2, placed: 2 },
+            "a refused event leaves the track unchanged"
+        );
+        track.step(FlightKind::Departed, 0).unwrap();
+        assert!(track.settled() && track.finish().is_ok());
     }
 
     #[test]
-    fn unknown_timeline_schema_is_rejected() {
-        let text = "{\"event\":\"meta\",\"schema\":\"cpo-timelines\",\"schema_version\":42}\n";
-        assert!(timelines_from_json_lines(text).is_err());
+    fn incomplete_placement_and_committed_rejection_are_defects() {
+        let events = vec![
+            ev(0, FlightKind::Generated, 1, NONE, 2, 0),
+            ev(1, FlightKind::Arrived, 1, NONE, 10, 2),
+            ev(2, FlightKind::Admitted, 1, 8, 0, 2),
+            ev(3, FlightKind::Placed, 1, 8, 0, 0),
+            ev(4, FlightKind::Generated, 2, NONE, 1, 0),
+            ev(5, FlightKind::Arrived, 2, NONE, 10, 1),
+            ev(6, FlightKind::Committed, 2, NONE, 0, 0),
+            ev(7, FlightKind::Rejected, 2, NONE, 0, 0),
+        ];
+        let set = reconstruct(&events);
+        assert_eq!(
+            set.timeline(1).unwrap().lifecycle_errors(),
+            vec!["request 1: admitted 2 vms but placed 1".to_string()]
+        );
+        assert!(!set.timeline(1).unwrap().track().settled());
+        assert_eq!(
+            set.timeline(2).unwrap().lifecycle_errors(),
+            vec!["request 2: rejected yet has committed events".to_string()]
+        );
     }
 }

@@ -1,12 +1,12 @@
-//! Property tests: the flight-dump JSONL codec and the timeline JSONL
-//! codec must both round-trip arbitrary event streams exactly — the
-//! post-mortem path (`dump → parse → reconstruct`) sees precisely what
-//! the in-process path (`snapshot → reconstruct`) saw.
+//! Property tests: the flight-dump JSONL codec must round-trip arbitrary
+//! event streams exactly — the post-mortem path (`dump → parse →
+//! reconstruct`) sees precisely what the in-process path (`snapshot →
+//! reconstruct`) saw.
 
 use cpo_obs::flight::{
     dump_from_json_lines, dump_json_lines, FlightEvent, FlightKind, FlightSnapshot, NONE,
 };
-use cpo_obs::timeline::{reconstruct, timelines_from_json_lines, timelines_json_lines};
+use cpo_obs::timeline::reconstruct;
 use proptest::prelude::*;
 
 /// A random event stream with ascending tickets. Keys and tenants land
@@ -54,14 +54,6 @@ proptest! {
         prop_assert_eq!(back.events, snap.events);
         prop_assert_eq!(back.recorded, snap.recorded);
         prop_assert_eq!(back.overwritten, snap.overwritten);
-    }
-
-    #[test]
-    fn timelines_roundtrip_exactly(events in arb_events()) {
-        let set = reconstruct(&events);
-        let text = timelines_json_lines(&set);
-        let back = timelines_from_json_lines(&text).expect("own dump must parse");
-        prop_assert_eq!(back.timelines, set.timelines);
     }
 
     #[test]

@@ -119,16 +119,6 @@ impl Default for ShardConfig {
     }
 }
 
-/// FNV-1a — tiny, stable, and good enough to spread region keys.
-fn fnv1a(key: u64) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in key.to_le_bytes() {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
 /// A request's predicted placement region, from the first-fit dry run.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 enum Region {
@@ -142,12 +132,15 @@ enum Region {
 }
 
 impl Region {
+    /// FNV-1a of the region — tiny, stable, and good enough to spread
+    /// region keys.
     fn shard_key(self) -> u64 {
-        match self {
-            Region::Dc(d) => fnv1a(d as u64),
-            Region::Server(j) => fnv1a(j as u64),
-            Region::Unplaced(i) => fnv1a(u64::MAX - i as u64),
-        }
+        let key = match self {
+            Region::Dc(d) => d as u64,
+            Region::Server(j) => j as u64,
+            Region::Unplaced(i) => u64::MAX - i as u64,
+        };
+        cpo_obs::fnv1a(cpo_obs::FNV_OFFSET, key)
     }
 }
 

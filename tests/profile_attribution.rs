@@ -11,7 +11,9 @@ use cpo_core::prelude::RoundRobinAllocator;
 use cpo_des::prelude::*;
 use cpo_model::attr::AttrSet;
 use cpo_model::prelude::*;
+use cpo_obs::flight::{FlightKind, FlightSnapshot};
 use cpo_obs::prof::{self, ProfConfig, Profile};
+use cpo_obs::timeline;
 use cpo_platform::prelude::{
     FleetExecutor, ShardConfig, ShardedScheduler, SimConfig, StoreMetrics, WindowExecutor,
 };
@@ -32,15 +34,15 @@ fn infra(servers: usize) -> Infrastructure {
     )
 }
 
-/// One profiled sharded trace replay; returns the profile and the
-/// store's cumulative commit counters.
+/// One profiled sharded trace replay; returns the profile, the store's
+/// cumulative commit counters and the flight ring as the run left it.
 fn profiled_trace_replay(
     servers: usize,
     shards: usize,
     amplify: usize,
     seed: u64,
     config: ProfConfig,
-) -> (Profile, StoreMetrics) {
+) -> (Profile, StoreMetrics, FlightSnapshot) {
     let reader = AzureReader::new(Cursor::new(SAMPLE), MalformedPolicy::Fail).expect("sample");
     let amp = Amplifier::new(
         reader,
@@ -77,11 +79,12 @@ fn profiled_trace_replay(
     sched.run(&RoundRobinAllocator, horizon);
     let metrics = sched.backend().backend().store().metrics();
     let profile = prof::snapshot().expect("profiler enabled");
+    let flight = cpo_obs::flight::snapshot();
     prof::disable();
     prof::reset();
     cpo_obs::flight::disable();
     cpo_obs::flight::reset();
-    (profile, metrics)
+    (profile, metrics, flight)
 }
 
 /// One profiled sharded Poisson DES run (synthetic arrivals, sharded
@@ -135,7 +138,7 @@ fn profiled_des_run(
 #[test]
 fn stage_sums_equal_end_to_end_latency_on_a_sharded_trace_replay() {
     let _g = LOCK.lock().unwrap();
-    let (profile, _) = profiled_trace_replay(
+    let (profile, _, flight) = profiled_trace_replay(
         48,
         4,
         40,
@@ -174,12 +177,35 @@ fn stage_sums_equal_end_to_end_latency_on_a_sharded_trace_replay() {
         profile.finalized(),
         "keep_requests must retain every finalized request"
     );
+
+    // The profiler and the timeline validator step one lifecycle
+    // grammar, so they must agree on the same run: the ring's timelines
+    // are defect-free, and the profiler's finalized/in-flight split is
+    // exactly the timelines' settled/unsettled split from `arrived` on.
+    assert_eq!(flight.overwritten, 0, "this replay must fit in the ring");
+    let set = timeline::reconstruct(&flight.events);
+    let errors = set.all_errors();
+    assert!(errors.is_empty(), "lifecycle defects: {errors:?}");
+    let (mut admitted, mut rejected, mut unsettled) = (0, 0, 0);
+    for t in &set.timelines {
+        if !t.events.iter().any(|e| e.kind == FlightKind::Arrived) {
+            continue;
+        }
+        match (t.track().settled(), t.admitted()) {
+            (false, _) => unsettled += 1,
+            (true, true) => admitted += 1,
+            (true, false) => rejected += 1,
+        }
+    }
+    assert_eq!(profile.admitted, admitted, "settled admitted timelines");
+    assert_eq!(profile.rejected, rejected, "settled rejected timelines");
+    assert_eq!(profile.in_flight, unsettled, "unsettled timelines");
 }
 
 #[test]
 fn conflict_hotspots_agree_with_store_metrics() {
     let _g = LOCK.lock().unwrap();
-    let (profile, metrics) = profiled_trace_replay(32, 4, 40, 7, ProfConfig::default());
+    let (profile, metrics, _) = profiled_trace_replay(32, 4, 40, 7, ProfConfig::default());
     assert!(
         metrics.conflicts > 0,
         "a 4-shard replay on a small fleet must produce conflicts"
@@ -210,8 +236,8 @@ fn conflict_hotspots_agree_with_store_metrics() {
 #[test]
 fn deterministic_profile_subset_is_byte_identical_across_same_seed_runs() {
     let _g = LOCK.lock().unwrap();
-    let (a, _) = profiled_trace_replay(32, 4, 30, 13, ProfConfig::default());
-    let (b, _) = profiled_trace_replay(32, 4, 30, 13, ProfConfig::default());
+    let (a, _, _) = profiled_trace_replay(32, 4, 30, 13, ProfConfig::default());
+    let (b, _, _) = profiled_trace_replay(32, 4, 30, 13, ProfConfig::default());
     assert_eq!(
         a.to_json(false),
         b.to_json(false),
@@ -219,7 +245,7 @@ fn deterministic_profile_subset_is_byte_identical_across_same_seed_runs() {
     );
     // A different seed must actually change the deterministic payload —
     // otherwise the byte-identity above proves nothing.
-    let (c, _) = profiled_trace_replay(32, 4, 30, 14, ProfConfig::default());
+    let (c, _, _) = profiled_trace_replay(32, 4, 30, 14, ProfConfig::default());
     assert_ne!(
         a.to_json(false),
         c.to_json(false),
